@@ -241,10 +241,18 @@ def _deriv_cache(g: SampledSignal, max_n: int) -> list:
     return derivs
 
 
-def _masked_deriv(g: SampledSignal, n: int) -> np.ndarray:
-    if n == 0:
-        return g.values
-    return _deriv_cache(g, n)[n]
+def _term_integral(grid: Grid, cfg: HpwConfig, q: int, wd: np.ndarray,
+                   derivs: list, i: int, z: int) -> float:
+    """Signed, edge-checked integral of the weight derivative ``wd`` against
+    |g^(i)|^2 when i == z, else Re((-1)^(q-(i+z)/2) g^(i) conj(g^(z)))."""
+    if i == z:
+        integrand, what = np.abs(derivs[i]) ** 2, "square"
+    else:
+        integrand = np.real(half_power(q - (i + z) / 2.0)
+                            * derivs[i] * np.conj(derivs[z]))
+        what = "cross"
+    return cfg.parity_sign(q) * _edge_checked_integral(
+        grid, wd * integrand, f"the weighted derivative-{what} integral")
 
 
 def weighted_square_integral(g: SampledSignal, cfg: HpwConfig, q: int,
@@ -254,12 +262,9 @@ def weighted_square_integral(g: SampledSignal, cfg: HpwConfig, q: int,
     q, n = int(q), int(n)
     if not 0 <= n <= q <= cfg.p // 2:
         raise ValueError(f"indices out of range: q={q}, n={n}, p={cfg.p}")
-    t = g.grid.points()
-    wd = weight_deriv_centered(cfg.omega, cfg.p, cfg.t_m, cfg.p - 2 * q, t)
-    gn = _masked_deriv(g, n)
-    integrand = wd * np.abs(gn) ** 2
-    return cfg.parity_sign(q) * _edge_checked_integral(
-        g.grid, integrand, "the weighted derivative-square integral")
+    wd = weight_deriv_centered(cfg.omega, cfg.p, cfg.t_m, cfg.p - 2 * q,
+                                g.grid.points())
+    return _term_integral(g.grid, cfg, q, wd, _deriv_cache(g, n), n, n)
 
 
 def weighted_cross_integral(g: SampledSignal, cfg: HpwConfig, q: int, i: int,
@@ -271,13 +276,9 @@ def weighted_cross_integral(g: SampledSignal, cfg: HpwConfig, q: int, i: int,
         raise ValueError(f"indices must satisfy 0 <= i < z <= q, got ({i}, {z}, {q})")
     if q > cfg.p // 2:
         raise ValueError(f"q={q} out of range for p={cfg.p}")
-    t = g.grid.points()
-    wd = weight_deriv_centered(cfg.omega, cfg.p, cfg.t_m, cfg.p - 2 * q, t)
-    derivs = _deriv_cache(g, z)
-    cross = np.real(half_power(q - (i + z) / 2.0) * derivs[i] * np.conj(derivs[z]))
-    integrand = wd * cross
-    return cfg.parity_sign(q) * _edge_checked_integral(
-        g.grid, integrand, "the weighted derivative-cross integral")
+    wd = weight_deriv_centered(cfg.omega, cfg.p, cfg.t_m, cfg.p - 2 * q,
+                                g.grid.points())
+    return _term_integral(g.grid, cfg, q, wd, _deriv_cache(g, z), i, z)
 
 
 def hpw_core(f: SampledSignal, params: OlctParams, cfg: HpwConfig) -> BoundBreakdown:
@@ -297,18 +298,6 @@ def hpw_core(f: SampledSignal, params: OlctParams, cfg: HpwConfig) -> BoundBreak
 
     q_max = cfg.p // 2
     derivs = _deriv_cache(g, q_max)
-    w = quadrature_weights(g.grid.n, g.grid.dt)
-
-    def signed_integral(q: int, integrand: np.ndarray, what: str) -> float:
-        peak = np.max(np.abs(integrand))
-        if peak > 0.0:
-            edge = max(abs(integrand[0]), abs(integrand[-1]))
-            if edge > EDGE_TOL * peak:
-                raise NumericsError(
-                    f"boundary terms of {what} do not vanish on this grid "
-                    f"(edge/peak = {edge / peak:.2e})"
-                )
-        return cfg.parity_sign(q) * float(np.sum(w * integrand))
 
     terms = []
     core = 0.0
@@ -319,19 +308,14 @@ def hpw_core(f: SampledSignal, params: OlctParams, cfg: HpwConfig) -> BoundBreak
             b_qn = modulation_square_coeff(q, n, alpha)
             if b_qn == 0.0:
                 continue
-            i_qn = signed_integral(q, wd * np.abs(derivs[n]) ** 2,
-                                   "a weighted derivative-square integral")
-            f_q += b_qn * i_qn
+            f_q += b_qn * _term_integral(g.grid, cfg, q, wd, derivs, n, n)
         for i in range(q + 1):
             for z in range(i + 1, q + 1):
                 c_qiz = modulation_cross_coeff(q, i, z, alpha, cfg.sign(q, i))
                 if c_qiz == 0.0:
                     continue
-                cross = np.real(half_power(q - (i + z) / 2.0)
-                                * derivs[i] * np.conj(derivs[z]))
-                i_qiz = signed_integral(q, wd * cross,
-                                        "a weighted derivative-cross integral")
-                f_q += 2.0 * c_qiz * i_qiz
+                f_q += 2.0 * c_qiz * _term_integral(g.grid, cfg, q, wd,
+                                                    derivs, i, z)
         d_q = derivative_product_coeff(cfg.p, q)
         terms.append(OrderTerm(q=q, coeff=d_q, value=f_q))
         core += d_q * f_q

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import json
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -47,6 +46,8 @@ from .bounds import (
 )
 from .verify import (
     SWEEP_SCENARIOS,
+    dumps,
+    fmt,
     minimizer_signal,
     sweep_r,
     verify_hpw,
@@ -70,39 +71,6 @@ class ConfigError(ValueError):
 
 # --------------------------------------------------------------------------
 # deterministic formatting
-
-
-def fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
-
-def dumps(obj, indent: int = 0) -> str:
-    """JSON text with floats fixed at 17 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{inner}"{k}": {dumps(v, indent + 1)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{dumps(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, float):
-        return f"{obj:.17g}"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    return json.dumps(obj)
 
 
 def write_text(path: Path, text: str) -> None:

@@ -38,6 +38,7 @@ __all__ = [
     "abs_moment_p",
     "demodulation_freq",
     "chirp_demodulate",
+    "relative_gap",
     "ppr_check",
 ]
 
@@ -146,29 +147,31 @@ class PprResult:
     rel_gap: float
 
 
-def ppr_check(f: SampledSignal, params: OlctParams, p: int, xi_m: float = 0.0,
-              xi_grid: Grid | None = None, path: str = "chirp_fft") -> PprResult:
+def relative_gap(lhs: float, rhs: float) -> float:
+    """|lhs - rhs| / max(lhs, rhs), and 0 when both sides are 0, so
+    near-zero moments do not blow the gap up."""
+    scale = max(lhs, rhs)
+    return 0.0 if scale == 0.0 else abs(lhs - rhs) / scale
+
+
+def ppr_check(f: SampledSignal, params: OlctParams, p: int,
+              xi_m: float = 0.0) -> PprResult:
     """Check integral (xi-xi_m)^(2p) |O|^2 dxi == b^(2p) ||g_b^(p)||^2.
 
-    The left side is direct quadrature of the transform on a wide output
-    grid; the right side differentiates the demodulated signal spectrally.
-    The gap is normalized by max(lhs, rhs) so near-zero moments do not blow
-    it up.
+    The left side is direct quadrature of the fast-path transform on the
+    default output grid; the right side differentiates the demodulated
+    signal spectrally.  The gap is :func:`relative_gap`, the same rule the
+    verify reports use for their ``ppr_gap``.
     """
     p = int(p)
     if not 0 <= p <= MAX_MOMENT_HALF_ORDER:
         raise ValueError(f"moment half-order out of range: {p}")
     if params.is_degenerate:
         raise ValueError("the moment identity requires b != 0")
-    if xi_grid is None:
-        xi_grid = default_xi_grid(f, params, xi_m=xi_m)
-    spectrum = olct_forward(f, params, xi_grid, path=path)
+    spectrum = olct_forward(f, params, default_xi_grid(f, params, xi_m=xi_m))
     lhs = spectral_moment_2p(spectrum, p, xi_m)
 
     g_b = chirp_demodulate(f, params, xi_m)
     g_b_p = derivative(g_b, p) if p >= 1 else g_b
     rhs = params.b ** (2 * p) * energy(g_b_p)
-
-    scale = max(lhs, rhs)
-    rel_gap = 0.0 if scale == 0.0 else abs(lhs - rhs) / scale
-    return PprResult(lhs=lhs, rhs=rhs, rel_gap=rel_gap)
+    return PprResult(lhs=lhs, rhs=rhs, rel_gap=relative_gap(lhs, rhs))

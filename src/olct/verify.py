@@ -7,11 +7,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import NumericsError
 from .signals import (
@@ -26,7 +26,6 @@ from .signals import (
 )
 from .transform import (
     OlctParams,
-    Spectrum,
     default_xi_grid,
     olct_forward,
     parseval_gap,
@@ -34,7 +33,7 @@ from .transform import (
 from .moments import (
     MomentSpec,
     abs_moment_p,
-    ppr_check,
+    relative_gap,
     spectral_moment_2p,
     time_moment_2p,
 )
@@ -139,11 +138,59 @@ def _scenario_context(scenario: str):
         raise
 
 
-def _transform_once(f: SampledSignal, params: OlctParams, xi_m: float,
-                    xi_grid: Optional[Grid]) -> Spectrum:
-    if xi_grid is None:
-        xi_grid = default_xi_grid(f, params, xi_m=xi_m)
-    return olct_forward(f, params, xi_grid)
+def _report(f: SampledSignal, params: OlctParams, cfg: HpwConfig, tol: float,
+            scenario: str, xi_grid: Optional[Grid], a_mode: Optional[str] = None,
+            a_value: Optional[float] = None,
+            h: Optional[SampledSignal] = None) -> UncertaintyReport:
+    """Shared body of the 2p-order reports: the plain bound when ``a_mode``
+    is None, else the sharpened bound with that auxiliary-term mode.
+
+    One transform feeds the output-domain moment, and the pair (u, v) feeds
+    both the Gram term and the moment-identity gap: mu_spec against
+    b^(2p) ||v||^2, with v = g_b^(p) differentiated in the time domain.
+    """
+    with _scenario_context(scenario):
+        if xi_grid is None:
+            xi_grid = default_xi_grid(f, params, xi_m=cfg.xi_m)
+        spectrum = olct_forward(f, params, xi_grid)
+        spec = MomentSpec(p=cfg.p, t_m=cfg.t_m, xi_m=cfg.xi_m, omega=cfg.omega)
+        mu_t = time_moment_2p(f, spec)
+        mu_s = spectral_moment_2p(spectrum, cfg.p, cfg.xi_m)
+        lhs = (mu_t * mu_s) ** (1.0 / (2.0 * cfg.p))
+        breakdown = hpw_core(f, params, cfg)
+        u, v = moment_pair(f, params, cfg)
+        ppr_gap = relative_gap(mu_s, params.b ** (2 * cfg.p) * energy(v))
+
+        shw = {}
+        if a_mode is not None:
+            a_star = saturating_gram_term(u, v)
+            if a_mode == "zero":
+                a_term = 0.0
+            elif a_mode == "fixed":
+                a_term = float(a_value)
+            elif a_mode == "gram":
+                if h is None:
+                    h = default_unit_gaussian(f.grid, cfg.t_m)
+                a_term = gram_offset(u, v, h)
+            else:
+                a_term = a_star
+            breakdown = breakdown.with_gram(a_term, params.b, cfg.p)
+            slack_s, rel_s, ok_s = _slack(lhs, breakdown.shw_rhs, tol)
+            admissible = bool(abs(a_term) <= a_star * (1.0 + 1e-12) + 1e-300)
+            shw = dict(shw_rhs=breakdown.shw_rhs, slack_shw=slack_s,
+                       rel_slack_shw=rel_s,
+                       passed_shw=ok_s or (not admissible and a_mode == "fixed"),
+                       a_mode=a_mode, a_admissible=admissible)
+        slack_h, rel_h, ok_h = _slack(lhs, breakdown.hpw_rhs, tol)
+    return UncertaintyReport(
+        scenario=scenario, bound="hpw" if a_mode is None else "shw", p=cfg.p,
+        lhs=lhs, hpw_rhs=breakdown.hpw_rhs, slack_hpw=slack_h,
+        rel_slack_hpw=rel_h, passed_hpw=ok_h, ppr_gap=ppr_gap,
+        parseval_gap=parseval_gap(f, spectrum), core=breakdown.core,
+        gram_term=breakdown.gram_term, sharpened=breakdown.sharpened,
+        mu_time=mu_t, mu_spec=mu_s, energy=energy(f), tol=tol,
+        grid=f.grid, params=params, **shw,
+    )
 
 
 def verify_hpw(f: SampledSignal, params: OlctParams, cfg: HpwConfig,
@@ -154,27 +201,13 @@ def verify_hpw(f: SampledSignal, params: OlctParams, cfg: HpwConfig,
     The left side is the product of the 2p-th roots of the weighted time
     moment and the output-domain moment (computed by direct quadrature of
     the transform); the right side comes from the bound functional.  The
-    report also carries the relative gap of the spectral-moment identity and
-    the energy-conservation gap as numerical health checks.
+    report also carries two numerical health checks from the same single
+    transform: the relative gap of the spectral-moment identity (the
+    output-domain moment against b^(2p) ||g_b^(p)||^2, the latter by
+    spectral differentiation in the time domain) and the
+    energy-conservation gap.
     """
-    with _scenario_context(scenario):
-        spectrum = _transform_once(f, params, cfg.xi_m, xi_grid)
-        spec = MomentSpec(p=cfg.p, t_m=cfg.t_m, xi_m=cfg.xi_m, omega=cfg.omega)
-        mu_t = time_moment_2p(f, spec)
-        mu_s = spectral_moment_2p(spectrum, cfg.p, cfg.xi_m)
-        lhs = (mu_t * mu_s) ** (1.0 / (2.0 * cfg.p))
-        breakdown = hpw_core(f, params, cfg)
-        ppr = ppr_check(f, params, cfg.p, cfg.xi_m, xi_grid=spectrum.grid)
-        slack, rel, ok = _slack(lhs, breakdown.hpw_rhs, tol)
-    return UncertaintyReport(
-        scenario=scenario, bound="hpw", p=cfg.p, lhs=lhs,
-        hpw_rhs=breakdown.hpw_rhs, slack_hpw=slack, rel_slack_hpw=rel,
-        passed_hpw=ok, ppr_gap=ppr.rel_gap,
-        parseval_gap=parseval_gap(f, spectrum),
-        core=breakdown.core, gram_term=0.0, sharpened=breakdown.sharpened,
-        mu_time=mu_t, mu_spec=mu_s, energy=energy(f), tol=tol,
-        grid=f.grid, params=params,
-    )
+    return _report(f, params, cfg, tol, scenario, xi_grid)
 
 
 def verify_shw(f: SampledSignal, params: OlctParams, cfg: HpwConfig,
@@ -192,50 +225,14 @@ def verify_shw(f: SampledSignal, params: OlctParams, cfg: HpwConfig,
 
     A fixed A beyond the admissible range can push the right side above the
     left; the report flags that case through ``a_admissible`` instead of
-    calling it a bound violation.
+    calling it a bound violation.  The health checks are those of
+    :func:`verify_hpw`.
     """
     if a_mode == "fixed" and a_value is None:
         raise ValueError("a_mode='fixed' needs a_value")
     if a_mode not in ("zero", "fixed", "gram", "saturating"):
         raise ValueError(f"unknown a_mode {a_mode!r}")
-    with _scenario_context(scenario):
-        spectrum = _transform_once(f, params, cfg.xi_m, xi_grid)
-        spec = MomentSpec(p=cfg.p, t_m=cfg.t_m, xi_m=cfg.xi_m, omega=cfg.omega)
-        mu_t = time_moment_2p(f, spec)
-        mu_s = spectral_moment_2p(spectrum, cfg.p, cfg.xi_m)
-        lhs = (mu_t * mu_s) ** (1.0 / (2.0 * cfg.p))
-
-        breakdown = hpw_core(f, params, cfg)
-        u, v = moment_pair(f, params, cfg)
-        a_star = saturating_gram_term(u, v)
-        if a_mode == "zero":
-            a_term = 0.0
-        elif a_mode == "fixed":
-            a_term = float(a_value)
-        elif a_mode == "gram":
-            if h is None:
-                h = default_unit_gaussian(f.grid, cfg.t_m)
-            a_term = gram_offset(u, v, h)
-        else:
-            a_term = a_star
-
-        sharpened = breakdown.with_gram(a_term, params.b, cfg.p)
-        ppr = ppr_check(f, params, cfg.p, cfg.xi_m, xi_grid=spectrum.grid)
-        slack_h, rel_h, ok_h = _slack(lhs, sharpened.hpw_rhs, tol)
-        slack_s, rel_s, ok_s = _slack(lhs, sharpened.shw_rhs, tol)
-        admissible = bool(abs(a_term) <= a_star * (1.0 + 1e-12) + 1e-300)
-    return UncertaintyReport(
-        scenario=scenario, bound="shw", p=cfg.p, lhs=lhs,
-        hpw_rhs=sharpened.hpw_rhs, shw_rhs=sharpened.shw_rhs,
-        slack_hpw=slack_h, rel_slack_hpw=rel_h, passed_hpw=ok_h,
-        slack_shw=slack_s, rel_slack_shw=rel_s,
-        passed_shw=ok_s or (not admissible and a_mode == "fixed"),
-        ppr_gap=ppr.rel_gap, parseval_gap=parseval_gap(f, spectrum),
-        core=sharpened.core, gram_term=sharpened.gram_term,
-        sharpened=sharpened.sharpened, a_mode=a_mode, a_admissible=admissible,
-        mu_time=mu_t, mu_spec=mu_s, energy=energy(f), tol=tol,
-        grid=f.grid, params=params,
-    )
+    return _report(f, params, cfg, tol, scenario, xi_grid, a_mode, a_value, h)
 
 
 def verify_hw(f: SampledSignal, params: OlctParams, p: int,
@@ -249,7 +246,9 @@ def verify_hw(f: SampledSignal, params: OlctParams, p: int,
     if p < 2:
         raise ValueError(f"absolute-moment order must be >= 2, got {p}")
     with _scenario_context(scenario):
-        spectrum = _transform_once(f, params, xi_m, xi_grid)
+        if xi_grid is None:
+            xi_grid = default_xi_grid(f, params, xi_m=xi_m)
+        spectrum = olct_forward(f, params, xi_grid)
         mu_t = abs_moment_p(f, p, t_m)
         mu_s = abs_moment_p(spectrum, p, xi_m)
         lhs = (mu_t * mu_s) ** (1.0 / p)
@@ -318,23 +317,14 @@ SWEEP_SCENARIOS = {
 }
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("OLCT_NUM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def sweep_r(r_values: Sequence[float], scenario: str, params: OlctParams,
             p: int = 1) -> list:
     """Run the sharpened verification over the chirped-Gaussian family
     f = exp(-(r/2) t^2) exp(-j a/(2b) t^2) with weight exp(-r t), for each r.
 
     ``scenario`` picks the auxiliary-term mode: ``gram`` (default unit
-    Gaussian), ``a0`` (A = 0), ``a1`` (A = 1) or ``saturating``.  Rows come
-    back in input order regardless of how the sweep is parallelized
-    (``OLCT_NUM_THREADS`` caps the worker count).
+    Gaussian), ``a0`` (A = 0), ``a1`` (A = 1) or ``saturating``.  Rows are
+    computed one after another and come back in input order.
     """
     try:
         a_mode, a_value = SWEEP_SCENARIOS[scenario]
@@ -354,14 +344,12 @@ def sweep_r(r_values: Sequence[float], scenario: str, params: OlctParams,
         rep = verify_shw(f, params, cfg, a_mode=a_mode, a_value=a_value)
         return SweepRow(r=r, lhs=rep.lhs, rhs=rep.shw_rhs)
 
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(row, rs))
     return [row(r) for r in rs]
 
 
-def _fmt(value) -> str:
+def fmt(value) -> str:
+    """One CSV/text field: floats with 17 significant digits, booleans as
+    ``true``/``false`` and ``None`` as the empty field."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -369,6 +357,29 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
+
+
+def dumps(obj, indent: int = 0) -> str:
+    """JSON text with floats fixed at 17 significant digits."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f'{inner}"{k}": {dumps(v, indent + 1)}' for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f"{inner}{dumps(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, float)):
+        return fmt(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    return json.dumps(obj)
 
 
 def report_to_dict(report: UncertaintyReport) -> dict:
@@ -385,7 +396,8 @@ def report_to_dict(report: UncertaintyReport) -> dict:
 
 
 def report_to_json(report: UncertaintyReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=False)
+    """The :func:`report_to_dict` fields as JSON, in :func:`dumps` format."""
+    return dumps(report_to_dict(report))
 
 
 def reports_to_csv(reports: Iterable[UncertaintyReport]) -> str:
@@ -394,5 +406,5 @@ def reports_to_csv(reports: Iterable[UncertaintyReport]) -> str:
     lines = [",".join(REPORT_COLUMNS)]
     for rep in reports:
         d = report_to_dict(rep)
-        lines.append(",".join(_fmt(d[col]) for col in REPORT_COLUMNS))
+        lines.append(",".join(fmt(d[col]) for col in REPORT_COLUMNS))
     return "\n".join(lines) + "\n"

@@ -27,6 +27,29 @@ def test_verify_hpw_example_scenario(example_signal, example_params, example_cfg
     assert report.scenario == "weighted-chirp"
 
 
+@pytest.mark.parametrize("verify", [olct.verify_hpw, olct.verify_shw])
+@pytest.mark.parametrize("p", [1, 2, 4])
+def test_one_transform_per_report(verify, p, example_signal, example_params,
+                                  monkeypatch):
+    calls = []
+    forward = olct.olct_forward
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return forward(*args, **kwargs)
+
+    cfg = olct.HpwConfig(p=p, xi_m=0.3, omega=olct.exp_weight(2.0))
+    with monkeypatch.context() as patch:
+        patch.setattr(olct.verify, "olct_forward", counted)
+        patch.setattr(olct.moments, "olct_forward", counted)
+        report = verify(example_signal, example_params, cfg)
+    assert len(calls) == 1
+    # the report's identity gap is the one ppr_check computes on its own
+    ppr = olct.ppr_check(example_signal, example_params, p, cfg.xi_m)
+    assert report.ppr_gap == ppr.rel_gap
+    assert report.mu_spec == ppr.lhs
+
+
 def test_verify_hpw_minimizer_equality(example_params):
     f = olct.minimizer_signal(1.0, 1.0, 0.0, 0.0, example_params).sample(DEFAULT_GRID)
     report = olct.verify_hpw(f, example_params, olct.HpwConfig(p=1))
@@ -264,14 +287,6 @@ def test_sweep_rejects_bad_input():
         olct.sweep_r([1.0], "nope", olct.ft_params())
     with pytest.raises(ValueError, match="positive"):
         olct.sweep_r([0.0], "a0", olct.ft_params())
-
-
-def test_sweep_parallel_matches_serial(monkeypatch):
-    rows_serial = olct.sweep_r([0.5, 1.0, 2.0], "a1", olct.ft_params())
-    monkeypatch.setenv("OLCT_NUM_THREADS", "3")
-    rows_parallel = olct.sweep_r([0.5, 1.0, 2.0], "a1", olct.ft_params())
-    for a, b in zip(rows_serial, rows_parallel):
-        assert a == b
 
 
 # ---------------------------------------------------------------------------
