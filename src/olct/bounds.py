@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .signals import (
     WeightFunction,
     derivative,
     energy,
+    guarded_integral,
     norm_l2,
     quadrature_weights,
     unit_weight,
@@ -70,7 +71,6 @@ __all__ = [
 
 MAX_ORDER = 4
 UNIT_NORM_TOL = 1e-8
-EDGE_TOL = 1e-8
 
 # Where |g| has underflowed below this fraction of its peak, spectral
 # derivatives of g carry only rounding noise; an exponentially growing
@@ -93,11 +93,6 @@ class HpwConfig:
     omega : WeightFunction
         Real weight entering the time moment and the integration-by-parts
         weight (t - t_m)^p * omega(t).
-    signs : mapping (q, i) -> +-1, optional
-        Sign convention of the cross-term coefficients.  ``None`` selects the
-        assignment (-1)^(q-i) under which the modulated-derivative expansion
-        is an exact identity (see :func:`check_identity2`); an explicit
-        mapping overrides it.
     parity_rule : {"p", "q"}
         Sign attached to the integrated-by-parts weighted integrals:
         ``"p"`` uses (-1)^(p-2q), which is what repeated integration by
@@ -109,7 +104,6 @@ class HpwConfig:
     t_m: float = 0.0
     xi_m: float = 0.0
     omega: WeightFunction = field(default_factory=unit_weight)
-    signs: Optional[Mapping[tuple, int]] = None
     parity_rule: str = "p"
 
     def __post_init__(self):
@@ -119,14 +113,6 @@ class HpwConfig:
             raise ValueError(f"parity_rule must be 'p' or 'q', got {self.parity_rule!r}")
         if not (np.isfinite(self.t_m) and np.isfinite(self.xi_m)):
             raise ValueError("moment centers must be finite")
-
-    def sign(self, q: int, i: int) -> int:
-        if self.signs is not None:
-            try:
-                return int(self.signs[(q, i)])
-            except KeyError:
-                raise ValueError(f"sign convention has no entry for (q={q}, i={i})")
-        return derived_sign(q, i)
 
     def parity_sign(self, q: int) -> int:
         if self.parity_rule == "p":
@@ -219,30 +205,15 @@ def weight_deriv_centered(omega: WeightFunction, p: int, t_m: float, k: int,
     return out
 
 
-def _edge_checked_integral(grid: Grid, integrand: np.ndarray, what: str) -> float:
-    peak = np.max(np.abs(integrand))
-    if peak > 0.0:
-        edge = max(abs(integrand[0]), abs(integrand[-1]))
-        if edge > EDGE_TOL * peak:
-            raise NumericsError(
-                f"boundary terms of {what} do not vanish on this grid "
-                f"(edge/peak = {edge / peak:.2e}); the integrated-by-parts "
-                "form is not valid here"
-            )
-    w = quadrature_weights(grid.n, grid.dt)
-    return float(np.sum(w * integrand))
-
-
-def _deriv_cache(g: SampledSignal, max_n: int) -> list:
-    derivs = [g.values]
+def _deriv_cache(g: SampledSignal, orders) -> dict:
+    """Masked derivatives of g for exactly the given orders; order 0 is g."""
     keep = np.abs(g.values) >= DERIV_UNDERFLOW_MASK * np.max(np.abs(g.values))
-    for n in range(1, max_n + 1):
-        derivs.append(np.where(keep, derivative(g, n).values, 0.0))
-    return derivs
+    return {n: np.where(keep, derivative(g, n).values, 0.0) if n else g.values
+            for n in orders}
 
 
 def _term_integral(grid: Grid, cfg: HpwConfig, q: int, wd: np.ndarray,
-                   derivs: list, i: int, z: int) -> float:
+                   derivs: dict, i: int, z: int) -> float:
     """Signed, edge-checked integral of the weight derivative ``wd`` against
     |g^(i)|^2 when i == z, else Re((-1)^(q-(i+z)/2) g^(i) conj(g^(z)))."""
     if i == z:
@@ -251,8 +222,8 @@ def _term_integral(grid: Grid, cfg: HpwConfig, q: int, wd: np.ndarray,
         integrand = np.real(half_power(q - (i + z) / 2.0)
                             * derivs[i] * np.conj(derivs[z]))
         what = "cross"
-    return cfg.parity_sign(q) * _edge_checked_integral(
-        grid, wd * integrand, f"the weighted derivative-{what} integral")
+    return cfg.parity_sign(q) * guarded_integral(
+        grid, wd * integrand, f"the weighted derivative-{what} integrand")
 
 
 def weighted_square_integral(g: SampledSignal, cfg: HpwConfig, q: int,
@@ -264,7 +235,7 @@ def weighted_square_integral(g: SampledSignal, cfg: HpwConfig, q: int,
         raise ValueError(f"indices out of range: q={q}, n={n}, p={cfg.p}")
     wd = weight_deriv_centered(cfg.omega, cfg.p, cfg.t_m, cfg.p - 2 * q,
                                 g.grid.points())
-    return _term_integral(g.grid, cfg, q, wd, _deriv_cache(g, n), n, n)
+    return _term_integral(g.grid, cfg, q, wd, _deriv_cache(g, {n}), n, n)
 
 
 def weighted_cross_integral(g: SampledSignal, cfg: HpwConfig, q: int, i: int,
@@ -278,7 +249,8 @@ def weighted_cross_integral(g: SampledSignal, cfg: HpwConfig, q: int, i: int,
         raise ValueError(f"q={q} out of range for p={cfg.p}")
     wd = weight_deriv_centered(cfg.omega, cfg.p, cfg.t_m, cfg.p - 2 * q,
                                 g.grid.points())
-    return _term_integral(g.grid, cfg, q, wd, _deriv_cache(g, z), i, z)
+    derivs = _deriv_cache(g, {i, z})
+    return _term_integral(g.grid, cfg, q, wd, derivs, i, z)
 
 
 def hpw_core(f: SampledSignal, params: OlctParams, cfg: HpwConfig) -> BoundBreakdown:
@@ -297,7 +269,7 @@ def hpw_core(f: SampledSignal, params: OlctParams, cfg: HpwConfig) -> BoundBreak
     alpha = demodulation_freq(params, cfg.xi_m)
 
     q_max = cfg.p // 2
-    derivs = _deriv_cache(g, q_max)
+    derivs = _deriv_cache(g, range(q_max + 1))
 
     terms = []
     core = 0.0
@@ -311,7 +283,8 @@ def hpw_core(f: SampledSignal, params: OlctParams, cfg: HpwConfig) -> BoundBreak
             f_q += b_qn * _term_integral(g.grid, cfg, q, wd, derivs, n, n)
         for i in range(q + 1):
             for z in range(i + 1, q + 1):
-                c_qiz = modulation_cross_coeff(q, i, z, alpha, cfg.sign(q, i))
+                c_qiz = modulation_cross_coeff(q, i, z, alpha,
+                                               derived_sign(q, i))
                 if c_qiz == 0.0:
                     continue
                 f_q += 2.0 * c_qiz * _term_integral(g.grid, cfg, q, wd,
@@ -335,9 +308,8 @@ def second_order_core_closed_form(f: SampledSignal, omega: WeightFunction,
     """
     t = f.grid.points()
     wd = weight_deriv_centered(omega, 1, t_m, 1, t)
-    integrand = wd * np.abs(f.values) ** 2
-    return _edge_checked_integral(f.grid, integrand,
-                                  "the second-order closed-form integral")
+    return guarded_integral(f.grid, wd * np.abs(f.values) ** 2,
+                            "the second-order closed-form integrand")
 
 
 def moment_pair(f: SampledSignal, params: OlctParams,
@@ -392,15 +364,11 @@ def hpw_rhs(core: float, b: float, p: int) -> float:
 
 
 def shw_rhs(sharpened: float, b: float, p: int) -> float:
-    """(|b| / 2^(1/p)) * sharpened^(1/p), sharpened = sqrt(E^2 + 4 A^2)."""
-    p = int(p)
-    if p < 1:
-        raise ValueError(f"order p must be >= 1, got {p}")
-    if b == 0.0:
-        raise ValueError("bound is undefined for b = 0")
+    """(|b| / 2^(1/p)) * sharpened^(1/p), sharpened = sqrt(E^2 + 4 A^2):
+    the 2p-order bound with E replaced by the sharpened functional."""
     if sharpened < 0.0:
         raise ValueError("sharpened functional must be nonnegative")
-    return abs(b) / 2.0 ** (1.0 / p) * sharpened ** (1.0 / p)
+    return hpw_rhs(sharpened, b, p)
 
 
 def hw_rhs(signal_energy: float, b: float, p: int) -> float:
@@ -495,15 +463,15 @@ def _modulated_deriv_sq(f: AnalyticSignal, alpha: float, q: int,
     return np.abs(acc) ** 2
 
 
-def check_identity2(f: AnalyticSignal, alpha: float, q: int, grid: Grid,
-                    signs: Optional[Mapping[tuple, int]] = None) -> IdentityFit:
+def check_identity2(f: AnalyticSignal, alpha: float, q: int,
+                    grid: Grid) -> IdentityFit:
     """Validate the modulated-derivative expansion
 
         |(exp(-j alpha t) f)^(q)|^2 = sum_n B_qn |f^(n)|^2
             + 2 sum_{i<z} C_qiz Re((-1)^(q-(i+z)/2) f^(i) conj(f^(z)))
 
-    returning the max-norm residual under the given sign convention
-    (default: the derived (-1)^(q-i)) together with the best assignment
+    returning the max-norm residual under the derived sign convention
+    (-1)^(q-i) together with the best assignment
     found by exhaustive search over the 2^q sign choices.
     """
     q = int(q)
@@ -533,8 +501,7 @@ def check_identity2(f: AnalyticSignal, alpha: float, q: int, grid: Grid,
             rhs += assign[(q, i)] * term
         return float(np.max(np.abs(lhs[sl] - rhs[sl])))
 
-    given = {(q, i): (derived_sign(q, i) if signs is None else int(signs[(q, i)]))
-             for i in range(q)}
+    given = {(q, i): derived_sign(q, i) for i in range(q)}
     res_given = residual_for(given) if q >= 1 else float(
         np.max(np.abs(lhs[sl] - base[sl])))
 

@@ -596,36 +596,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error_payload(kind: str, message: str) -> dict:
-    return {"error": {"type": kind, "message": message}}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        report = _error_payload("config", str(exc))
-        if getattr(args, "json", False):
-            sys.stdout.write(dumps(report) + "\n")
-        else:
-            sys.stderr.write(f"config error: {exc}\n")
-        return EXIT_CONFIG
-    except NumericsError as exc:
-        report = _error_payload("numerics", str(exc))
-        if getattr(args, "json", False):
-            sys.stdout.write(dumps(report) + "\n")
-        else:
-            sys.stderr.write(f"numerical precondition failed: {exc}\n")
-        return EXIT_NUMERICS
     except ValueError as exc:
-        report = _error_payload("config", str(exc))
-        if getattr(args, "json", False):
-            sys.stdout.write(dumps(report) + "\n")
+        if isinstance(exc, NumericsError):
+            kind, prefix, code = ("numerics", "numerical precondition failed",
+                                  EXIT_NUMERICS)
         else:
-            sys.stderr.write(f"config error: {exc}\n")
-        return EXIT_CONFIG
+            kind, prefix, code = "config", "config error", EXIT_CONFIG
+        if getattr(args, "json", False):
+            payload = {"error": {"type": kind, "message": str(exc)}}
+            sys.stdout.write(dumps(payload) + "\n")
+        else:
+            sys.stderr.write(f"{prefix}: {exc}\n")
+        return code
 
 
 if __name__ == "__main__":

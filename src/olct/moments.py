@@ -18,14 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericsError
 from .signals import (
-    Grid,
     SampledSignal,
     WeightFunction,
     derivative,
     energy,
-    quadrature_weights,
+    guarded_integral,
     unit_weight,
 )
 from .transform import OlctParams, Spectrum, default_xi_grid, olct_forward
@@ -44,8 +42,8 @@ __all__ = [
 
 MAX_MOMENT_HALF_ORDER = 4
 
-# A moment integrand whose edge values exceed this fraction of its peak is
-# not covered by the truncated grid.
+# Truncation-guard tolerance for moment integrands: one whose edge values
+# exceed this fraction of its peak is not covered by the truncated grid.
 COVERAGE_TOL = 1e-10
 
 
@@ -68,25 +66,13 @@ class MomentSpec:
             raise ValueError("moment centers must be finite")
 
 
-def _covered_moment(grid: Grid, integrand: np.ndarray, what: str) -> float:
-    peak = float(np.max(integrand))
-    if peak > 0.0:
-        edge = max(integrand[0], integrand[-1])
-        if edge > COVERAGE_TOL * peak:
-            raise NumericsError(
-                f"{what} integrand is edge-heavy (edge/peak = "
-                f"{edge / peak:.2e}); the truncated grid does not cover it"
-            )
-    w = quadrature_weights(grid.n, grid.dt)
-    return float(np.sum(w * integrand))
-
-
 def time_moment_2p(f: SampledSignal, spec: MomentSpec) -> float:
     """Weighted time moment: integral of w(t)^2 (t - t_m)^(2p) |f(t)|^2."""
     t = f.grid.points()
     integrand = (spec.omega(t) ** 2 * (t - spec.t_m) ** (2 * spec.p)
                  * np.abs(f.values) ** 2)
-    return _covered_moment(f.grid, integrand, "weighted time-moment")
+    return guarded_integral(f.grid, integrand,
+                            "the weighted time-moment integrand", COVERAGE_TOL)
 
 
 def spectral_moment_2p(spectrum: Spectrum, p: int, xi_m: float) -> float:
@@ -96,7 +82,8 @@ def spectral_moment_2p(spectrum: Spectrum, p: int, xi_m: float) -> float:
         raise ValueError(f"moment half-order out of range: {p}")
     xi = spectrum.grid.points()
     integrand = (xi - xi_m) ** (2 * p) * np.abs(spectrum.values) ** 2
-    return _covered_moment(spectrum.grid, integrand, "spectral moment")
+    return guarded_integral(spectrum.grid, integrand,
+                            "the spectral-moment integrand", COVERAGE_TOL)
 
 
 def abs_moment_p(s: SampledSignal, p: int, center: float,
@@ -115,7 +102,8 @@ def abs_moment_p(s: SampledSignal, p: int, center: float,
         )
     x = s.grid.points()
     integrand = np.abs(x - center) ** p * np.abs(s.values) ** 2
-    return _covered_moment(s.grid, integrand, "absolute moment")
+    return guarded_integral(s.grid, integrand, "the absolute-moment integrand",
+                            COVERAGE_TOL)
 
 
 def demodulation_freq(params: OlctParams, xi_m: float) -> float:

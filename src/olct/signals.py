@@ -29,6 +29,8 @@ __all__ = [
     "unit_weight",
     "quadrature_weights",
     "integrate",
+    "check_decay",
+    "guarded_integral",
     "derivative",
     "inner_product",
     "norm_l2",
@@ -37,8 +39,8 @@ __all__ = [
 
 MIN_GRID_POINTS = 16
 
-# Relative edge magnitude above which spectral differentiation and the fast
-# transform path refuse to treat the truncated signal as effectively periodic.
+# Relative edge magnitude above which the truncation guard refuses a signal
+# (spectral differentiation, the fast transform path) or a bound integrand.
 EDGE_DECAY_TOL = 1e-8
 
 # Spectrum bins below this fraction of the peak are rounding noise; the
@@ -266,21 +268,39 @@ def integrate(s: SampledSignal) -> complex:
     return complex(np.sum(w * s.values))
 
 
-def _check_edge_decay(values: np.ndarray, what: str) -> None:
-    peak = np.max(np.abs(values))
+def check_decay(values: np.ndarray, what: str,
+                tol: float = EDGE_DECAY_TOL) -> None:
+    """Truncation guard: raise :class:`NumericsError` unless ``values`` has
+    decayed at both grid ends, max(|x[0]|, |x[-1]|) <= tol * max|x|.
+
+    Every whole-line integral, spectral derivative and fast transform in the
+    package is computed on a truncated grid and relies on this condition.
+    An all-zero array passes.
+    """
+    mag = np.abs(values)
+    peak = np.max(mag)
     if peak == 0.0:
         return
-    edge = max(abs(values[0]), abs(values[-1]))
-    if edge > EDGE_DECAY_TOL * peak:
+    edge = max(mag[0], mag[-1])
+    if edge > tol * peak:
         raise NumericsError(
-            f"wraparound risk: {what} does not decay at the grid edges "
-            f"(edge/peak = {edge / peak:.2e}, need < {EDGE_DECAY_TOL:.0e}); "
-            "widen the grid or use the finite_difference method"
+            f"{what} does not decay at the grid edges "
+            f"(edge/peak = {edge / peak:.2e}, need <= {tol:.0e}); "
+            "widen the grid"
         )
 
 
+def guarded_integral(grid: Grid, integrand: np.ndarray, what: str,
+                     tol: float = EDGE_DECAY_TOL) -> float:
+    """Composite-Simpson integral of a real integrand over the grid, after
+    :func:`check_decay` has confirmed that the truncation drops nothing."""
+    check_decay(integrand, what, tol)
+    w = quadrature_weights(grid.n, grid.dt)
+    return float(np.sum(w * integrand))
+
+
 def _spectral_derivative(s: SampledSignal, k: int) -> np.ndarray:
-    _check_edge_decay(s.values, "signal")
+    check_decay(s.values, "the signal to differentiate spectrally")
     n = s.grid.n
     omega = 2.0j * np.pi * sfft.fftfreq(n, d=s.grid.dt)
     mult = omega**k

@@ -28,9 +28,9 @@ from scipy.signal import czt
 
 from .errors import NumericsError
 from .signals import (
-    EDGE_DECAY_TOL,
     Grid,
     SampledSignal,
+    check_decay,
     energy,
     make_grid,
     quadrature_weights,
@@ -208,13 +208,7 @@ def olct_forward(f: SampledSignal, params: OlctParams,
     w = quadrature_weights(f.grid.n, f.grid.dt)
 
     if path == "chirp_fft":
-        if np.max(np.abs(f.values)) > 0:
-            edge = max(abs(f.values[0]), abs(f.values[-1]))
-            if edge > EDGE_DECAY_TOL * np.max(np.abs(f.values)):
-                raise NumericsError(
-                    "chirp_fft path requires the signal to decay at the grid "
-                    f"edges (edge/peak = {edge / np.max(np.abs(f.values)):.2e})"
-                )
+        check_decay(f.values, "the input of the chirp_fft path")
         g = w * f.values * np.exp(1j * p.chirp_rate * t * t)
         u0 = (xi_grid.t_min - p.tau) / p.b
         du = xi_grid.dt / p.b

@@ -14,6 +14,9 @@ import olct
 
 DEFAULT_GRID = olct.make_grid(-8.0, 8.0, 4097)
 
+# The message every truncation-guard failure carries.
+DECAY_PHRASE = "does not decay at the grid edges"
+
 # The published chirped-Gaussian scenario parameter set.  Its 2x2 block has
 # determinant 0.215, not 1; for b != 0 nothing downstream depends on c or d,
 # so it is accepted through the non-strict constructor.

@@ -81,6 +81,28 @@ def test_weighted_cross_integral_requires_distinct_indices(grid):
         olct.weighted_cross_integral(g, cfg, 1, 1, 1)
 
 
+@pytest.mark.parametrize("func, indices, calls", [
+    (olct.weighted_square_integral, (2, 2), 1),
+    (olct.weighted_cross_integral, (2, 0, 2), 1),
+    (olct.weighted_cross_integral, (2, 1, 2), 2),
+])
+def test_weighted_integrals_differentiate_only_orders_used(grid, monkeypatch,
+                                                           func, indices,
+                                                           calls):
+    orders = []
+    original = olct.bounds.derivative
+
+    def counted(s, k, *args, **kwargs):
+        orders.append(k)
+        return original(s, k, *args, **kwargs)
+
+    monkeypatch.setattr(olct.bounds, "derivative", counted)
+    g = olct.gaussian_chirp(2.0, 1.5).sample(grid)
+    func(g, olct.HpwConfig(p=4, omega=olct.exp_weight(1.0)), *indices)
+    assert len(orders) == calls
+    assert set(orders) == set(indices[1:]) - {0}
+
+
 def test_weight_deriv_centered_leibniz():
     w = olct.exp_weight(2.0)
     t = np.linspace(-1.5, 1.5, 11)

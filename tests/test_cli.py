@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from importlib.resources import files
@@ -32,8 +33,14 @@ def write_cfg(tmp_path: Path, body: str, name: str = "scenario.cfg") -> str:
 
 
 def test_module_help_runs():
+    # the subprocess finds the package through PYTHONPATH, not pytest's own
+    # pythonpath setting
+    src = str(Path(olct.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "olct", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "transform" in proc.stdout and "verify" in proc.stdout
 

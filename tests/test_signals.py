@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import olct
+from olct import moments, signals
 from olct.errors import NumericsError
 
-from conftest import rquad
+from conftest import DECAY_PHRASE, rquad
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +209,47 @@ def test_spectral_derivative_matches_analytic(k, family, grid):
 
 def test_spectral_derivative_rejects_nondecaying(grid):
     s = olct.SampledSignal(grid, np.ones(grid.n))
-    with pytest.raises(NumericsError, match="wraparound risk"):
+    with pytest.raises(NumericsError, match=DECAY_PHRASE):
         olct.derivative(s, 1)
     # the finite-difference fallback has no decay requirement
     d = olct.derivative(s, 1, method="finite_difference")
     assert np.max(np.abs(d.values)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# truncation guard
+
+
+# the default tolerance (signals, bound integrands) and the one the moment
+# functions pass
+@pytest.mark.parametrize("tol, kwargs", [
+    (1e-8, {}), (1e-10, {"tol": moments.COVERAGE_TOL})])
+def test_check_decay_boundary(tol, kwargs):
+    def ramp(edge_ratio):
+        return np.array([edge_ratio, 0.5, 1.0, 0.5, -edge_ratio])
+
+    signals.check_decay(ramp(tol / 2), "x", **kwargs)
+    with pytest.raises(NumericsError, match=DECAY_PHRASE) as info:
+        signals.check_decay(ramp(2 * tol), "x", **kwargs)
+    assert f"need <= {tol:.0e}" in str(info.value)
+
+
+def test_check_decay_all_zero_passes(grid):
+    signals.check_decay(np.zeros(grid.n), "x")
+    signals.check_decay(np.zeros(grid.n), "x", 1e-10)
+    assert signals.guarded_integral(grid, np.zeros(grid.n), "x") == 0.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: olct.spectral_moment_2p(olct.Spectrum(s.grid, s.values), 1, 0.0),
+    lambda s: olct.abs_moment_p(s, 2, 0.0),
+    lambda s: olct.weighted_square_integral(s, olct.HpwConfig(p=2), 0, 0),
+    lambda s: olct.second_order_core_closed_form(s, olct.unit_weight()),
+], ids=["spectral_moment_2p", "abs_moment_p", "weighted_square_integral",
+        "second_order_core_closed_form"])
+def test_guarded_entry_points_reject_nondecaying(grid, call):
+    with pytest.raises(NumericsError, match=DECAY_PHRASE):
+        call(olct.SampledSignal(grid, np.ones(grid.n)))
 
 
 def test_derivative_rejects_bad_order(grid):
