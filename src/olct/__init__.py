@@ -79,8 +79,6 @@ from .bounds import (
     sharpened_bound_closed_form,
     shw_rhs,
     weight_deriv_centered,
-    weighted_cross_integral,
-    weighted_square_integral,
 )
 from .verify import (
     REPORT_COLUMNS,

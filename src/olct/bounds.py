@@ -4,15 +4,17 @@ Three bounds on the product of 2p-th (or absolute p-th) moment roots are
 evaluated here:
 
 * the 2p-order bound  (|b| / 2^(1/p)) * |E|^(1/p), where E is a signed
-  functional assembled from weighted integrals of derivative products of the
-  chirp-multiplied signal;
+  functional assembled from weighted integrals of the squared derivatives
+  of the demodulated signal g_b = exp(-j beta t) exp(j a/(2b) t^2) f;
 * its sharpened form with E replaced by sqrt(E^2 + 4*A^2), where A comes
   from a Gram-determinant construction with an auxiliary unit-norm function;
 * the absolute-moment bound (|b|/2) * (energy^2)^(1/p) for p >= 2.
 
 The module also provides numerical validators for the two differential
-identities the functional is built on, and the closed-form bound pair for
-the chirped-Gaussian family used in the verification scenarios.
+identities the functional is built on (the second one is the paper's
+expansion of |g_b^(q)|^2 into derivatives of the chirp-multiplied signal,
+with the coefficient functions defined here), and the closed-form bound
+pair for the chirped-Gaussian family used in the verification scenarios.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .signals import (
     unit_weight,
 )
 from .transform import OlctParams
-from .moments import chirp_demodulate, demodulation_freq
+from .moments import chirp_demodulate
 
 __all__ = [
     "HpwConfig",
@@ -51,8 +53,6 @@ __all__ = [
     "derived_sign",
     "half_power",
     "weight_deriv_centered",
-    "weighted_square_integral",
-    "weighted_cross_integral",
     "hpw_core",
     "second_order_core_closed_form",
     "moment_pair",
@@ -72,8 +72,8 @@ __all__ = [
 MAX_ORDER = 4
 UNIT_NORM_TOL = 1e-8
 
-# Where |g| has underflowed below this fraction of its peak, spectral
-# derivatives of g carry only rounding noise; an exponentially growing
+# Where |g_b| has underflowed below this fraction of its peak, spectral
+# derivatives of g_b carry only rounding noise; an exponentially growing
 # weight would amplify that noise into the integrals, so those samples are
 # zeroed.  The true derivative there is far smaller than the noise floor
 # whenever the signal meets the edge-decay precondition.
@@ -93,31 +93,18 @@ class HpwConfig:
     omega : WeightFunction
         Real weight entering the time moment and the integration-by-parts
         weight (t - t_m)^p * omega(t).
-    parity_rule : {"p", "q"}
-        Sign attached to the integrated-by-parts weighted integrals:
-        ``"p"`` uses (-1)^(p-2q), which is what repeated integration by
-        parts produces and is the default; ``"q"`` uses the alternative
-        convention (-1)^(q-2p) for comparison.
     """
 
     p: int
     t_m: float = 0.0
     xi_m: float = 0.0
     omega: WeightFunction = field(default_factory=unit_weight)
-    parity_rule: str = "p"
 
     def __post_init__(self):
         if not (isinstance(self.p, int) and 1 <= self.p <= MAX_ORDER):
             raise ValueError(f"half-order p must be an integer in [1, {MAX_ORDER}]")
-        if self.parity_rule not in ("p", "q"):
-            raise ValueError(f"parity_rule must be 'p' or 'q', got {self.parity_rule!r}")
         if not (np.isfinite(self.t_m) and np.isfinite(self.xi_m)):
             raise ValueError("moment centers must be finite")
-
-    def parity_sign(self, q: int) -> int:
-        if self.parity_rule == "p":
-            return (-1) ** (self.p - 2 * q)
-        return (-1) ** (q - 2 * self.p)
 
 
 @dataclass(frozen=True)
@@ -158,7 +145,8 @@ def half_power(x: float) -> complex:
 
 
 def derived_sign(q: int, i: int) -> int:
-    """Cross-term sign (-1)^(q-i) that makes the modulated expansion exact."""
+    """Cross-term sign (-1)^(q-i) that makes the modulated expansion of
+    :func:`check_identity2` exact."""
     return (-1) ** (q - i)
 
 
@@ -212,51 +200,12 @@ def _deriv_cache(g: SampledSignal, orders) -> dict:
             for n in orders}
 
 
-def _term_integral(grid: Grid, cfg: HpwConfig, q: int, wd: np.ndarray,
-                   derivs: dict, i: int, z: int) -> float:
-    """Signed, edge-checked integral of the weight derivative ``wd`` against
-    |g^(i)|^2 when i == z, else Re((-1)^(q-(i+z)/2) g^(i) conj(g^(z)))."""
-    if i == z:
-        integrand, what = np.abs(derivs[i]) ** 2, "square"
-    else:
-        integrand = np.real(half_power(q - (i + z) / 2.0)
-                            * derivs[i] * np.conj(derivs[z]))
-        what = "cross"
-    return cfg.parity_sign(q) * guarded_integral(
-        grid, wd * integrand, f"the weighted derivative-{what} integrand")
-
-
-def weighted_square_integral(g: SampledSignal, cfg: HpwConfig, q: int,
-                             n: int) -> float:
-    """Signed weighted integral of |g^(n)|^2 against the (p-2q)-th derivative
-    of the centered weight (t - t_m)^p * omega(t)."""
-    q, n = int(q), int(n)
-    if not 0 <= n <= q <= cfg.p // 2:
-        raise ValueError(f"indices out of range: q={q}, n={n}, p={cfg.p}")
-    wd = weight_deriv_centered(cfg.omega, cfg.p, cfg.t_m, cfg.p - 2 * q,
-                                g.grid.points())
-    return _term_integral(g.grid, cfg, q, wd, _deriv_cache(g, {n}), n, n)
-
-
-def weighted_cross_integral(g: SampledSignal, cfg: HpwConfig, q: int, i: int,
-                            z: int) -> float:
-    """Signed weighted integral of Re((-1)^(q-(i+z)/2) g^(i) conj(g^(z)))
-    against the same weight derivative; requires i < z."""
-    q, i, z = int(q), int(i), int(z)
-    if not 0 <= i < z <= q:
-        raise ValueError(f"indices must satisfy 0 <= i < z <= q, got ({i}, {z}, {q})")
-    if q > cfg.p // 2:
-        raise ValueError(f"q={q} out of range for p={cfg.p}")
-    wd = weight_deriv_centered(cfg.omega, cfg.p, cfg.t_m, cfg.p - 2 * q,
-                                g.grid.points())
-    derivs = _deriv_cache(g, {i, z})
-    return _term_integral(g.grid, cfg, q, wd, derivs, i, z)
-
-
 def hpw_core(f: SampledSignal, params: OlctParams, cfg: HpwConfig) -> BoundBreakdown:
-    """Evaluate the bound functional E = sum_q D_q F_q on the chirp-multiplied
-    signal g = exp(j a/(2b) t^2) f, with modulation frequency
-    alpha = (xi_m - tau)/b.
+    """Evaluate the bound functional E = sum_q D_q F_q, q = 0..p/2, where
+    F_q integrates the (p-2q)-th derivative of (t - t_m)^p omega(t) against
+    |g_b^(q)|^2, with g_b = exp(-j beta t) exp(j a/(2b) t^2) f the
+    demodulated signal, beta = (xi_m - tau)/b.  F_q carries the
+    integration-by-parts sign (-1)^(p-2q), which equals (-1)^p for every q.
 
     Returns a breakdown with the per-q terms filled in and the sharpening
     left at zero (``gram_term = 0``); use :meth:`BoundBreakdown.with_gram`
@@ -264,31 +213,17 @@ def hpw_core(f: SampledSignal, params: OlctParams, cfg: HpwConfig) -> BoundBreak
     """
     if params.is_degenerate:
         raise ValueError("the bound functional requires b != 0")
+    g_b = chirp_demodulate(f, params, cfg.xi_m)
     t = f.grid.points()
-    g = f.with_values(f.values * np.exp(1j * params.chirp_rate * t * t))
-    alpha = demodulation_freq(params, cfg.xi_m)
-
-    q_max = cfg.p // 2
-    derivs = _deriv_cache(g, range(q_max + 1))
+    sign = (-1) ** cfg.p
 
     terms = []
     core = 0.0
-    for q in range(q_max + 1):
+    for q, g_q in _deriv_cache(g_b, range(cfg.p // 2 + 1)).items():
         wd = weight_deriv_centered(cfg.omega, cfg.p, cfg.t_m, cfg.p - 2 * q, t)
-        f_q = 0.0
-        for n in range(q + 1):
-            b_qn = modulation_square_coeff(q, n, alpha)
-            if b_qn == 0.0:
-                continue
-            f_q += b_qn * _term_integral(g.grid, cfg, q, wd, derivs, n, n)
-        for i in range(q + 1):
-            for z in range(i + 1, q + 1):
-                c_qiz = modulation_cross_coeff(q, i, z, alpha,
-                                               derived_sign(q, i))
-                if c_qiz == 0.0:
-                    continue
-                f_q += 2.0 * c_qiz * _term_integral(g.grid, cfg, q, wd,
-                                                    derivs, i, z)
+        f_q = sign * guarded_integral(
+            f.grid, wd * np.abs(g_q) ** 2,
+            "the weighted derivative-square integrand")
         d_q = derivative_product_coeff(cfg.p, q)
         terms.append(OrderTerm(q=q, coeff=d_q, value=f_q))
         core += d_q * f_q

@@ -163,7 +163,10 @@ class ScenarioConfig:
             except (ValueError, ConfigError) as exc:
                 raise ConfigError(f"[{name}] {key}: {exc}")
         opt_float = lambda s: None if s.lower() == "auto" else float(s)
-        as_bool = lambda s: {"true": True, "false": False}[s.lower()]
+        def as_bool(s):
+            if s.lower() not in ("true", "false"):
+                raise ValueError(f"expected true or false, got {s!r}")
+            return s.lower() == "true"
         as_list = lambda s: tuple(float(x) for x in s.split(","))
         defaults = cls()
         kwargs["signal"] = get("signal", str, defaults.signal)

@@ -52,11 +52,10 @@ def test_derived_signs():
 
 
 def test_weighted_square_integral_p1(grid):
-    # p = 1, q = n = 0 with unit weight: the integrand is d/dt[t] |g|^2 and
+    # p = 1, q = 0 with unit weight: the integrand is d/dt[t] |g_b|^2 and
     # the integrated-by-parts sign is (-1), so the value is minus the energy
     g = olct.SampledSignal(grid, np.exp(-grid.points() ** 2))
-    cfg = olct.HpwConfig(p=1)
-    val = olct.weighted_square_integral(g, cfg, 0, 0)
+    val = olct.hpw_core(g, olct.ft_params(), olct.HpwConfig(p=1)).core
     assert val == pytest.approx(-olct.energy(g), rel=1e-12)
 
 
@@ -71,36 +70,27 @@ def test_weighted_square_integral_odd_weight_vanishes(grid):
     g = olct.SampledSignal(grid, np.exp(-grid.points() ** 2))
     cfg = olct.HpwConfig(p=1, omega=ramp)
     # (t * t)' = 2t is odd
-    assert abs(olct.weighted_square_integral(g, cfg, 0, 0)) <= 1e-10
+    assert abs(olct.hpw_core(g, olct.ft_params(), cfg).core) <= 1e-10
 
 
-def test_weighted_cross_integral_requires_distinct_indices(grid):
-    g = olct.SampledSignal(grid, np.exp(-grid.points() ** 2))
-    cfg = olct.HpwConfig(p=2)
-    with pytest.raises(ValueError, match="i < z"):
-        olct.weighted_cross_integral(g, cfg, 1, 1, 1)
-
-
-@pytest.mark.parametrize("func, indices, calls", [
-    (olct.weighted_square_integral, (2, 2), 1),
-    (olct.weighted_cross_integral, (2, 0, 2), 1),
-    (olct.weighted_cross_integral, (2, 1, 2), 2),
-])
-def test_weighted_integrals_differentiate_only_orders_used(grid, monkeypatch,
-                                                           func, indices,
-                                                           calls):
-    orders = []
+def test_report_differentiates_only_the_demodulated_signal(grid, monkeypatch):
+    # the bound functional and the sharpening pair read one signal, g_b:
+    # orders 1..p/2 for the core and order p for moment_pair
+    params = completed_params(0.6, 0.5, tau=1.0)
+    cfg = olct.HpwConfig(p=4, xi_m=1.5, omega=olct.exp_weight(1.0))
+    f = olct.gaussian_chirp(2.0, 1.5).sample(grid)
+    g_b = olct.chirp_demodulate(f, params, cfg.xi_m).values
+    calls = []
     original = olct.bounds.derivative
 
     def counted(s, k, *args, **kwargs):
-        orders.append(k)
+        calls.append((k, np.array_equal(s.values, g_b)))
         return original(s, k, *args, **kwargs)
 
     monkeypatch.setattr(olct.bounds, "derivative", counted)
-    g = olct.gaussian_chirp(2.0, 1.5).sample(grid)
-    func(g, olct.HpwConfig(p=4, omega=olct.exp_weight(1.0)), *indices)
-    assert len(orders) == calls
-    assert set(orders) == set(indices[1:]) - {0}
+    olct.hpw_core(f, params, cfg)
+    olct.moment_pair(f, params, cfg)
+    assert sorted(calls) == [(1, True), (2, True), (4, True)]
 
 
 def test_weight_deriv_centered_leibniz():
@@ -149,14 +139,6 @@ def test_core_matches_second_order_closed_form(t_m, weight_rate, params):
     assert breakdown.core == pytest.approx(-closed, rel=1e-6)
 
 
-def test_core_p1_printed_parity_flips_sign(example_signal, example_params):
-    cfg = olct.HpwConfig(p=1, omega=olct.exp_weight(2.0), parity_rule="q")
-    breakdown = olct.hpw_core(example_signal, example_params, cfg)
-    closed = olct.second_order_core_closed_form(
-        example_signal, olct.exp_weight(2.0))
-    assert breakdown.core == pytest.approx(closed, rel=1e-8)
-
-
 def test_core_p2_unweighted_gaussian(grid):
     # q=0 term: integral (t^2)'' e^{-2t^2} = 2 sqrt(pi/2); q=1 term (alpha=0):
     # D_1 * integral t^2 |g'|^2 = -2 * (3/4) sqrt(pi/2); total (1/2) sqrt(pi/2)
@@ -166,6 +148,16 @@ def test_core_p2_unweighted_gaussian(grid):
     assert [term.q for term in breakdown.terms] == [0, 1]
     assert breakdown.terms[0].coeff == 1.0
     assert breakdown.terms[1].coeff == -2.0
+
+
+@pytest.mark.parametrize("beta", [20.0, 60.0, 200.0])
+def test_core_p2_modulated_gaussian_keeps_digits(grid, beta):
+    # demodulating at xi_m = beta cancels the modulation exactly, so the
+    # functional is the unmodulated (1/2) sqrt(pi/2) however large beta is
+    t = grid.points()
+    f = olct.SampledSignal(grid, np.exp(-t * t + 1j * beta * t))
+    core = olct.hpw_core(f, olct.ft_params(), olct.HpwConfig(p=2, xi_m=beta)).core
+    assert abs(core - 0.5 * math.sqrt(math.pi / 2.0)) <= 1e-13
 
 
 def test_core_p2_weighted_modulated_oracle():
@@ -207,28 +199,37 @@ def test_core_p2_weighted_modulated_oracle():
 
 
 def test_core_assembles_from_public_integrals(grid):
-    # the aggregate path must agree with manual assembly from the per-index
-    # operations and coefficient functions
+    # the functional on the demodulated signal must agree with the paper's
+    # expansion of |g_b^(q)|^2 into square and cross terms of derivatives of
+    # the chirp-multiplied signal g, assembled here from the coefficient
+    # functions
     params = completed_params(0.6, 0.5, tau=1.0)
     f = olct.gaussian_chirp(2.0, 1.5).sample(grid)
-    cfg = olct.HpwConfig(p=2, t_m=0.2, xi_m=1.5, omega=olct.exp_weight(1.0))
-    breakdown = olct.hpw_core(f, params, cfg)
-
     t = grid.points()
     g = f.with_values(f.values * np.exp(1j * params.chirp_rate * t * t))
-    alpha = olct.demodulation_freq(params, cfg.xi_m)
-    total = 0.0
-    for q in (0, 1):
-        f_q = sum(olct.modulation_square_coeff(q, n, alpha)
-                  * olct.weighted_square_integral(g, cfg, q, n)
-                  for n in range(q + 1))
-        for i in range(q + 1):
-            for z in range(i + 1, q + 1):
-                c = olct.modulation_cross_coeff(q, i, z, alpha,
-                                                olct.derived_sign(q, i))
-                f_q += 2.0 * c * olct.weighted_cross_integral(g, cfg, q, i, z)
-        total += olct.derivative_product_coeff(cfg.p, q) * f_q
-    assert breakdown.core == pytest.approx(total, rel=1e-12)
+    keep = np.abs(g.values) >= 1e-13 * np.max(np.abs(g.values))
+    derivs = [g.values] + [np.where(keep, olct.derivative(g, k).values, 0.0)
+                           for k in (1, 2)]
+    w = olct.quadrature_weights(grid.n, grid.dt)
+    for p in (2, 3, 4):
+        cfg = olct.HpwConfig(p=p, t_m=0.2, xi_m=1.5, omega=olct.exp_weight(1.0))
+        breakdown = olct.hpw_core(f, params, cfg)
+        alpha = olct.demodulation_freq(params, cfg.xi_m)
+        total = 0.0
+        for q in range(p // 2 + 1):
+            sq = sum(olct.modulation_square_coeff(q, n, alpha)
+                     * np.abs(derivs[n]) ** 2 for n in range(q + 1))
+            for i in range(q + 1):
+                for z in range(i + 1, q + 1):
+                    c = olct.modulation_cross_coeff(q, i, z, alpha,
+                                                    olct.derived_sign(q, i))
+                    sq = sq + 2.0 * c * np.real(
+                        olct.bounds.half_power(q - (i + z) / 2.0)
+                        * derivs[i] * np.conj(derivs[z]))
+            wd = olct.weight_deriv_centered(cfg.omega, p, cfg.t_m, p - 2 * q, t)
+            f_q = (-1) ** (p - 2 * q) * float(np.sum(w * wd * sq))
+            total += olct.derivative_product_coeff(p, q) * f_q
+        assert breakdown.core == pytest.approx(total, rel=1e-12)
 
 
 def test_core_rejects_degenerate(grid):
@@ -242,8 +243,6 @@ def test_hpw_config_validation():
         olct.HpwConfig(p=0)
     with pytest.raises(ValueError):
         olct.HpwConfig(p=5)
-    with pytest.raises(ValueError):
-        olct.HpwConfig(p=1, parity_rule="x")
 
 
 # ---------------------------------------------------------------------------

@@ -280,9 +280,10 @@ def test_bad_grid_override_exits_2(tmp_path):
 
 
 def test_bad_value_reports_field(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "[x]\nsignal_r = fast\n")
-    assert run_main("verify", "--config", cfg) == 2
-    assert "signal_r" in capsys.readouterr().err
+    for field, value in (("signal_r", "fast"), ("strict_params", "yes")):
+        cfg = write_cfg(tmp_path, f"[x]\n{field} = {value}\n")
+        assert run_main("verify", "--config", cfg) == 2
+        assert field in capsys.readouterr().err
 
 
 def test_numerics_failure_exits_3(tmp_path, capsys):

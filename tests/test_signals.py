@@ -243,9 +243,9 @@ def test_check_decay_all_zero_passes(grid):
 @pytest.mark.parametrize("call", [
     lambda s: olct.spectral_moment_2p(olct.Spectrum(s.grid, s.values), 1, 0.0),
     lambda s: olct.abs_moment_p(s, 2, 0.0),
-    lambda s: olct.weighted_square_integral(s, olct.HpwConfig(p=2), 0, 0),
+    lambda s: olct.hpw_core(s, olct.ft_params(), olct.HpwConfig(p=1)),
     lambda s: olct.second_order_core_closed_form(s, olct.unit_weight()),
-], ids=["spectral_moment_2p", "abs_moment_p", "weighted_square_integral",
+], ids=["spectral_moment_2p", "abs_moment_p", "hpw_core",
         "second_order_core_closed_form"])
 def test_guarded_entry_points_reject_nondecaying(grid, call):
     with pytest.raises(NumericsError, match=DECAY_PHRASE):
