@@ -46,7 +46,6 @@ from .transform import (
     parseval_gap,
 )
 from .moments import (
-    MomentSpec,
     PprResult,
     abs_moment_p,
     chirp_demodulate,

@@ -316,20 +316,25 @@ def hw_rhs(signal_energy: float, b: float, p: int) -> float:
     return abs(b) / 2.0 * (signal_energy**2) ** (1.0 / p)
 
 
+def _check_family(r: float, b: float) -> None:
+    if not r > 0:
+        raise ValueError(f"family parameter must be positive, got r={r}")
+    if b == 0.0:
+        raise ValueError("bound is undefined for b = 0")
+
+
 def sharpened_bound_closed_form(r: float, b: float) -> float:
     """Closed-form sharpened lower bound (b^2/2) pi e^r (1/(2r) + 1) on the
     squared moment product, for the chirped-Gaussian family with weight
     exp(-r t), p = 1 and centered moments."""
-    if not r > 0:
-        raise ValueError(f"family parameter must be positive, got r={r}")
+    _check_family(r, b)
     return (b * b / 2.0) * math.pi * math.exp(r) * (1.0 / (2.0 * r) + 1.0)
 
 
 def reference_bound_closed_form(r: float, b: float) -> float:
     """Second-order reference bound (b^2/4) (pi/r) e^(r/2) (1 + r/2)^2 for
     the same family."""
-    if not r > 0:
-        raise ValueError(f"family parameter must be positive, got r={r}")
+    _check_family(r, b)
     return (b * b / 4.0) * (math.pi / r) * math.exp(r / 2.0) * (1.0 + r / 2.0) ** 2
 
 

@@ -46,6 +46,7 @@ from .bounds import (
 )
 from .verify import (
     SWEEP_SCENARIOS,
+    csv_text,
     dumps,
     fmt,
     minimizer_signal,
@@ -70,20 +71,13 @@ class ConfigError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# deterministic formatting
+# output files
 
 
 def write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(text)
-
-
-def csv_text(header: list, rows: list) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -317,13 +311,8 @@ def _emit(args, payload: dict, human: str) -> None:
         sys.stdout.write(human + "\n")
 
 
-def _report_payload(report, bound: str) -> dict:
-    slack = {"hpw": report.slack_hpw, "shw": report.slack_shw,
-             "hw": report.slack_hw}
-    rel = {"hpw": report.rel_slack_hpw, "shw": report.rel_slack_shw,
-           "hw": report.rel_slack_hw}
-    passed = {"hpw": report.passed_hpw, "shw": report.passed_shw,
-              "hw": report.passed_hw}
+def _report_payload(report) -> dict:
+    bound = report.bound
     return {
         "scenario": report.scenario,
         "p": report.p,
@@ -331,9 +320,9 @@ def _report_payload(report, bound: str) -> dict:
         "rhs_hpw": report.hpw_rhs,
         "rhs_shw": report.shw_rhs,
         "rhs_hw": report.hw_rhs,
-        "slack": slack[bound],
-        "rel_slack": rel[bound],
-        "passed": passed[bound],
+        "slack": getattr(report, "slack_" + bound),
+        "rel_slack": getattr(report, "rel_slack_" + bound),
+        "passed": getattr(report, "passed_" + bound),
         "ppr_gap": report.ppr_gap,
         "parseval_gap": report.parseval_gap,
         "grid": {"t_min": report.grid.t_min, "t_max": report.grid.t_max,
@@ -398,7 +387,7 @@ def cmd_verify(args) -> int:
             raise ConfigError("bound 'hw' needs p >= 2")
         report = verify_hw(f, params, cfg.p, t_m=cfg.t_m, xi_m=cfg.xi_m,
                            tol=cfg.tol, scenario=cfg.name)
-    payload = _report_payload(report, args.bound)
+    payload = _report_payload(report)
     note = ""
     if args.bound == "shw" and report.a_admissible is False:
         payload["a_admissible"] = False

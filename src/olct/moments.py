@@ -14,7 +14,7 @@ the relative gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,12 +24,10 @@ from .signals import (
     derivative,
     energy,
     guarded_integral,
-    unit_weight,
 )
 from .transform import OlctParams, Spectrum, default_xi_grid, olct_forward
 
 __all__ = [
-    "MomentSpec",
     "PprResult",
     "time_moment_2p",
     "spectral_moment_2p",
@@ -47,58 +45,44 @@ MAX_MOMENT_HALF_ORDER = 4
 COVERAGE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class MomentSpec:
-    """Half-order p, centers, and weight for even-order moments."""
-
-    p: int
-    t_m: float = 0.0
-    xi_m: float = 0.0
-    omega: WeightFunction = field(default_factory=unit_weight)
-
-    def __post_init__(self):
-        if not (isinstance(self.p, int) and 0 <= self.p <= MAX_MOMENT_HALF_ORDER):
-            raise ValueError(
-                f"moment half-order must be an integer in [0, "
-                f"{MAX_MOMENT_HALF_ORDER}], got {self.p!r}"
-            )
-        if not (np.isfinite(self.t_m) and np.isfinite(self.xi_m)):
-            raise ValueError("moment centers must be finite")
+def _half_order(p) -> int:
+    if p != int(p) or not 0 <= p <= MAX_MOMENT_HALF_ORDER:
+        raise ValueError(f"moment half-order out of range: {p}")
+    return int(p)
 
 
-def time_moment_2p(f: SampledSignal, spec: MomentSpec) -> float:
+def time_moment_2p(f: SampledSignal, p: int, t_m: float,
+                   omega: WeightFunction) -> float:
     """Weighted time moment: integral of w(t)^2 (t - t_m)^(2p) |f(t)|^2."""
+    p = _half_order(p)
+    if not np.isfinite(t_m):
+        raise ValueError("moment center t_m must be finite")
     t = f.grid.points()
-    integrand = (spec.omega(t) ** 2 * (t - spec.t_m) ** (2 * spec.p)
-                 * np.abs(f.values) ** 2)
+    integrand = omega(t) ** 2 * (t - t_m) ** (2 * p) * np.abs(f.values) ** 2
     return guarded_integral(f.grid, integrand,
                             "the weighted time-moment integrand", COVERAGE_TOL)
 
 
 def spectral_moment_2p(spectrum: Spectrum, p: int, xi_m: float) -> float:
     """Spectral moment: integral of (xi - xi_m)^(2p) |O(xi)|^2."""
-    p = int(p)
-    if not 0 <= p <= MAX_MOMENT_HALF_ORDER:
-        raise ValueError(f"moment half-order out of range: {p}")
+    p = _half_order(p)
     xi = spectrum.grid.points()
     integrand = (xi - xi_m) ** (2 * p) * np.abs(spectrum.values) ** 2
     return guarded_integral(spectrum.grid, integrand,
                             "the spectral-moment integrand", COVERAGE_TOL)
 
 
-def abs_moment_p(s: SampledSignal, p: int, center: float,
-                 allow_low_order: bool = False) -> float:
-    """Absolute moment: integral of |x - center|^p |s(x)|^2.
+def abs_moment_p(s: SampledSignal, p: int, center: float) -> float:
+    """Absolute moment: integral of |x - center|^p |s(x)|^2, for p >= 2.
 
     Orders below 2 are outside the duration-bandwidth machinery and are
-    rejected unless ``allow_low_order`` is set for diagnostics.
+    rejected.
     """
     p = int(p)
-    if p < 2 and not allow_low_order:
+    if p < 2:
         raise ValueError(
             f"absolute moment of order {p} < 2 is not usable for the "
-            "duration-bandwidth bound; pass allow_low_order=True to compute "
-            "it anyway"
+            "duration-bandwidth bound"
         )
     x = s.grid.points()
     integrand = np.abs(x - center) ** p * np.abs(s.values) ** 2
@@ -151,9 +135,7 @@ def ppr_check(f: SampledSignal, params: OlctParams, p: int,
     signal spectrally.  The gap is :func:`relative_gap`, the same rule the
     verify reports use for their ``ppr_gap``.
     """
-    p = int(p)
-    if not 0 <= p <= MAX_MOMENT_HALF_ORDER:
-        raise ValueError(f"moment half-order out of range: {p}")
+    p = _half_order(p)
     if params.is_degenerate:
         raise ValueError("the moment identity requires b != 0")
     spectrum = olct_forward(f, params, default_xi_grid(f, params, xi_m=xi_m))

@@ -143,10 +143,6 @@ class AnalyticSignal:
     def sample(self, grid: Grid) -> SampledSignal:
         return SampledSignal(grid, self(grid.points()))
 
-    def sample_deriv(self, grid: Grid, k: int) -> SampledSignal:
-        return SampledSignal(grid, np.asarray(self.deriv(k)(grid.points()),
-                                              dtype=np.complex128))
-
     def __repr__(self):
         return f"AnalyticSignal({self.label!r})"
 
@@ -270,8 +266,9 @@ def integrate(s: SampledSignal) -> complex:
 
 def check_decay(values: np.ndarray, what: str,
                 tol: float = EDGE_DECAY_TOL) -> None:
-    """Truncation guard: raise :class:`NumericsError` unless ``values`` has
-    decayed at both grid ends, max(|x[0]|, |x[-1]|) <= tol * max|x|.
+    """Truncation guard: raise :class:`NumericsError` unless ``values`` is
+    finite and has decayed at both grid ends,
+    max(|x[0]|, |x[-1]|) <= tol * max|x|.
 
     Every whole-line integral, spectral derivative and fast transform in the
     package is computed on a truncated grid and relies on this condition.
@@ -279,6 +276,8 @@ def check_decay(values: np.ndarray, what: str,
     """
     mag = np.abs(values)
     peak = np.max(mag)
+    if not np.isfinite(peak):  # max propagates nan; inf is its own peak
+        raise NumericsError(f"{what} has non-finite values (overflow or NaN)")
     if peak == 0.0:
         return
     edge = max(mag[0], mag[-1])
@@ -299,7 +298,18 @@ def guarded_integral(grid: Grid, integrand: np.ndarray, what: str,
     return float(np.sum(w * integrand))
 
 
-def _spectral_derivative(s: SampledSignal, k: int) -> np.ndarray:
+def derivative(s: SampledSignal, k: int) -> SampledSignal:
+    """k-th derivative of a sampled signal, ``k >= 1``, by spectral
+    differentiation.
+
+    The signal must be negligible at the grid edges (:func:`check_decay`).
+    Spectrum bins below ``SPECTRAL_NOISE_FLOOR`` of the peak are zeroed
+    before the (j omega)^k multiplier, and for even n the unmatched Nyquist
+    bin is dropped at odd k.
+    """
+    k = int(k)
+    if k < 1:
+        raise ValueError(f"derivative order must be >= 1, got {k}")
     check_decay(s.values, "the signal to differentiate spectrally")
     n = s.grid.n
     omega = 2.0j * np.pi * sfft.fftfreq(n, d=s.grid.dt)
@@ -308,50 +318,7 @@ def _spectral_derivative(s: SampledSignal, k: int) -> np.ndarray:
         mult[n // 2] = 0.0  # unmatched Nyquist bin
     spec = sfft.fft(s.values)
     spec[np.abs(spec) < SPECTRAL_NOISE_FLOOR * np.max(np.abs(spec))] = 0.0
-    return sfft.ifft(spec * mult)
-
-
-# Fourth-order first-derivative stencils: centered interior row plus
-# one-sided rows for the two samples at each end.
-_FD_INTERIOR = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
-_FD_EDGE0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-_FD_EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
-
-
-def _fd_first_derivative(values: np.ndarray, dt: float) -> np.ndarray:
-    out = np.convolve(values, _FD_INTERIOR[::-1], mode="same")
-    out[0] = _FD_EDGE0 @ values[:5]
-    out[1] = _FD_EDGE1 @ values[:5]
-    out[-1] = -(_FD_EDGE0 @ values[-5:][::-1])
-    out[-2] = -(_FD_EDGE1 @ values[-5:][::-1])
-    return out / dt
-
-
-def derivative(s: SampledSignal, k: int, method: str = "spectral") -> SampledSignal:
-    """k-th derivative of a sampled signal.
-
-    Parameters
-    ----------
-    s : SampledSignal
-    k : int
-        Derivative order, ``k >= 1``.
-    method : {"spectral", "finite_difference"}
-        ``spectral`` differentiates through the frequency domain and requires
-        the signal to be negligible at the grid edges; ``finite_difference``
-        applies fourth-order stencils (one-sided at the boundary) and has no
-        decay requirement.
-    """
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"derivative order must be >= 1, got {k}")
-    if method == "spectral":
-        return s.with_values(_spectral_derivative(s, k))
-    if method == "finite_difference":
-        vals = s.values
-        for _ in range(k):
-            vals = _fd_first_derivative(vals, s.grid.dt)
-        return s.with_values(vals)
-    raise ValueError(f"unknown differentiation method {method!r}")
+    return s.with_values(sfft.ifft(spec * mult))
 
 
 def _require_same_grid(s1: SampledSignal, s2: SampledSignal) -> None:

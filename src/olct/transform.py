@@ -52,6 +52,10 @@ __all__ = [
 
 DET_TOL = 1e-12
 
+# Half-width of the default output grid in units of |b| times the RMS
+# angular bandwidth of the chirp-multiplied signal.
+XI_SPAN_FACTOR = 40.0
+
 
 @dataclass(frozen=True)
 class OlctParams:
@@ -152,12 +156,13 @@ def _fourier_sum(weighted: np.ndarray, x0: float, dx: float,
 
 
 def default_xi_grid(f: SampledSignal, params: OlctParams, xi_m: float = 0.0,
-                    n: int | None = None, span_factor: float = 40.0) -> Grid:
+                    n: int | None = None) -> Grid:
     """Output grid wide enough that moment integrands decay at its edges.
 
-    The half-width is ``span_factor * |b|`` times the root-mean-square
+    The half-width is ``XI_SPAN_FACTOR * |b|`` times the root-mean-square
     angular bandwidth of the chirp-multiplied signal, centered on tau and
-    stretched to keep the moment center ``xi_m`` well inside.
+    stretched by 2 |xi_m - tau| to keep the moment center well inside.  The
+    grid has ``n`` points, by default as many as the input grid.
     """
     if params.is_degenerate:
         raise ValueError("default output grid is only defined for b != 0")
@@ -171,7 +176,8 @@ def default_xi_grid(f: SampledSignal, params: OlctParams, xi_m: float = 0.0,
     else:
         sigma = math.sqrt(float(np.sum(spec * omega**2)) / total)
         sigma = max(sigma, 1.0 / f.grid.length)
-    half = span_factor * abs(params.b) * sigma + 2.0 * abs(xi_m - params.tau)
+    half = (XI_SPAN_FACTOR * abs(params.b) * sigma
+            + 2.0 * abs(xi_m - params.tau))
     n_out = f.grid.n if n is None else int(n)
     return make_grid(params.tau - half, params.tau + half, n_out)
 

@@ -31,7 +31,6 @@ from .transform import (
     parseval_gap,
 )
 from .moments import (
-    MomentSpec,
     abs_moment_p,
     relative_gap,
     spectral_moment_2p,
@@ -64,6 +63,10 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-6
+
+# Sample spacing and smallest half-width of the sweep-family grids.
+FAMILY_DT = 16.0 / 4096.0
+FAMILY_T_HALF_MIN = 8.0
 
 # Fixed column order of the CSV serialization (one report per row).
 REPORT_COLUMNS = [
@@ -139,22 +142,21 @@ def _scenario_context(scenario: str):
 
 
 def _report(f: SampledSignal, params: OlctParams, cfg: HpwConfig, tol: float,
-            scenario: str, xi_grid: Optional[Grid], a_mode: Optional[str] = None,
+            scenario: str, a_mode: Optional[str] = None,
             a_value: Optional[float] = None,
             h: Optional[SampledSignal] = None) -> UncertaintyReport:
     """Shared body of the 2p-order reports: the plain bound when ``a_mode``
     is None, else the sharpened bound with that auxiliary-term mode.
 
-    One transform feeds the output-domain moment, and the pair (u, v) feeds
-    both the Gram term and the moment-identity gap: mu_spec against
-    b^(2p) ||v||^2, with v = g_b^(p) differentiated in the time domain.
+    One transform on :func:`default_xi_grid` feeds the output-domain
+    moment, and the pair (u, v) feeds both the Gram term and the
+    moment-identity gap: mu_spec against b^(2p) ||v||^2, with v = g_b^(p)
+    differentiated in the time domain.
     """
     with _scenario_context(scenario):
-        if xi_grid is None:
-            xi_grid = default_xi_grid(f, params, xi_m=cfg.xi_m)
-        spectrum = olct_forward(f, params, xi_grid)
-        spec = MomentSpec(p=cfg.p, t_m=cfg.t_m, xi_m=cfg.xi_m, omega=cfg.omega)
-        mu_t = time_moment_2p(f, spec)
+        spectrum = olct_forward(f, params,
+                                default_xi_grid(f, params, xi_m=cfg.xi_m))
+        mu_t = time_moment_2p(f, cfg.p, cfg.t_m, cfg.omega)
         mu_s = spectral_moment_2p(spectrum, cfg.p, cfg.xi_m)
         lhs = (mu_t * mu_s) ** (1.0 / (2.0 * cfg.p))
         breakdown = hpw_core(f, params, cfg)
@@ -194,8 +196,8 @@ def _report(f: SampledSignal, params: OlctParams, cfg: HpwConfig, tol: float,
 
 
 def verify_hpw(f: SampledSignal, params: OlctParams, cfg: HpwConfig,
-               tol: float = DEFAULT_TOL, scenario: str = "",
-               xi_grid: Optional[Grid] = None) -> UncertaintyReport:
+               tol: float = DEFAULT_TOL,
+               scenario: str = "") -> UncertaintyReport:
     """Verify the 2p-order bound on one signal/parameter configuration.
 
     The left side is the product of the 2p-th roots of the weighted time
@@ -207,14 +209,13 @@ def verify_hpw(f: SampledSignal, params: OlctParams, cfg: HpwConfig,
     spectral differentiation in the time domain) and the
     energy-conservation gap.
     """
-    return _report(f, params, cfg, tol, scenario, xi_grid)
+    return _report(f, params, cfg, tol, scenario)
 
 
 def verify_shw(f: SampledSignal, params: OlctParams, cfg: HpwConfig,
                a_mode: str = "saturating", a_value: Optional[float] = None,
                h: Optional[SampledSignal] = None, tol: float = DEFAULT_TOL,
-               scenario: str = "",
-               xi_grid: Optional[Grid] = None) -> UncertaintyReport:
+               scenario: str = "") -> UncertaintyReport:
     """Verify the sharpened bound, with the auxiliary term chosen by mode.
 
     Modes: ``"zero"`` (A = 0, reduces to the plain bound), ``"fixed"``
@@ -232,13 +233,12 @@ def verify_shw(f: SampledSignal, params: OlctParams, cfg: HpwConfig,
         raise ValueError("a_mode='fixed' needs a_value")
     if a_mode not in ("zero", "fixed", "gram", "saturating"):
         raise ValueError(f"unknown a_mode {a_mode!r}")
-    return _report(f, params, cfg, tol, scenario, xi_grid, a_mode, a_value, h)
+    return _report(f, params, cfg, tol, scenario, a_mode, a_value, h)
 
 
 def verify_hw(f: SampledSignal, params: OlctParams, p: int,
               t_m: float = 0.0, xi_m: float = 0.0, tol: float = DEFAULT_TOL,
-              scenario: str = "",
-              xi_grid: Optional[Grid] = None) -> UncertaintyReport:
+              scenario: str = "") -> UncertaintyReport:
     """Verify the absolute-moment bound for p >= 2, including the
     intermediate power-mean inequality (mu_p)^(2/p) E^(1-2/p) >= mu_2 on
     both domains (stored as slacks)."""
@@ -246,9 +246,8 @@ def verify_hw(f: SampledSignal, params: OlctParams, p: int,
     if p < 2:
         raise ValueError(f"absolute-moment order must be >= 2, got {p}")
     with _scenario_context(scenario):
-        if xi_grid is None:
-            xi_grid = default_xi_grid(f, params, xi_m=xi_m)
-        spectrum = olct_forward(f, params, xi_grid)
+        spectrum = olct_forward(f, params,
+                                default_xi_grid(f, params, xi_m=xi_m))
         mu_t = abs_moment_p(f, p, t_m)
         mu_s = abs_moment_p(spectrum, p, xi_m)
         lhs = (mu_t * mu_s) ** (1.0 / p)
@@ -291,14 +290,16 @@ def minimizer_signal(c0: float, c_p: float, t_m: float, xi_m: float,
                          label=f"minimizer(c0={c0}, c_p={c_p}, t_m={t_m})")
 
 
-def family_grid(r: float, dt_target: float = 16.0 / 4096.0,
-                t_half_min: float = 8.0) -> Grid:
-    """Grid wide enough that the Gaussian family exp(-(r/2) t^2) decays
-    below the spectral-differentiation edge tolerance."""
+def family_grid(r: float) -> Grid:
+    """Symmetric grid with spacing ``FAMILY_DT`` and half-width
+    max(``FAMILY_T_HALF_MIN``, sqrt(48/r)), wide enough that the Gaussian
+    family exp(-(r/2) t^2) decays below the spectral-differentiation edge
+    tolerance (|f|^2 <= e^-48 at the edges).  Every r >= 0.75 gets the same
+    -8:8:4097 grid."""
     if not r > 0:
         raise ValueError(f"family parameter must be positive, got r={r}")
-    t_half = max(t_half_min, math.sqrt(48.0 / r))
-    half_n = int(math.ceil(t_half / dt_target))
+    t_half = max(FAMILY_T_HALF_MIN, math.sqrt(48.0 / r))
+    half_n = int(math.ceil(t_half / FAMILY_DT))
     return make_grid(-t_half, t_half, 2 * half_n + 1)
 
 
@@ -359,6 +360,15 @@ def fmt(value) -> str:
     return str(value)
 
 
+def csv_text(header: list, rows) -> str:
+    """CSV text: the header line, then one line of :func:`fmt` fields per
+    row."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(fmt(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
 def dumps(obj, indent: int = 0) -> str:
     """JSON text with floats fixed at 17 significant digits."""
     pad = "  " * indent
@@ -403,8 +413,5 @@ def report_to_json(report: UncertaintyReport) -> str:
 def reports_to_csv(reports: Iterable[UncertaintyReport]) -> str:
     """CSV with one report per row and the fixed :data:`REPORT_COLUMNS`
     order; floats carry 17 significant digits."""
-    lines = [",".join(REPORT_COLUMNS)]
-    for rep in reports:
-        d = report_to_dict(rep)
-        lines.append(",".join(fmt(d[col]) for col in REPORT_COLUMNS))
-    return "\n".join(lines) + "\n"
+    return csv_text(REPORT_COLUMNS,
+                    (report_to_dict(rep).values() for rep in reports))

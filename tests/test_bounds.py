@@ -373,7 +373,7 @@ def test_ft_reduction_bridges_conventions(grid):
     ft = olct.ft_params()
 
     spec = olct.olct_forward(f, ft, olct.default_xi_grid(f, ft, xi_m=xi_m))
-    mu_t = olct.time_moment_2p(f, olct.MomentSpec(p=1, t_m=t_m, xi_m=xi_m, omega=w))
+    mu_t = olct.time_moment_2p(f, 1, t_m, w)
     mu_s = olct.spectral_moment_2p(spec, 1, xi_m)
     lhs_olct = math.sqrt(mu_t) * math.sqrt(mu_s)
     rhs_olct = olct.hpw_core(f, ft, cfg).hpw_rhs

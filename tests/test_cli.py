@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -62,6 +63,18 @@ def test_config_roundtrip():
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(default.to_text())
     assert cli.ScenarioConfig.from_section(parser["d"], "d") == default
+
+
+@pytest.mark.parametrize(
+    "name", sorted(entry.name for entry in REPRO.iterdir()
+                   if entry.name.endswith(".cfg")))
+def test_repro_config_roundtrip(name):
+    import configparser
+
+    cfg = cli.load_config(repro_path(name), None, argparse.Namespace())
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(cfg.to_text())
+    assert cli.ScenarioConfig.from_section(parser[cfg.name], cfg.name) == cfg
 
 
 def test_json_float_formatting():
@@ -292,6 +305,39 @@ def test_numerics_failure_exits_3(tmp_path, capsys):
     code = run_main("verify", "--config", cfg)
     assert code == 3
     assert "precondition" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
+def test_non_finite_integrand_exits_3(tmp_path, capsys, json_flag):
+    # the weight exp(-10 t) overflows at t = -40, so the time-moment
+    # integrand holds inf * 0 = nan; the guard must not let it through
+    cfg = write_cfg(tmp_path,
+                    "[x]\nsignal_r = 2\nweight_r = 10\ngrid = -40:40:16385\n")
+    assert run_main("verify", "--config", cfg, *json_flag) == 3
+    captured = capsys.readouterr()
+    if json_flag:
+        payload = json.loads(captured.out)
+        assert payload["error"]["type"] == "numerics"
+        assert "non-finite" in payload["error"]["message"]
+    else:
+        assert "non-finite" in captured.err
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
+def test_bound_table_b0_exits_2(tmp_path, capsys, json_flag):
+    code = run_main("bound-table", "--config", repro_path("transform_b0.cfg"),
+                    "--out", str(tmp_path), *json_flag)
+    assert code == 2
+    captured = capsys.readouterr()
+    if json_flag:
+        payload = json.loads(captured.out)
+        assert payload["error"] == {"type": "config",
+                                    "message": "bound is undefined for b = 0"}
+    else:
+        assert captured.err == "config error: bound is undefined for b = 0\n"
+    assert not (tmp_path / "bound_table.csv").exists()
 
 
 def test_json_error_report(tmp_path, capsys):

@@ -20,46 +20,47 @@ def gauss(grid):
 
 
 def test_time_moment_order_zero_is_energy(gauss):
-    spec = olct.MomentSpec(p=0)
-    assert olct.time_moment_2p(gauss, spec) == pytest.approx(
+    unit = olct.unit_weight()
+    assert olct.time_moment_2p(gauss, 0, 0.0, unit) == pytest.approx(
         olct.energy(gauss), rel=1e-14)
 
 
 def test_time_moment_gaussian(gauss):
-    spec = olct.MomentSpec(p=1)
-    val = olct.time_moment_2p(gauss, spec)
+    val = olct.time_moment_2p(gauss, 1, 0.0, olct.unit_weight())
     assert val == pytest.approx(0.25 * math.sqrt(math.pi / 2.0), rel=1e-10)
 
 
 def test_time_moment_weighted_chirp(example_signal):
     # oracle: brute-force quadrature of exp(-4t) t^2 exp(-2 t^2)
-    spec = olct.MomentSpec(p=1, omega=olct.exp_weight(2.0))
-    val = olct.time_moment_2p(example_signal, spec)
+    val = olct.time_moment_2p(example_signal, 1, 0.0, olct.exp_weight(2.0))
     oracle = rquad(lambda t: t * t * np.exp(-4 * t - 2 * t * t), -30, 30)
     assert val == pytest.approx(oracle, rel=1e-10)
     assert val == pytest.approx(11.57601058775888, rel=1e-12)
 
 
 def test_time_moment_nonnegative_and_zero_iff_zero(gauss, grid):
-    spec = olct.MomentSpec(p=2, t_m=0.3)
-    assert olct.time_moment_2p(gauss, spec) > 0.0
+    unit = olct.unit_weight()
+    assert olct.time_moment_2p(gauss, 2, 0.3, unit) > 0.0
     zero = olct.SampledSignal(grid, np.zeros(grid.n))
-    assert olct.time_moment_2p(zero, spec) == 0.0
+    assert olct.time_moment_2p(zero, 2, 0.3, unit) == 0.0
 
 
 def test_time_moment_coverage_failure(grid):
     wide = olct.SampledSignal(grid, np.exp(-0.01 * grid.points() ** 2))
     with pytest.raises(NumericsError, match=DECAY_PHRASE):
-        olct.time_moment_2p(wide, olct.MomentSpec(p=2))
+        olct.time_moment_2p(wide, 2, 0.0, olct.unit_weight())
 
 
-def test_moment_spec_validation():
+def test_time_moment_validation(gauss):
+    unit = olct.unit_weight()
     with pytest.raises(ValueError):
-        olct.MomentSpec(p=5)
+        olct.time_moment_2p(gauss, 5, 0.0, unit)
     with pytest.raises(ValueError):
-        olct.MomentSpec(p=-1)
+        olct.time_moment_2p(gauss, -1, 0.0, unit)
     with pytest.raises(ValueError):
-        olct.MomentSpec(p=1, t_m=np.inf)
+        olct.time_moment_2p(gauss, 1.5, 0.0, unit)
+    with pytest.raises(ValueError):
+        olct.time_moment_2p(gauss, 1, np.inf, unit)
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +113,8 @@ def test_spectral_moment_bridges_to_cycles_convention(grid):
 
 
 def test_abs_moment_p2_equals_second_moment(gauss):
-    spec = olct.MomentSpec(p=1)
     assert olct.abs_moment_p(gauss, 2, 0.0) == pytest.approx(
-        olct.time_moment_2p(gauss, spec), rel=1e-14)
+        olct.time_moment_2p(gauss, 1, 0.0, olct.unit_weight()), rel=1e-14)
 
 
 def test_abs_moment_p3_gaussian(gauss):
@@ -129,12 +129,9 @@ def test_abs_moment_zero_signal(grid):
     assert olct.abs_moment_p(zero, 3, 0.0) == 0.0
 
 
-def test_abs_moment_low_order_needs_flag(gauss):
-    with pytest.raises(ValueError, match="allow_low_order"):
+def test_abs_moment_rejects_low_order(gauss):
+    with pytest.raises(ValueError, match="order 1 < 2"):
         olct.abs_moment_p(gauss, 1, 0.0)
-    val = olct.abs_moment_p(gauss, 1, 0.0, allow_low_order=True)
-    assert val == pytest.approx(rquad(lambda t: abs(t) * np.exp(-2 * t * t)),
-                                rel=1e-10)
 
 
 def test_abs_moment_minimized_near_centroid(grid):
@@ -177,10 +174,10 @@ def test_demodulation_freq():
 
 
 def test_time_moment_chirp_invariance(example_signal, example_params):
-    spec = olct.MomentSpec(p=1, omega=olct.exp_weight(2.0))
+    w = olct.exp_weight(2.0)
     g_b = olct.chirp_demodulate(example_signal, example_params, xi_m=0.5)
-    m_f = olct.time_moment_2p(example_signal, spec)
-    m_g = olct.time_moment_2p(g_b, spec)
+    m_f = olct.time_moment_2p(example_signal, 1, 0.0, w)
+    m_g = olct.time_moment_2p(g_b, 1, 0.0, w)
     assert abs(m_f - m_g) <= 1e-12 * m_f
 
 

@@ -187,14 +187,6 @@ def test_derivative_gaussian_value(grid):
     assert d.values[i1].real == pytest.approx(-2.0 * math.exp(-1.0), abs=1e-6)
 
 
-def test_finite_difference_quadratic(grid):
-    t = grid.points()
-    s = olct.SampledSignal(grid, t**2)
-    d2 = olct.derivative(s, 2, method="finite_difference")
-    interior = slice(4, grid.n - 4)
-    assert np.max(np.abs(d2.values[interior].real - 2.0)) < 1e-8
-
-
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("family", [(1.0, 0.0), (2.0, 6.0), (10.0, 0.3)])
 def test_spectral_derivative_matches_analytic(k, family, grid):
@@ -211,9 +203,6 @@ def test_spectral_derivative_rejects_nondecaying(grid):
     s = olct.SampledSignal(grid, np.ones(grid.n))
     with pytest.raises(NumericsError, match=DECAY_PHRASE):
         olct.derivative(s, 1)
-    # the finite-difference fallback has no decay requirement
-    d = olct.derivative(s, 1, method="finite_difference")
-    assert np.max(np.abs(d.values)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +221,13 @@ def test_check_decay_boundary(tol, kwargs):
     with pytest.raises(NumericsError, match=DECAY_PHRASE) as info:
         signals.check_decay(ramp(2 * tol), "x", **kwargs)
     assert f"need <= {tol:.0e}" in str(info.value)
+
+
+def test_check_decay_rejects_non_finite():
+    # nan compares False against the edge bound, so it must be caught first
+    for bad in ([np.nan, 1.0, np.nan], [0.0, 1.0, np.nan], [0.0, np.inf, 0.0]):
+        with pytest.raises(NumericsError, match="non-finite"):
+            signals.check_decay(np.array(bad), "x")
 
 
 def test_check_decay_all_zero_passes(grid):
@@ -256,8 +252,6 @@ def test_derivative_rejects_bad_order(grid):
     s = olct.SampledSignal(grid, np.exp(-grid.points() ** 2))
     with pytest.raises(ValueError):
         olct.derivative(s, 0)
-    with pytest.raises(ValueError):
-        olct.derivative(s, 1, method="nope")
 
 
 # ---------------------------------------------------------------------------
