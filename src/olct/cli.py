@@ -592,7 +592,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # overflow and NaN reach the guards, which turn them into exit 3;
+        # numpy's own warnings about them would only clutter stderr
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except ValueError as exc:
         if isinstance(exc, NumericsError):
             kind, prefix, code = ("numerics", "numerical precondition failed",

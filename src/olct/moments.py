@@ -53,12 +53,16 @@ def _half_order(p) -> int:
 
 def time_moment_2p(f: SampledSignal, p: int, t_m: float,
                    omega: WeightFunction) -> float:
-    """Weighted time moment: integral of w(t)^2 (t - t_m)^(2p) |f(t)|^2."""
+    """Weighted time moment: integral of w(t)^2 (t - t_m)^(2p) |f(t)|^2.
+
+    The weight multiplies |f| before squaring, so a weight that overflows
+    where the signal has decayed gives a finite product, not inf * 0.
+    """
     p = _half_order(p)
     if not np.isfinite(t_m):
         raise ValueError("moment center t_m must be finite")
     t = f.grid.points()
-    integrand = omega(t) ** 2 * (t - t_m) ** (2 * p) * np.abs(f.values) ** 2
+    integrand = (omega(t) * np.abs(f.values)) ** 2 * (t - t_m) ** (2 * p)
     return guarded_integral(f.grid, integrand,
                             "the weighted time-moment integrand", COVERAGE_TOL)
 

@@ -129,10 +129,6 @@ class AnalyticSignal:
         return np.asarray(self.eval_fn(np.asarray(t, dtype=float)),
                           dtype=np.complex128)
 
-    @property
-    def has_deriv(self) -> bool:
-        return self.deriv_fn is not None
-
     def deriv(self, k: int) -> Callable:
         if k == 0:
             return self.eval_fn
@@ -303,22 +299,25 @@ def derivative(s: SampledSignal, k: int) -> SampledSignal:
     differentiation.
 
     The signal must be negligible at the grid edges (:func:`check_decay`).
+    The samples are zero-padded to the fast FFT length ``next_fast_len(n)``,
+    which that decay makes harmless, and the result is truncated back to n.
     Spectrum bins below ``SPECTRAL_NOISE_FLOOR`` of the peak are zeroed
-    before the (j omega)^k multiplier, and for even n the unmatched Nyquist
-    bin is dropped at odd k.
+    before the (j omega)^k multiplier, and for an even padded length the
+    unmatched Nyquist bin is dropped at odd k.
     """
     k = int(k)
     if k < 1:
         raise ValueError(f"derivative order must be >= 1, got {k}")
     check_decay(s.values, "the signal to differentiate spectrally")
     n = s.grid.n
-    omega = 2.0j * np.pi * sfft.fftfreq(n, d=s.grid.dt)
+    nfft = sfft.next_fast_len(n)
+    omega = 2.0j * np.pi * sfft.fftfreq(nfft, d=s.grid.dt)
     mult = omega**k
-    if n % 2 == 0 and k % 2 == 1:
-        mult[n // 2] = 0.0  # unmatched Nyquist bin
-    spec = sfft.fft(s.values)
+    if nfft % 2 == 0 and k % 2 == 1:
+        mult[nfft // 2] = 0.0  # unmatched Nyquist bin
+    spec = sfft.fft(s.values, nfft)
     spec[np.abs(spec) < SPECTRAL_NOISE_FLOOR * np.max(np.abs(spec))] = 0.0
-    return s.with_values(sfft.ifft(spec * mult))
+    return s.with_values(sfft.ifft(spec * mult)[:n])
 
 
 def _require_same_grid(s1: SampledSignal, s2: SampledSignal) -> None:

@@ -24,7 +24,6 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 from scipy import fft as sfft
 from scipy.interpolate import CubicSpline
-from scipy.signal import czt
 
 from .errors import NumericsError
 from .signals import (
@@ -147,12 +146,32 @@ def olct_kernel(t, xi, params: OlctParams) -> np.ndarray:
     return _root_factor(p.b) * np.exp(1j * phase)
 
 
-def _fourier_sum(weighted: np.ndarray, x0: float, dx: float,
+def _fourier_sum(x: np.ndarray, x0: float, dx: float,
                  u0: float, du: float, m: int) -> np.ndarray:
-    """sum_k weighted[k] * exp(-j u_j x_k) for u_j = u0 + j*du, via Bluestein."""
+    """sum_k x[k] * exp(-j u_j x_k) for x_k = x0 + k*dx, u_j = u0 + j*du.
+
+    Bluestein's chirp convolution on centered indices k' = k - n//2 and
+    j' = j - m//2, with j'k' = (j'^2 + k'^2 - (j'-k')^2)/2.  Each chirp phase
+    theta*l^2/2, theta = du*dx, is formed from the exact integer square l^2,
+    so its rounding stays relative to that phase instead of growing with n^2
+    as it does for a chirp built as a power of exp(-j theta).  Centering
+    keeps the phases, and so their rounding, smallest in the middle of both
+    grids, where the decaying input and its spectrum carry their weight.
+    """
+    n = x.size
+    kc = np.arange(n) - n // 2
+    jc = np.arange(m) - m // 2
+    theta = du * dx
+    squares = np.arange(max(n, m)) ** 2
+    chirp = np.exp(-0.5j * theta * squares)  # indexed by |l|
+    y = x * np.exp(-1j * ((u0 + (m // 2) * du) * dx) * kc) * chirp[np.abs(kc)]
+    # conj chirp at j' - k' for j - k = -(n-1)..m-1; the linear convolution
+    # y * h holds output j at index j + n - 1
+    h = np.conj(chirp[np.abs(np.arange(-(n - 1), m) + (n // 2 - m // 2))])
+    nfft = sfft.next_fast_len(n + m - 1)
+    conv = sfft.ifft(sfft.fft(y, nfft) * sfft.fft(h, nfft))[n - 1 : n - 1 + m]
     u = u0 + du * np.arange(m)
-    inner = czt(weighted, m=m, w=np.exp(-1j * du * dx), a=np.exp(1j * u0 * dx))
-    return np.exp(-1j * u * x0) * inner
+    return np.exp(-1j * u * (x0 + (n // 2) * dx)) * chirp[np.abs(jc)] * conv
 
 
 def default_xi_grid(f: SampledSignal, params: OlctParams, xi_m: float = 0.0,
@@ -162,14 +181,17 @@ def default_xi_grid(f: SampledSignal, params: OlctParams, xi_m: float = 0.0,
     The half-width is ``XI_SPAN_FACTOR * |b|`` times the root-mean-square
     angular bandwidth of the chirp-multiplied signal, centered on tau and
     stretched by 2 |xi_m - tau| to keep the moment center well inside.  The
-    grid has ``n`` points, by default as many as the input grid.
+    grid has ``n`` points, by default as many as the input grid.  The
+    bandwidth FFT zero-pads the input to a fast length, which leaves the
+    RMS width of a signal that has decayed at the grid ends as it is.
     """
     if params.is_degenerate:
         raise ValueError("default output grid is only defined for b != 0")
     t = f.grid.points()
     g = f.values * np.exp(1j * params.chirp_rate * t * t)
-    spec = np.abs(sfft.fft(g)) ** 2
-    omega = 2.0 * np.pi * sfft.fftfreq(f.grid.n, d=f.grid.dt)
+    nfft = sfft.next_fast_len(f.grid.n)
+    spec = np.abs(sfft.fft(g, nfft)) ** 2
+    omega = 2.0 * np.pi * sfft.fftfreq(nfft, d=f.grid.dt)
     total = float(np.sum(spec))
     if total == 0.0:
         sigma = 1.0

@@ -307,14 +307,14 @@ def test_numerics_failure_exits_3(tmp_path, capsys):
     assert "precondition" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
 def test_non_finite_integrand_exits_3(tmp_path, capsys, json_flag):
-    # the weight exp(-10 t) overflows at t = -40, so the time-moment
-    # integrand holds inf * 0 = nan; the guard must not let it through
+    # the weighted signal exp(-40 t - t^2) peaks at e^400 near t = -20, so
+    # its square overflows even with the weight applied before squaring; the
+    # guard must not let it through, and numpy's warnings must not reach stderr
     cfg = write_cfg(tmp_path,
-                    "[x]\nsignal_r = 2\nweight_r = 10\ngrid = -40:40:16385\n")
+                    "[x]\nsignal_r = 2\nweight_r = 40\ngrid = -40:40:16385\n")
     assert run_main("verify", "--config", cfg, *json_flag) == 3
     captured = capsys.readouterr()
     if json_flag:
@@ -323,6 +323,17 @@ def test_non_finite_integrand_exits_3(tmp_path, capsys, json_flag):
         assert "non-finite" in payload["error"]["message"]
     else:
         assert "non-finite" in captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("numerical precondition failed: ")
+
+
+def test_weight_overflow_where_signal_vanishes_exits_0(tmp_path):
+    # exp(-10 t) overflows in its square at t = -40, but the weighted signal
+    # exp(-10 t - t^2) is finite everywhere, and so is every moment
+    cfg = write_cfg(tmp_path,
+                    "[x]\nsignal_r = 2\nweight_r = 10\ngrid = -40:40:16385\n")
+    assert run_main("verify", "--config", cfg) == 0
 
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])

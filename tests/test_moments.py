@@ -38,6 +38,16 @@ def test_time_moment_weighted_chirp(example_signal):
     assert val == pytest.approx(11.57601058775888, rel=1e-12)
 
 
+def test_time_moment_weight_overflowing_where_signal_vanishes():
+    # exp(-20 t) overflows at t = -40 where |f|^2 = exp(-2 t^2) underflows;
+    # the integrand e^50 t^2 exp(-2 (t + 5)^2) is finite throughout
+    f = olct.gaussian_chirp(2.0, 0.0).sample(olct.make_grid(-40.0, 40.0, 16385))
+    val = olct.time_moment_2p(f, 1, 0.0, olct.exp_weight(10.0))
+    exact = math.exp(50.0) * math.sqrt(math.pi / 2.0) * (25.0 + 0.25)
+    assert exact == pytest.approx(1.6407613460409926e23, rel=1e-15)
+    assert val == pytest.approx(exact, rel=1e-12)
+
+
 def test_time_moment_nonnegative_and_zero_iff_zero(gauss, grid):
     unit = olct.unit_weight()
     assert olct.time_moment_2p(gauss, 2, 0.3, unit) > 0.0

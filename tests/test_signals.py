@@ -199,6 +199,17 @@ def test_spectral_derivative_matches_analytic(k, family, grid):
     assert np.max(np.abs(numeric - exact)) <= 1e-6 * scale
 
 
+@pytest.mark.parametrize("k, tol", [(1, 4e-12), (2, 3e-11), (4, 5e-10)])
+def test_spectral_derivative_digits_at_fast_length(k, tol):
+    # 65537 is prime; the derivative runs at next_fast_len(65537) = 65610
+    grid = olct.make_grid(-8.0, 8.0, 65537)
+    f = olct.gaussian_chirp(2.0, 3.0)
+    numeric = olct.derivative(f.sample(grid), k).values
+    exact = f.deriv(k)(grid.points())
+    scale = np.max(np.abs(exact))
+    assert np.max(np.abs(numeric - exact)) <= tol * scale
+
+
 def test_spectral_derivative_rejects_nondecaying(grid):
     s = olct.SampledSignal(grid, np.ones(grid.n))
     with pytest.raises(NumericsError, match=DECAY_PHRASE):

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,8 @@ from hypothesis import strategies as st
 import olct
 from olct.errors import NumericsError
 
-from conftest import DEFAULT_GRID, EXAMPLE_PARAMS, cquad, params_matrix
+from conftest import (DEFAULT_GRID, EXAMPLE_PARAMS, completed_params, cquad,
+                      params_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +147,40 @@ def test_forward_path_equivalence(params):
     direct = olct.olct_forward(f, params, xi_grid, path="direct")
     scale = np.max(np.abs(direct.values))
     assert np.max(np.abs(fast.values - direct.values)) <= 1e-6 * scale
+
+
+@pytest.mark.parametrize("grid, n_out", [(DEFAULT_GRID, 513),
+                                         (olct.make_grid(-8.0, 8.0, 1000), 3001)])
+def test_forward_fast_path_matches_direct_to_rounding(grid, n_out):
+    # chirp phases must not carry a rounding error scaled by k^2; the second
+    # case has more output than input points and an even input length
+    params = completed_params(0.6, 0.05)
+    f = olct.gaussian_chirp(2.0, params.chirp_rate).sample(grid)
+    xi_grid = olct.default_xi_grid(f, params, xi_m=0.5, n=n_out)
+    fast = olct.olct_forward(f, params, xi_grid, path="chirp_fft")
+    direct = olct.olct_forward(f, params, xi_grid, path="direct")
+    scale = np.max(np.abs(direct.values))
+    assert np.max(np.abs(fast.values - direct.values)) <= 1e-13 * scale
+
+
+def test_forward_energy_at_65537_points():
+    # a rounding error scaled by k^2 in the chirp phases grows like n^2
+    params = completed_params(0.6, 0.05, tau=1.0)
+    f = olct.gaussian_chirp(10.0, params.chirp_rate + 1.3).sample(
+        olct.make_grid(-8.0, 8.0, 65537))
+    assert olct.parseval_gap(f, olct.olct_forward(f, params)) <= 1e-12
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # the package owns its chirp-z kernel; scipy.signal only adds import
+    # time and memory
+    src = str(Path(olct.__file__).parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import olct, olct.cli; "
+            "print('scipy.signal' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, src],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("params", params_matrix(taus=(0.0,), etas=(0.0, 1.0)))
