@@ -40,7 +40,7 @@ from .signals import (
     unit_weight,
 )
 from .transform import OlctParams
-from .moments import chirp_demodulate
+from .moments import MAX_HALF_ORDER, chirp_demodulate
 
 __all__ = [
     "HpwConfig",
@@ -69,7 +69,6 @@ __all__ = [
     "check_identity2",
 ]
 
-MAX_ORDER = 4
 UNIT_NORM_TOL = 1e-8
 
 # Where |g_b| has underflowed below this fraction of its peak, spectral
@@ -87,7 +86,7 @@ class HpwConfig:
     Parameters
     ----------
     p : int
-        Moment half-order, 1..4.
+        Moment half-order, 1..``MAX_HALF_ORDER``.
     t_m, xi_m : float
         Time and output-domain moment centers.
     omega : WeightFunction
@@ -101,8 +100,9 @@ class HpwConfig:
     omega: WeightFunction = field(default_factory=unit_weight)
 
     def __post_init__(self):
-        if not (isinstance(self.p, int) and 1 <= self.p <= MAX_ORDER):
-            raise ValueError(f"half-order p must be an integer in [1, {MAX_ORDER}]")
+        if not (isinstance(self.p, int) and 1 <= self.p <= MAX_HALF_ORDER):
+            raise ValueError(
+                f"half-order p must be an integer in [1, {MAX_HALF_ORDER}]")
         if not (np.isfinite(self.t_m) and np.isfinite(self.xi_m)):
             raise ValueError("moment centers must be finite")
 
@@ -169,15 +169,13 @@ def modulation_square_coeff(q: int, n: int, alpha: float) -> float:
     return math.comb(q, n) ** 2 * float(alpha) ** (2 * (q - n))
 
 
-def modulation_cross_coeff(q: int, i: int, z: int, alpha: float,
-                           sign: int = 1) -> float:
-    """Cross coefficient s * binom(q,i) * binom(q,z) * alpha^(2q-z-i), i < z."""
+def modulation_cross_coeff(q: int, i: int, z: int, alpha: float) -> float:
+    """Cross coefficient binom(q,i) * binom(q,z) * alpha^(2q-z-i), i < z;
+    the cross-term sign is :func:`derived_sign`'s."""
     q, i, z = int(q), int(i), int(z)
     if not 0 <= i < z <= q:
         raise ValueError(f"indices must satisfy 0 <= i < z <= q, got ({i}, {z}, {q})")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return sign * math.comb(q, i) * math.comb(q, z) * float(alpha) ** (2 * q - z - i)
+    return math.comb(q, i) * math.comb(q, z) * float(alpha) ** (2 * q - z - i)
 
 
 def weight_deriv_centered(omega: WeightFunction, p: int, t_m: float, k: int,
@@ -364,8 +362,8 @@ def check_identity1(f: AnalyticSignal, k: int, grid: Grid) -> float:
     interior.
     """
     k = int(k)
-    if not 1 <= k <= MAX_ORDER:
-        raise ValueError(f"derivative order must be in [1, {MAX_ORDER}]")
+    if not 1 <= k <= MAX_HALF_ORDER:
+        raise ValueError(f"derivative order must be in [1, {MAX_HALF_ORDER}]")
     t = grid.points()
     f0 = f(t)
     fk = np.asarray(f.deriv(k)(t), dtype=np.complex128)
@@ -428,7 +426,7 @@ def check_identity2(f: AnalyticSignal, alpha: float, q: int,
     crosses = {}
     for i in range(q + 1):
         for z in range(i + 1, q + 1):
-            coeff = modulation_cross_coeff(q, i, z, alpha, 1)
+            coeff = modulation_cross_coeff(q, i, z, alpha)
             cross = np.real(half_power(q - (i + z) / 2.0)
                             * f_derivs[i] * np.conj(f_derivs[z]))
             crosses[(i, z)] = 2.0 * coeff * cross

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -45,11 +46,14 @@ from .bounds import (
     sharpened_bound_closed_form,
 )
 from .verify import (
+    GRID_FIELDS,
+    PARAMS_FIELDS,
     SWEEP_SCENARIOS,
     csv_text,
     dumps,
     fmt,
     minimizer_signal,
+    report_to_dict,
     sweep_r,
     verify_hpw,
     verify_hw,
@@ -75,33 +79,84 @@ class ConfigError(ValueError):
 
 
 def write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {str(path)!r}: {exc}")
 
 
 # --------------------------------------------------------------------------
 # scenario configuration
 
 
+def _finite(text: str) -> float:
+    """The one float parser of the config codec: finite values only."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _colon_triple(text: str, kind: str, spec: str, last) -> tuple:
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ConfigError(f"{kind} must be {spec}, got {text!r}")
+    try:
+        return _finite(parts[0]), _finite(parts[1]), last(parts[2])
+    except ValueError as exc:
+        raise ConfigError(f"bad {kind} spec {text!r}: {exc}")
+
+
 def _parse_grid(text: str) -> tuple:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"grid must be T_MIN:T_MAX:N, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise ConfigError(f"bad grid spec {text!r}: {exc}")
+    return _colon_triple(text, "grid", "T_MIN:T_MAX:N", int)
 
 
-def _parse_range(text: str) -> tuple:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"range must be START:STOP:STEP, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1]), float(parts[2])
-    except ValueError as exc:
-        raise ConfigError(f"bad range spec {text!r}: {exc}")
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text.lower() == "true"
+
+
+def _unset_as(word: str) -> tuple:
+    """Codec of an optional float whose unset value is spelled ``word``."""
+    return (lambda s: None if s.lower() == word else _finite(s),
+            lambda v: word if v is None else fmt(v))
+
+
+def _joined(sep: str):
+    return lambda values: sep.join(map(fmt, values))
+
+
+_FLOAT = (_finite, fmt)
+_WORD = (str, fmt)
+
+# Config key -> (parse, format), in ScenarioConfig field order.  Both
+# ScenarioConfig.from_section and ScenarioConfig.to_text read this table.
+CONFIG_CODEC = {
+    "signal": _WORD,
+    "signal_r": _FLOAT,
+    "signal_chirp": _unset_as("auto"),
+    "c0": _FLOAT,
+    "c_p": _FLOAT,
+    "weight": _WORD,
+    "weight_r": _unset_as("auto"),
+    **{key: _FLOAT for key in ("a", "b", "c", "d", "tau", "eta")},
+    "strict_params": (_parse_bool, fmt),
+    "p": (int, fmt),
+    "t_m": _FLOAT,
+    "xi_m": _FLOAT,
+    "a_mode": _WORD,
+    "a_value": _FLOAT,
+    "grid": (_parse_grid, _joined(":")),
+    "tol": _FLOAT,
+    "r_values": (lambda s: tuple(_finite(x) for x in s.split(",")),
+                 _joined(",")),
+    "r_range": (lambda s: _colon_triple(s, "range", "START:STOP:STEP",
+                                        _finite), _joined(":")),
+    "reference_value": _unset_as("none"),
+}
 
 
 @dataclass(frozen=True)
@@ -142,47 +197,18 @@ class ScenarioConfig:
     @classmethod
     def from_section(cls, section: configparser.SectionProxy,
                      name: str) -> "ScenarioConfig":
-        kwargs = {"name": name}
-        known = {f.name for f in fields(cls)} - {"name"}
         for key in section:
-            if key not in known:
+            if key not in CONFIG_CODEC:
                 raise ConfigError(f"unknown config key {key!r} in [{name}]")
-        def get(key, conv, default):
+        kwargs = {}
+        for key, (parse, _) in CONFIG_CODEC.items():
             raw = section.get(key, None)
-            if raw is None:
-                return default
-            raw = raw.strip()
-            try:
-                return conv(raw)
-            except (ValueError, ConfigError) as exc:
-                raise ConfigError(f"[{name}] {key}: {exc}")
-        opt_float = lambda s: None if s.lower() == "auto" else float(s)
-        def as_bool(s):
-            if s.lower() not in ("true", "false"):
-                raise ValueError(f"expected true or false, got {s!r}")
-            return s.lower() == "true"
-        as_list = lambda s: tuple(float(x) for x in s.split(","))
-        defaults = cls()
-        kwargs["signal"] = get("signal", str, defaults.signal)
-        kwargs["signal_r"] = get("signal_r", float, defaults.signal_r)
-        kwargs["signal_chirp"] = get("signal_chirp", opt_float, defaults.signal_chirp)
-        kwargs["c0"] = get("c0", float, defaults.c0)
-        kwargs["c_p"] = get("c_p", float, defaults.c_p)
-        kwargs["weight"] = get("weight", str, defaults.weight)
-        kwargs["weight_r"] = get("weight_r", opt_float, defaults.weight_r)
-        for key in ("a", "b", "c", "d", "tau", "eta", "t_m", "xi_m",
-                    "a_value", "tol"):
-            kwargs[key] = get(key, float, getattr(defaults, key))
-        kwargs["strict_params"] = get("strict_params", as_bool, defaults.strict_params)
-        kwargs["p"] = get("p", int, defaults.p)
-        kwargs["a_mode"] = get("a_mode", str, defaults.a_mode)
-        kwargs["grid"] = get("grid", _parse_grid, defaults.grid)
-        kwargs["r_values"] = get("r_values", as_list, defaults.r_values)
-        kwargs["r_range"] = get("r_range", _parse_range, defaults.r_range)
-        none_or_float = lambda s: None if s.lower() == "none" else float(s)
-        kwargs["reference_value"] = get("reference_value", none_or_float,
-                                        defaults.reference_value)
-        cfg = cls(**kwargs)
+            if raw is not None:
+                try:
+                    kwargs[key] = parse(raw.strip())
+                except ValueError as exc:
+                    raise ConfigError(f"[{name}] {key}: {exc}")
+        cfg = cls(name=name, **kwargs)
         cfg.validate()
         return cfg
 
@@ -197,36 +223,16 @@ class ScenarioConfig:
             raise ConfigError(f"signal_r must be positive, got {self.signal_r}")
         if self.p < 1:
             raise ConfigError(f"p must be >= 1, got {self.p}")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ConfigError(f"tol must be finite and >= 0, got {self.tol}")
+        if self.reference_value == 0:
+            raise ConfigError("reference_value must be nonzero, got 0")
 
     def to_text(self) -> str:
         """Config-file section with every effective value spelled out."""
         lines = [f"[{self.name}]"]
-        auto = lambda v: "auto" if v is None else fmt(v)
-        lines += [
-            f"signal = {self.signal}",
-            f"signal_r = {fmt(self.signal_r)}",
-            f"signal_chirp = {auto(self.signal_chirp)}",
-            f"c0 = {fmt(self.c0)}",
-            f"c_p = {fmt(self.c_p)}",
-            f"weight = {self.weight}",
-            f"weight_r = {auto(self.weight_r)}",
-        ]
-        for key in ("a", "b", "c", "d", "tau", "eta"):
-            lines.append(f"{key} = {fmt(getattr(self, key))}")
-        lines += [
-            f"strict_params = {fmt(self.strict_params)}",
-            f"p = {self.p}",
-            f"t_m = {fmt(self.t_m)}",
-            f"xi_m = {fmt(self.xi_m)}",
-            f"a_mode = {self.a_mode}",
-            f"a_value = {fmt(self.a_value)}",
-            f"grid = {fmt(self.grid[0])}:{fmt(self.grid[1])}:{self.grid[2]}",
-            f"tol = {fmt(self.tol)}",
-            "r_values = " + ",".join(fmt(r) for r in self.r_values),
-            f"r_range = {fmt(self.r_range[0])}:{fmt(self.r_range[1])}:{fmt(self.r_range[2])}",
-            "reference_value = " + ("none" if self.reference_value is None
-                                    else fmt(self.reference_value)),
-        ]
+        lines += [f"{key} = {show(getattr(self, key))}"
+                  for key, (_, show) in CONFIG_CODEC.items()]
         return "\n".join(lines) + "\n"
 
     # -- builders ----------------------------------------------------------
@@ -312,24 +318,25 @@ def _emit(args, payload: dict, human: str) -> None:
 
 
 def _report_payload(report) -> dict:
+    """The CLI view of :func:`report_to_dict`: the right sides as
+    ``rhs_<bound>``, slack and verdict of the report's own bound, and the
+    grid and parameter fields nested."""
+    row = report_to_dict(report)
     bound = report.bound
     return {
-        "scenario": report.scenario,
-        "p": report.p,
-        "lhs": report.lhs,
-        "rhs_hpw": report.hpw_rhs,
-        "rhs_shw": report.shw_rhs,
-        "rhs_hw": report.hw_rhs,
-        "slack": getattr(report, "slack_" + bound),
-        "rel_slack": getattr(report, "rel_slack_" + bound),
-        "passed": getattr(report, "passed_" + bound),
-        "ppr_gap": report.ppr_gap,
-        "parseval_gap": report.parseval_gap,
-        "grid": {"t_min": report.grid.t_min, "t_max": report.grid.t_max,
-                 "n": report.grid.n},
-        "params": {"a": report.params.a, "b": report.params.b,
-                   "c": report.params.c, "d": report.params.d,
-                   "tau": report.params.tau, "eta": report.params.eta},
+        "scenario": row["scenario"],
+        "p": row["p"],
+        "lhs": row["lhs"],
+        "rhs_hpw": row["hpw_rhs"],
+        "rhs_shw": row["shw_rhs"],
+        "rhs_hw": row["hw_rhs"],
+        "slack": row["slack_" + bound],
+        "rel_slack": row["rel_slack_" + bound],
+        "passed": row["passed_" + bound],
+        "ppr_gap": row["ppr_gap"],
+        "parseval_gap": row["parseval_gap"],
+        "grid": {col: row[col] for col in GRID_FIELDS},
+        "params": {col: row[col] for col in PARAMS_FIELDS},
     }
 
 

@@ -25,7 +25,7 @@ from .signals import (
     energy,
     guarded_integral,
 )
-from .transform import OlctParams, Spectrum, default_xi_grid, olct_forward
+from .transform import OlctParams, default_xi_grid, olct_forward
 
 __all__ = [
     "PprResult",
@@ -38,7 +38,9 @@ __all__ = [
     "ppr_check",
 ]
 
-MAX_MOMENT_HALF_ORDER = 4
+# Largest half-order p of a 2p-order moment, bound functional or
+# derivative-product identity; every order check in the package reads it.
+MAX_HALF_ORDER = 4
 
 # Truncation-guard tolerance for moment integrands: one whose edge values
 # exceed this fraction of its peak is not covered by the truncated grid.
@@ -46,7 +48,7 @@ COVERAGE_TOL = 1e-10
 
 
 def _half_order(p) -> int:
-    if p != int(p) or not 0 <= p <= MAX_MOMENT_HALF_ORDER:
+    if p != int(p) or not 0 <= p <= MAX_HALF_ORDER:
         raise ValueError(f"moment half-order out of range: {p}")
     return int(p)
 
@@ -67,7 +69,7 @@ def time_moment_2p(f: SampledSignal, p: int, t_m: float,
                             "the weighted time-moment integrand", COVERAGE_TOL)
 
 
-def spectral_moment_2p(spectrum: Spectrum, p: int, xi_m: float) -> float:
+def spectral_moment_2p(spectrum: SampledSignal, p: int, xi_m: float) -> float:
     """Spectral moment: integral of (xi - xi_m)^(2p) |O(xi)|^2."""
     p = _half_order(p)
     xi = spectrum.grid.points()

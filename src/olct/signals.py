@@ -1,5 +1,5 @@
 """Uniform grids, sampled complex signals, analytic signal families,
-quadrature, differentiation and inner products.
+quadrature, differentiation and norms.
 
 Everything here is a pure function over immutable value objects; results
 only depend on the arguments, so signals and grids can be shared freely
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy import fft as sfft
@@ -32,7 +32,6 @@ __all__ = [
     "check_decay",
     "guarded_integral",
     "derivative",
-    "inner_product",
     "norm_l2",
     "energy",
 ]
@@ -111,16 +110,13 @@ class SampledSignal:
 
 
 class AnalyticSignal:
-    """A signal given by closed-form callables, with optional exact derivatives.
+    """A signal given by closed-form callables with exact derivatives.
 
-    ``eval_fn`` maps an array of sample times to complex values.  When
-    ``deriv_fn`` is provided, ``deriv_fn(k)`` returns the callable for the
-    exact k-th derivative; spectral differentiation of sampled values is the
-    fallback otherwise.
+    ``eval_fn`` maps an array of sample times to complex values, and
+    ``deriv_fn(k)`` returns the callable for the exact k-th derivative.
     """
 
-    def __init__(self, eval_fn: Callable, deriv_fn: Optional[Callable] = None,
-                 label: str = ""):
+    def __init__(self, eval_fn: Callable, deriv_fn: Callable, label: str = ""):
         self.eval_fn = eval_fn
         self.deriv_fn = deriv_fn
         self.label = label
@@ -132,8 +128,6 @@ class AnalyticSignal:
     def deriv(self, k: int) -> Callable:
         if k == 0:
             return self.eval_fn
-        if self.deriv_fn is None:
-            raise ValueError(f"signal {self.label!r} has no analytic derivatives")
         return self.deriv_fn(int(k))
 
     def sample(self, grid: Grid) -> SampledSignal:
@@ -182,11 +176,10 @@ def gaussian_chirp(r: float, chirp: float) -> AnalyticSignal:
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Real weight with exact derivatives up to ``max_order``."""
+    """Real weight with exact derivatives of every order."""
 
     eval_fn: Callable = field(repr=False)
     deriv_factory: Callable = field(repr=False)
-    max_order: int
     label: str = ""
 
     def __call__(self, t) -> np.ndarray:
@@ -196,11 +189,6 @@ class WeightFunction:
         k = int(k)
         if k == 0:
             return self.eval_fn
-        if k > self.max_order:
-            raise ValueError(
-                f"weight {self.label!r} supplies derivatives up to order "
-                f"{self.max_order}, requested {k}"
-            )
         return self.deriv_factory(k)
 
 
@@ -212,7 +200,6 @@ def exp_weight(r: float) -> WeightFunction:
     return WeightFunction(
         eval_fn=lambda t: np.exp(-r * t),
         deriv_factory=lambda k: (lambda t: (-r) ** k * np.exp(-r * t)),
-        max_order=64,
         label=f"exp_weight({r})",
     )
 
@@ -222,7 +209,6 @@ def unit_weight() -> WeightFunction:
     return WeightFunction(
         eval_fn=lambda t: np.ones_like(np.asarray(t, dtype=float)),
         deriv_factory=lambda k: (lambda t: np.zeros_like(np.asarray(t, dtype=float))),
-        max_order=64,
         label="unit_weight",
     )
 
@@ -318,18 +304,6 @@ def derivative(s: SampledSignal, k: int) -> SampledSignal:
     spec = sfft.fft(s.values, nfft)
     spec[np.abs(spec) < SPECTRAL_NOISE_FLOOR * np.max(np.abs(spec))] = 0.0
     return s.with_values(sfft.ifft(spec * mult)[:n])
-
-
-def _require_same_grid(s1: SampledSignal, s2: SampledSignal) -> None:
-    if s1.grid != s2.grid:
-        raise ValueError("signals live on different grids")
-
-
-def inner_product(s1: SampledSignal, s2: SampledSignal) -> complex:
-    """L2 inner product: integral of s1 * conj(s2)."""
-    _require_same_grid(s1, s2)
-    w = quadrature_weights(s1.grid.n, s1.grid.dt)
-    return complex(np.sum(w * s1.values * np.conj(s2.values)))
 
 
 def energy(s: SampledSignal) -> float:

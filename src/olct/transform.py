@@ -37,10 +37,7 @@ from .signals import (
 
 __all__ = [
     "OlctParams",
-    "Spectrum",
     "ft_params",
-    "frft_params",
-    "lct_params",
     "olct_kernel",
     "olct_forward",
     "olct_forward_b0",
@@ -103,25 +100,10 @@ class OlctParams:
         return self.a / (2.0 * self.b)
 
 
-class Spectrum(SampledSignal):
-    """Transform values on a uniform output-variable grid."""
-
-
 def ft_params() -> OlctParams:
     """Parameters (0, 1, -1, 0 | 0, 0) reducing the transform to a Fourier
     integral with kernel exp(-j t xi) and prefactor 1/sqrt(j 2 pi)."""
     return OlctParams(0.0, 1.0, -1.0, 0.0)
-
-
-def frft_params(alpha: float) -> OlctParams:
-    """Rotation parameters (cos a, sin a, -sin a, cos a | 0, 0)."""
-    return OlctParams(math.cos(alpha), math.sin(alpha),
-                      -math.sin(alpha), math.cos(alpha))
-
-
-def lct_params(a: float, b: float, c: float, d: float) -> OlctParams:
-    """Offset-free parameters (a, b, c, d | 0, 0); rejects a*d - b*c != 1."""
-    return OlctParams(a, b, c, d)
 
 
 def _root_factor(b: float) -> complex:
@@ -205,7 +187,7 @@ def default_xi_grid(f: SampledSignal, params: OlctParams, xi_m: float = 0.0,
 
 
 def olct_forward(f: SampledSignal, params: OlctParams,
-                 xi_grid: Grid | None = None, path: str = "chirp_fft") -> Spectrum:
+                 xi_grid: Grid | None = None, path: str = "chirp_fft") -> SampledSignal:
     """Forward transform of a sampled signal onto a uniform output grid.
 
     Parameters
@@ -242,7 +224,7 @@ def olct_forward(f: SampledSignal, params: OlctParams,
         du = xi_grid.dt / p.b
         inner = _fourier_sum(g, f.grid.t_min, f.grid.dt, u0, du, xi_grid.n)
         out = _root_factor(p.b) * np.exp(1j * _outer_phase(xi, p)) * inner
-        return Spectrum(xi_grid, out)
+        return SampledSignal(xi_grid, out)
 
     if path == "direct":
         out = np.empty(xi_grid.n, dtype=np.complex128)
@@ -252,13 +234,13 @@ def olct_forward(f: SampledSignal, params: OlctParams,
             block = xi[lo : lo + chunk, None]
             kern = olct_kernel(t[None, :], block, p)
             out[lo : lo + chunk] = kern @ weighted
-        return Spectrum(xi_grid, out)
+        return SampledSignal(xi_grid, out)
 
     raise ValueError(f"unknown forward path {path!r}")
 
 
 def olct_forward_b0(f: SampledSignal, params: OlctParams,
-                    xi_grid: Grid | None = None) -> Spectrum:
+                    xi_grid: Grid | None = None) -> SampledSignal:
     """Degenerate branch (b = 0): scaled, chirped copy of the input.
 
     Off-grid arguments d*(xi - tau) are evaluated with a cubic spline and
@@ -282,10 +264,10 @@ def olct_forward_b0(f: SampledSignal, params: OlctParams,
     vals = np.where((arg >= f.grid.t_min) & (arg <= f.grid.t_max),
                     spline(np.clip(arg, f.grid.t_min, f.grid.t_max)), 0.0)
     phase = p.c * p.d * (xi - p.tau) ** 2 / 2.0 + xi * p.eta
-    return Spectrum(xi_grid, math.sqrt(p.d) * np.exp(1j * phase) * vals)
+    return SampledSignal(xi_grid, math.sqrt(p.d) * np.exp(1j * phase) * vals)
 
 
-def olct_inverse(spectrum: Spectrum, params: OlctParams, t_grid: Grid) -> SampledSignal:
+def olct_inverse(spectrum: SampledSignal, params: OlctParams, t_grid: Grid) -> SampledSignal:
     """Inverse transform as the adjoint: integral of O(xi) conj(K(t, xi)) dxi.
 
     The forward map is an L2 isometry for every b != 0, so the adjoint
@@ -309,7 +291,7 @@ def olct_inverse(spectrum: Spectrum, params: OlctParams, t_grid: Grid) -> Sample
     return SampledSignal(t_grid, out)
 
 
-def parseval_gap(f: SampledSignal, spectrum: Spectrum) -> float:
+def parseval_gap(f: SampledSignal, spectrum: SampledSignal) -> float:
     """Relative energy mismatch |E_f - E_O| / E_f between a signal and its
     transform; zero for an exactly unitary pair."""
     e_f = energy(f)

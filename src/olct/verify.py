@@ -59,6 +59,8 @@ __all__ = [
     "reports_to_csv",
     "report_to_json",
     "REPORT_COLUMNS",
+    "GRID_FIELDS",
+    "PARAMS_FIELDS",
     "SWEEP_SCENARIOS",
 ]
 
@@ -68,8 +70,10 @@ DEFAULT_TOL = 1e-6
 FAMILY_DT = 16.0 / 4096.0
 FAMILY_T_HALF_MIN = 8.0
 
-# Fixed column order of the CSV serialization (one report per row).
-REPORT_COLUMNS = [
+# The serialized report fields: the report's own, then those of its grid
+# and of its transform parameters.  REPORT_COLUMNS is their fixed column
+# order in the CSV serialization (one report per row).
+_OWN_FIELDS = [
     "scenario", "bound", "p", "lhs", "hpw_rhs", "shw_rhs", "hw_rhs",
     "slack_hpw", "slack_shw", "slack_hw",
     "rel_slack_hpw", "rel_slack_shw", "rel_slack_hw",
@@ -77,8 +81,10 @@ REPORT_COLUMNS = [
     "ppr_gap", "parseval_gap", "core", "gram_term", "sharpened",
     "a_mode", "a_admissible", "mu_time", "mu_spec", "energy",
     "holder_time_slack", "holder_spec_slack", "tol",
-    "t_min", "t_max", "n", "a", "b", "c", "d", "tau", "eta",
 ]
+GRID_FIELDS = ["t_min", "t_max", "n"]
+PARAMS_FIELDS = ["a", "b", "c", "d", "tau", "eta"]
+REPORT_COLUMNS = _OWN_FIELDS + GRID_FIELDS + PARAMS_FIELDS
 
 
 @dataclass(frozen=True)
@@ -393,15 +399,11 @@ def dumps(obj, indent: int = 0) -> str:
 
 
 def report_to_dict(report: UncertaintyReport) -> dict:
-    """Flat snake_case dictionary of every report field."""
-    out = {}
-    for col in REPORT_COLUMNS:
-        if col in ("t_min", "t_max", "n"):
-            out[col] = getattr(report.grid, col)
-        elif col in ("a", "b", "c", "d", "tau", "eta"):
-            out[col] = getattr(report.params, col)
-        else:
-            out[col] = getattr(report, col)
+    """Flat snake_case dictionary of every report field, in
+    :data:`REPORT_COLUMNS` order."""
+    out = {col: getattr(report, col) for col in _OWN_FIELDS}
+    out.update((col, getattr(report.grid, col)) for col in GRID_FIELDS)
+    out.update((col, getattr(report.params, col)) for col in PARAMS_FIELDS)
     return out
 
 

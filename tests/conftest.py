@@ -11,6 +11,7 @@ import pytest
 from scipy.integrate import quad
 
 import olct
+from olct import signals
 
 DEFAULT_GRID = olct.make_grid(-8.0, 8.0, 4097)
 
@@ -61,7 +62,7 @@ def ft_eq3(f: olct.SampledSignal, sigma: np.ndarray) -> np.ndarray:
     """Reference Fourier transform in the cycles convention,
     fhat(sigma) = integral f(t) exp(-2j pi sigma t) dt, by dense quadrature."""
     t = f.grid.points()
-    w = olct.quadrature_weights(f.grid.n, f.grid.dt)
+    w = signals.quadrature_weights(f.grid.n, f.grid.dt)
     kernel = np.exp(-2j * np.pi * np.asarray(sigma)[:, None] * t[None, :])
     return kernel @ (w * f.values)
 

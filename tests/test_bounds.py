@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import olct
+from olct import bounds, moments, signals
 from olct.errors import NumericsError
 
 from conftest import DEFAULT_GRID, EXAMPLE_PARAMS, completed_params, ft_eq3, rquad
@@ -14,37 +15,34 @@ from conftest import DEFAULT_GRID, EXAMPLE_PARAMS, completed_params, ft_eq3, rqu
 
 
 def test_derivative_product_coeffs():
-    assert olct.derivative_product_coeff(1, 0) == 1.0
-    assert olct.derivative_product_coeff(2, 1) == -2.0
-    assert olct.derivative_product_coeff(4, 2) == 2.0
+    assert bounds.derivative_product_coeff(1, 0) == 1.0
+    assert bounds.derivative_product_coeff(2, 1) == -2.0
+    assert bounds.derivative_product_coeff(4, 2) == 2.0
     with pytest.raises(ValueError):
-        olct.derivative_product_coeff(2, 2)
+        bounds.derivative_product_coeff(2, 2)
     with pytest.raises(ValueError):
-        olct.derivative_product_coeff(1, -1)
+        bounds.derivative_product_coeff(1, -1)
 
 
 def test_modulation_square_coeffs():
     for q in range(5):
-        assert olct.modulation_square_coeff(q, q, 3.7) == 1.0
-    assert olct.modulation_square_coeff(1, 0, 2.0) == 4.0
-    assert olct.modulation_square_coeff(2, 2, 0.0) == 1.0  # alpha^0 at alpha=0
+        assert bounds.modulation_square_coeff(q, q, 3.7) == 1.0
+    assert bounds.modulation_square_coeff(1, 0, 2.0) == 4.0
+    assert bounds.modulation_square_coeff(2, 2, 0.0) == 1.0  # alpha^0 at alpha=0
     with pytest.raises(ValueError):
-        olct.modulation_square_coeff(1, 2, 1.0)
+        bounds.modulation_square_coeff(1, 2, 1.0)
 
 
 def test_modulation_cross_coeffs():
-    assert olct.modulation_cross_coeff(1, 0, 1, 2.0, 1) == 2.0
-    assert olct.modulation_cross_coeff(1, 0, 1, 2.0, -1) == -2.0
+    assert bounds.modulation_cross_coeff(1, 0, 1, 2.0) == 2.0
     with pytest.raises(ValueError):
-        olct.modulation_cross_coeff(1, 1, 1, 2.0, 1)  # needs i < z
-    with pytest.raises(ValueError):
-        olct.modulation_cross_coeff(1, 0, 1, 2.0, 2)
+        bounds.modulation_cross_coeff(1, 1, 1, 2.0)  # needs i < z
 
 
 def test_derived_signs():
-    assert olct.derived_sign(1, 0) == -1
-    assert olct.derived_sign(2, 0) == 1
-    assert olct.derived_sign(2, 1) == -1
+    assert bounds.derived_sign(1, 0) == -1
+    assert bounds.derived_sign(2, 0) == 1
+    assert bounds.derived_sign(2, 1) == -1
 
 
 # ---------------------------------------------------------------------------
@@ -56,17 +54,17 @@ def test_weighted_square_integral_p1(grid):
     # the integrated-by-parts sign is (-1), so the value is minus the energy
     g = olct.SampledSignal(grid, np.exp(-grid.points() ** 2))
     val = olct.hpw_core(g, olct.ft_params(), olct.HpwConfig(p=1)).core
-    assert val == pytest.approx(-olct.energy(g), rel=1e-12)
+    assert val == pytest.approx(-signals.energy(g), rel=1e-12)
 
 
 def test_weighted_square_integral_odd_weight_vanishes(grid):
     # odd weight derivative against an even |g|^2
-    ramp = olct.WeightFunction(
+    ramp = signals.WeightFunction(
         eval_fn=lambda t: np.asarray(t, dtype=float),
         deriv_factory=lambda k: (
             (lambda t: np.ones_like(np.asarray(t, dtype=float))) if k == 1
             else (lambda t: np.zeros_like(np.asarray(t, dtype=float)))),
-        max_order=8, label="ramp")
+        label="ramp")
     g = olct.SampledSignal(grid, np.exp(-grid.points() ** 2))
     cfg = olct.HpwConfig(p=1, omega=ramp)
     # (t * t)' = 2t is odd
@@ -79,9 +77,9 @@ def test_report_differentiates_only_the_demodulated_signal(grid, monkeypatch):
     params = completed_params(0.6, 0.5, tau=1.0)
     cfg = olct.HpwConfig(p=4, xi_m=1.5, omega=olct.exp_weight(1.0))
     f = olct.gaussian_chirp(2.0, 1.5).sample(grid)
-    g_b = olct.chirp_demodulate(f, params, cfg.xi_m).values
+    g_b = moments.chirp_demodulate(f, params, cfg.xi_m).values
     calls = []
-    original = olct.bounds.derivative
+    original = bounds.derivative
 
     def counted(s, k, *args, **kwargs):
         calls.append((k, np.array_equal(s.values, g_b)))
@@ -89,7 +87,7 @@ def test_report_differentiates_only_the_demodulated_signal(grid, monkeypatch):
 
     monkeypatch.setattr(olct.bounds, "derivative", counted)
     olct.hpw_core(f, params, cfg)
-    olct.moment_pair(f, params, cfg)
+    bounds.moment_pair(f, params, cfg)
     assert sorted(calls) == [(1, True), (2, True), (4, True)]
 
 
@@ -99,7 +97,7 @@ def test_weight_deriv_centered_leibniz():
     # [(t - 0.3)^2 e^{-2t}]'' by hand
     u = t - 0.3
     expected = np.exp(-2 * t) * (2.0 - 8.0 * u + 4.0 * u * u)
-    got = olct.weight_deriv_centered(w, 2, 0.3, 2, t)
+    got = bounds.weight_deriv_centered(w, 2, 0.3, 2, t)
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
@@ -110,9 +108,9 @@ def test_weight_deriv_centered_leibniz():
 def test_core_p1_unit_weight_is_energy(grid, example_params):
     f = olct.gaussian_chirp(2.0, example_params.chirp_rate).sample(grid)
     breakdown = olct.hpw_core(f, example_params, olct.HpwConfig(p=1))
-    assert abs(breakdown.core) == pytest.approx(olct.energy(f), rel=1e-10)
+    assert abs(breakdown.core) == pytest.approx(signals.energy(f), rel=1e-10)
     # integrated-by-parts sign makes the functional the negative closed form
-    assert breakdown.core == pytest.approx(-olct.energy(f), rel=1e-10)
+    assert breakdown.core == pytest.approx(-signals.energy(f), rel=1e-10)
 
 
 def test_core_p1_weighted_oracle(example_signal, example_params):
@@ -208,27 +206,28 @@ def test_core_assembles_from_public_integrals(grid):
     t = grid.points()
     g = f.with_values(f.values * np.exp(1j * params.chirp_rate * t * t))
     keep = np.abs(g.values) >= 1e-13 * np.max(np.abs(g.values))
-    derivs = [g.values] + [np.where(keep, olct.derivative(g, k).values, 0.0)
+    derivs = [g.values] + [np.where(keep, signals.derivative(g, k).values, 0.0)
                            for k in (1, 2)]
-    w = olct.quadrature_weights(grid.n, grid.dt)
+    w = signals.quadrature_weights(grid.n, grid.dt)
     for p in (2, 3, 4):
         cfg = olct.HpwConfig(p=p, t_m=0.2, xi_m=1.5, omega=olct.exp_weight(1.0))
         breakdown = olct.hpw_core(f, params, cfg)
-        alpha = olct.demodulation_freq(params, cfg.xi_m)
+        alpha = moments.demodulation_freq(params, cfg.xi_m)
         total = 0.0
         for q in range(p // 2 + 1):
-            sq = sum(olct.modulation_square_coeff(q, n, alpha)
+            sq = sum(bounds.modulation_square_coeff(q, n, alpha)
                      * np.abs(derivs[n]) ** 2 for n in range(q + 1))
             for i in range(q + 1):
                 for z in range(i + 1, q + 1):
-                    c = olct.modulation_cross_coeff(q, i, z, alpha,
-                                                    olct.derived_sign(q, i))
+                    c = (bounds.derived_sign(q, i)
+                         * bounds.modulation_cross_coeff(q, i, z, alpha))
                     sq = sq + 2.0 * c * np.real(
-                        olct.bounds.half_power(q - (i + z) / 2.0)
+                        bounds.half_power(q - (i + z) / 2.0)
                         * derivs[i] * np.conj(derivs[z]))
-            wd = olct.weight_deriv_centered(cfg.omega, p, cfg.t_m, p - 2 * q, t)
+            wd = bounds.weight_deriv_centered(cfg.omega, p, cfg.t_m,
+                                              p - 2 * q, t)
             f_q = (-1) ** (p - 2 * q) * float(np.sum(w * wd * sq))
-            total += olct.derivative_product_coeff(p, q) * f_q
+            total += bounds.derivative_product_coeff(p, q) * f_q
         assert breakdown.core == pytest.approx(total, rel=1e-12)
 
 
@@ -250,45 +249,45 @@ def test_hpw_config_validation():
 
 
 def test_gram_offset_symmetric_cases(grid):
-    h = olct.default_unit_gaussian(grid)
+    h = bounds.default_unit_gaussian(grid)
     u = h.with_values(1.7 * h.values)
-    assert abs(olct.gram_offset(u, u, h)) <= 1e-12
-    assert abs(olct.gram_offset(h, h, h)) <= 1e-12
+    assert abs(bounds.gram_offset(u, u, h)) <= 1e-12
+    assert abs(bounds.gram_offset(h, h, h)) <= 1e-12
 
 
 def test_gram_offset_rejects_unnormalized(grid):
-    h = olct.default_unit_gaussian(grid)
+    h = bounds.default_unit_gaussian(grid)
     bad = h.with_values(2.0 * h.values)
     with pytest.raises(NumericsError, match="unit norm"):
-        olct.gram_offset(h, h, bad)
+        bounds.gram_offset(h, h, bad)
 
 
 def test_gram_offset_is_admissible(example_signal, example_params):
     cfg = olct.HpwConfig(p=1, omega=olct.exp_weight(2.0))
-    u, v = olct.moment_pair(example_signal, example_params, cfg)
-    h = olct.default_unit_gaussian(example_signal.grid)
-    a = olct.gram_offset(u, v, h)
-    a_star = olct.saturating_gram_term(u, v)
+    u, v = bounds.moment_pair(example_signal, example_params, cfg)
+    h = bounds.default_unit_gaussian(example_signal.grid)
+    a = bounds.gram_offset(u, v, h)
+    a_star = bounds.saturating_gram_term(u, v)
     assert abs(a) <= a_star * (1.0 + 1e-12)
 
 
 def test_saturating_term_definition(example_signal, example_params):
     cfg = olct.HpwConfig(p=1, omega=olct.exp_weight(2.0))
-    u, v = olct.moment_pair(example_signal, example_params, cfg)
-    a_star = olct.saturating_gram_term(u, v)
-    w = olct.quadrature_weights(u.grid.n, u.grid.dt)
+    u, v = bounds.moment_pair(example_signal, example_params, cfg)
+    a_star = bounds.saturating_gram_term(u, v)
+    w = signals.quadrature_weights(u.grid.n, u.grid.dt)
     uv = float(np.sum(w * np.abs(u.values) * np.abs(v.values)))
     assert a_star**2 + uv**2 == pytest.approx(
-        olct.energy(u) * olct.energy(v), rel=1e-12)
+        signals.energy(u) * signals.energy(v), rel=1e-12)
 
 
 def test_saturating_term_zero_for_proportional_pair(grid, example_params):
     # with a unit weight the minimizer gives |u| proportional to |v|
     f = olct.minimizer_signal(1.0, 1.0, 0.0, 0.0, example_params).sample(grid)
     cfg = olct.HpwConfig(p=1)
-    u, v = olct.moment_pair(f, example_params, cfg)
-    a_star = olct.saturating_gram_term(u, v)
-    assert a_star**2 <= 1e-10 * olct.energy(u) * olct.energy(v)
+    u, v = bounds.moment_pair(f, example_params, cfg)
+    a_star = bounds.saturating_gram_term(u, v)
+    assert a_star**2 <= 1e-10 * signals.energy(u) * signals.energy(v)
 
 
 # ---------------------------------------------------------------------------
@@ -296,20 +295,20 @@ def test_saturating_term_zero_for_proportional_pair(grid, example_params):
 
 
 def test_rhs_values_and_ordering():
-    assert olct.hpw_rhs(0.0, 0.5, 1) == 0.0
-    assert olct.shw_rhs(2.0, 0.05, 1) == pytest.approx(0.05)
+    assert bounds.hpw_rhs(0.0, 0.5, 1) == 0.0
+    assert bounds.shw_rhs(2.0, 0.05, 1) == pytest.approx(0.05)
     core, b, p = -1.3, 0.4, 2
-    plain = olct.hpw_rhs(core, b, p)
+    plain = bounds.hpw_rhs(core, b, p)
     for a in (0.0, 1e-3, 0.5, 10.0):
-        sharp = olct.shw_rhs(math.hypot(core, 2 * a), b, p)
+        sharp = bounds.shw_rhs(math.hypot(core, 2 * a), b, p)
         if a == 0.0:
             assert sharp == plain
         else:
             assert sharp > plain
     with pytest.raises(ValueError):
-        olct.hw_rhs(1.0, 0.5, 1)
+        bounds.hw_rhs(1.0, 0.5, 1)
     with pytest.raises(ValueError):
-        olct.hpw_rhs(1.0, 0.0, 1)
+        bounds.hpw_rhs(1.0, 0.0, 1)
 
 
 def test_breakdown_sharpening_invariants(example_signal, example_params):
@@ -373,8 +372,8 @@ def test_ft_reduction_bridges_conventions(grid):
     ft = olct.ft_params()
 
     spec = olct.olct_forward(f, ft, olct.default_xi_grid(f, ft, xi_m=xi_m))
-    mu_t = olct.time_moment_2p(f, 1, t_m, w)
-    mu_s = olct.spectral_moment_2p(spec, 1, xi_m)
+    mu_t = moments.time_moment_2p(f, 1, t_m, w)
+    mu_s = moments.spectral_moment_2p(spec, 1, xi_m)
     lhs_olct = math.sqrt(mu_t) * math.sqrt(mu_s)
     rhs_olct = olct.hpw_core(f, ft, cfg).hpw_rhs
 
@@ -382,7 +381,7 @@ def test_ft_reduction_bridges_conventions(grid):
     sigma_m = xi_m / (2.0 * math.pi)
     sigma = np.linspace(-4.0, 4.0, 2049)
     fhat = ft_eq3(f, sigma)
-    w_s = olct.quadrature_weights(2049, sigma[1] - sigma[0])
+    w_s = signals.quadrature_weights(2049, sigma[1] - sigma[0])
     mu_s_ft = float(np.sum(w_s * (sigma - sigma_m) ** 2 * np.abs(fhat) ** 2))
     lhs_ft = math.sqrt(mu_t) * math.sqrt(mu_s_ft)
     core_ft = rquad(lambda t: (np.exp(-t) - (t - t_m) * np.exp(-t))

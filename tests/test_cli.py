@@ -48,7 +48,11 @@ def test_module_help_runs():
 
 def test_config_roundtrip():
     import configparser
+    from dataclasses import fields
 
+    # one codec entry per config field, in field order
+    assert list(cli.CONFIG_CODEC) == [
+        f.name for f in fields(cli.ScenarioConfig) if f.name != "name"]
     cfg = cli.ScenarioConfig(name="rt", signal_r=3.5, b=0.25, a=0.1, c=0.5,
                              d=(1 + 0.25 * 0.5) / 0.1, xi_m=0.4,
                              a_mode="gram", grid=(-10.0, 10.0, 2049),
@@ -293,10 +297,23 @@ def test_bad_grid_override_exits_2(tmp_path):
 
 
 def test_bad_value_reports_field(tmp_path, capsys):
-    for field, value in (("signal_r", "fast"), ("strict_params", "yes")):
+    # every float the codec parses is finite, including those inside grid,
+    # r_values, r_range and the auto/none keys; tol and reference_value are
+    # checked for the values that would break a verdict or the JSON
+    bad = [("signal_r", "fast"), ("strict_params", "yes"),
+           ("reference_value", "0"), ("reference_value", "nan"),
+           ("tol", "nan"), ("tol", "-1"), ("signal_chirp", "inf"),
+           ("r_values", "1,nan"), ("r_range", "0.05:inf:0.05")]
+    for field, value in bad:
         cfg = write_cfg(tmp_path, f"[x]\n{field} = {value}\n")
         assert run_main("verify", "--config", cfg) == 2
         assert field in capsys.readouterr().err
+        assert run_main("verify", "--config", cfg, "--json") == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "config" and field in error["message"]
+    for value in ("nan", "-1"):
+        assert run_main("verify", "--tol", value) == 2
+        assert "tol" in capsys.readouterr().err
 
 
 def test_numerics_failure_exits_3(tmp_path, capsys):
@@ -349,6 +366,22 @@ def test_bound_table_b0_exits_2(tmp_path, capsys, json_flag):
     else:
         assert captured.err == "config error: bound is undefined for b = 0\n"
     assert not (tmp_path / "bound_table.csv").exists()
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
+def test_unwritable_out_exits_2(tmp_path, capsys, json_flag):
+    # --out names an existing file, so no directory can be made there
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    assert run_main("transform", "--out", str(blocker), *json_flag) == 2
+    captured = capsys.readouterr()
+    if json_flag:
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "config"
+        assert error["message"].startswith("cannot write ")
+    else:
+        assert captured.err.startswith("config error: cannot write ")
+    assert blocker.read_text() == ""
 
 
 def test_json_error_report(tmp_path, capsys):

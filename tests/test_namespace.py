@@ -1,0 +1,34 @@
+"""The ``olct`` namespace holds only what its callers use; these tests fail
+when a name that the benchmark or the README quick start reaches through
+``olct.`` goes missing."""
+
+import re
+from pathlib import Path
+
+import olct
+import olct.cli  # the benchmark imports it alongside the package
+
+ROOT = Path(__file__).resolve().parents[1]
+OLCT_PATH = re.compile(r"\bolct((?:\.[A-Za-z_]\w*){1,2})")
+
+
+def test_bench_olct_paths_resolve():
+    paths = {match.group(1) for source in sorted(ROOT.glob("bench/*.py"))
+             for match in OLCT_PATH.finditer(source.read_text())}
+    assert paths
+    missing = []
+    for path in sorted(paths):
+        obj = olct
+        for attr in path.lstrip(".").split("."):
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append("olct" + path)
+    assert missing == []
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    assert "import olct" in code
+    exec(compile(code, "README.md", "exec"), {})

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import olct
+from olct import transform
 from olct.errors import NumericsError
 
 from conftest import (DEFAULT_GRID, EXAMPLE_PARAMS, completed_params, cquad,
@@ -24,8 +25,14 @@ def test_ft_params_values():
     assert (p.a, p.b, p.c, p.d, p.tau, p.eta) == (0.0, 1.0, -1.0, 0.0, 0.0, 0.0)
 
 
+def rotation_params(alpha):
+    """Rotation parameters (cos a, sin a, -sin a, cos a | 0, 0)."""
+    return olct.OlctParams(math.cos(alpha), math.sin(alpha),
+                           -math.sin(alpha), math.cos(alpha))
+
+
 def test_frft_quarter_turn_equals_ft():
-    p = olct.frft_params(math.pi / 2.0)
+    p = rotation_params(math.pi / 2.0)
     ft = olct.ft_params()
     assert p.a == pytest.approx(ft.a, abs=1e-15)
     assert p.b == pytest.approx(ft.b, abs=1e-15)
@@ -34,9 +41,9 @@ def test_frft_quarter_turn_equals_ft():
 
 
 def test_lct_params_determinant_check():
-    olct.lct_params(1.0, 1.0, 0.0, 1.0)  # accepted
+    olct.OlctParams(1.0, 1.0, 0.0, 1.0)  # accepted
     with pytest.raises(ValueError, match="a\\*d - b\\*c"):
-        olct.lct_params(1.0, 1.0, 1.0, 1.0)
+        olct.OlctParams(1.0, 1.0, 1.0, 1.0)
 
 
 def test_nonstrict_construction_is_flagged():
@@ -55,7 +62,7 @@ def test_degenerate_flag():
 
 
 def test_frft_zero_angle_is_degenerate():
-    p = olct.frft_params(0.0)
+    p = rotation_params(0.0)
     assert p.is_degenerate
     assert (p.a, p.d) == (1.0, 1.0)
 
@@ -69,7 +76,7 @@ def test_kernel_unimodular(params):
     rng = np.random.default_rng(3)
     t = rng.uniform(-5, 5, size=100)
     xi = rng.uniform(-5, 5, size=100)
-    mag = np.abs(olct.olct_kernel(t, xi, params))
+    mag = np.abs(transform.olct_kernel(t, xi, params))
     expected = 1.0 / math.sqrt(2.0 * math.pi * abs(params.b))
     assert np.max(np.abs(mag - expected)) < 1e-14
 
@@ -80,12 +87,12 @@ def test_kernel_unimodular(params):
 def test_kernel_modulus_independent_of_arguments(t, xi, b):
     a = 0.6
     params = olct.OlctParams(a, b, 0.5, (1.0 + 0.5 * b) / a, 0.3, -0.7)
-    mag = abs(olct.olct_kernel(t, xi, params))
+    mag = abs(transform.olct_kernel(t, xi, params))
     assert mag == pytest.approx(1.0 / math.sqrt(2.0 * math.pi * abs(b)), rel=1e-12)
 
 
 def test_kernel_at_origin_ft():
-    val = olct.olct_kernel(0.0, 0.0, olct.ft_params())
+    val = transform.olct_kernel(0.0, 0.0, olct.ft_params())
     expected = (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-1j * math.pi / 4.0)
     assert val == pytest.approx(expected, rel=1e-14)
 
@@ -94,13 +101,13 @@ def test_kernel_at_origin_ft():
 def test_kernel_at_origin_generic(b):
     a = 0.6
     params = olct.OlctParams(a, b, 0.5, (1.0 + 0.5 * b) / a)
-    val = olct.olct_kernel(0.0, 0.0, params)
+    val = transform.olct_kernel(0.0, 0.0, params)
     assert val == pytest.approx(1.0 / np.sqrt(1j * 2.0 * np.pi * b), rel=1e-14)
 
 
 def test_kernel_rejects_degenerate():
     with pytest.raises(ValueError, match="b = 0"):
-        olct.olct_kernel(0.0, 0.0, olct.OlctParams(2.0, 0.0, 0.0, 0.5))
+        transform.olct_kernel(0.0, 0.0, olct.OlctParams(2.0, 0.0, 0.0, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +221,7 @@ def test_forward_routes_degenerate_params(grid):
     f = olct.SampledSignal(grid, np.exp(-grid.points() ** 2))
     params = olct.OlctParams(2.0, 0.0, 0.0, 0.5)
     spec = olct.olct_forward(f, params)
-    assert isinstance(spec, olct.Spectrum)
+    assert isinstance(spec, olct.SampledSignal)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +231,7 @@ def test_forward_routes_degenerate_params(grid):
 def test_b0_identity_parameters(grid):
     f = olct.SampledSignal(grid, np.exp(-grid.points() ** 2))
     params = olct.OlctParams(1.0, 0.0, 0.0, 1.0)
-    spec = olct.olct_forward_b0(f, params)
+    spec = transform.olct_forward_b0(f, params)
     assert np.max(np.abs(spec.values - f.values)) < 1e-12
     assert spec.grid == grid
 
@@ -232,14 +239,14 @@ def test_b0_identity_parameters(grid):
 def test_b0_chirp_factor_preserves_magnitude(grid):
     f = olct.SampledSignal(grid, np.exp(-grid.points() ** 2))
     params = olct.OlctParams(1.0, 0.0, 0.7, 1.0)
-    spec = olct.olct_forward_b0(f, params)
+    spec = transform.olct_forward_b0(f, params)
     assert np.max(np.abs(np.abs(spec.values) - np.abs(f.values))) < 1e-12
 
 
 def test_b0_scaling_preserves_energy(grid):
     f = olct.SampledSignal(grid, np.exp(-grid.points() ** 2))
     params = olct.OlctParams(2.0, 0.0, 0.0, 0.5)
-    spec = olct.olct_forward_b0(f, params)
+    spec = transform.olct_forward_b0(f, params)
     xi = spec.grid.points()
     expected = math.sqrt(0.5) * np.exp(-((0.5 * xi) ** 2))
     assert np.max(np.abs(spec.values - expected)) < 1e-4
@@ -249,13 +256,14 @@ def test_b0_scaling_preserves_energy(grid):
 def test_b0_rejects_nonpositive_d(grid):
     f = olct.SampledSignal(grid, np.exp(-grid.points() ** 2))
     with pytest.raises(ValueError, match="d > 0"):
-        olct.olct_forward_b0(f, olct.OlctParams(-1.0, 0.0, 0.0, -1.0, strict=False))
+        transform.olct_forward_b0(
+            f, olct.OlctParams(-1.0, 0.0, 0.0, -1.0, strict=False))
 
 
 def test_b0_rejects_nondegenerate(grid):
     f = olct.SampledSignal(grid, np.exp(-grid.points() ** 2))
     with pytest.raises(ValueError, match="b = 0"):
-        olct.olct_forward_b0(f, olct.ft_params())
+        transform.olct_forward_b0(f, olct.ft_params())
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +272,7 @@ def test_b0_rejects_nondegenerate(grid):
 
 def test_round_trip_example_params(example_signal, example_params):
     spec = olct.olct_forward(example_signal, example_params)
-    back = olct.olct_inverse(spec, example_params, example_signal.grid)
+    back = transform.olct_inverse(spec, example_params, example_signal.grid)
     err = np.max(np.abs(back.values - example_signal.values))
     assert err <= 1e-5
 
@@ -272,22 +280,22 @@ def test_round_trip_example_params(example_signal, example_params):
 def test_round_trip_ft(grid):
     f = olct.SampledSignal(grid, np.exp(-grid.points() ** 2))
     spec = olct.olct_forward(f, olct.ft_params())
-    back = olct.olct_inverse(spec, olct.ft_params(), grid)
+    back = transform.olct_inverse(spec, olct.ft_params(), grid)
     assert np.max(np.abs(back.values - f.values)) <= 1e-6
 
 
 def test_inverse_zero_spectrum(grid):
     xi = olct.make_grid(-4, 4, 257)
-    spec = olct.Spectrum(xi, np.zeros(257))
-    back = olct.olct_inverse(spec, olct.ft_params(), grid)
+    spec = olct.SampledSignal(xi, np.zeros(257))
+    back = transform.olct_inverse(spec, olct.ft_params(), grid)
     assert np.all(back.values == 0.0)
 
 
 def test_inverse_rejects_degenerate(grid):
     xi = olct.make_grid(-4, 4, 257)
-    spec = olct.Spectrum(xi, np.zeros(257))
+    spec = olct.SampledSignal(xi, np.zeros(257))
     with pytest.raises(ValueError, match="b = 0"):
-        olct.olct_inverse(spec, olct.OlctParams(2.0, 0.0, 0.0, 0.5), grid)
+        transform.olct_inverse(spec, olct.OlctParams(2.0, 0.0, 0.0, 0.5), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +310,6 @@ def test_parseval_gap_scaling(example_signal, example_params):
 
 def test_parseval_gap_rejects_zero_energy(grid):
     zero = olct.SampledSignal(grid, np.zeros(grid.n))
-    spec = olct.Spectrum(grid, np.zeros(grid.n))
+    spec = olct.SampledSignal(grid, np.zeros(grid.n))
     with pytest.raises(NumericsError, match="zero-energy"):
         olct.parseval_gap(zero, spec)

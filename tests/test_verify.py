@@ -103,8 +103,8 @@ def test_verify_shw_saturating_gram_identity(example_signal, example_params,
     # lhs^(2p) = b^(2p) ((|u|,|v|)^2 + A*^2) in saturating mode
     report = olct.verify_shw(example_signal, example_params, example_cfg,
                              a_mode="saturating")
-    u, v = olct.moment_pair(example_signal, example_params, example_cfg)
-    w = olct.quadrature_weights(u.grid.n, u.grid.dt)
+    u, v = olct.bounds.moment_pair(example_signal, example_params, example_cfg)
+    w = olct.signals.quadrature_weights(u.grid.n, u.grid.dt)
     uv = float(np.sum(w * np.abs(u.values) * np.abs(v.values)))
     rhs = example_params.b ** 2 * (uv**2 + report.gram_term**2)
     assert report.lhs**2 == pytest.approx(rhs, rel=1e-6)
@@ -213,7 +213,7 @@ def test_minimizer_magnitude_independent_of_params():
 def test_minimizer_demodulates_to_centered_gaussian(example_params):
     c0, c_p, t_m = 0.8, 1.3, 0.4
     f = olct.minimizer_signal(c0, c_p, t_m, 0.6, example_params).sample(DEFAULT_GRID)
-    g_b = olct.chirp_demodulate(f, example_params, xi_m=0.6)
+    g_b = olct.moments.chirp_demodulate(f, example_params, xi_m=0.6)
     t = DEFAULT_GRID.points()
     expected = c0 * np.exp(-c_p * (t - t_m) ** 2)
     assert np.max(np.abs(np.abs(g_b.values) - expected)) <= 1e-12
@@ -239,13 +239,13 @@ def test_minimizer_simple_substitution():
 
 
 def test_family_grid_widens_for_slow_decay():
-    g_wide = olct.family_grid(0.5)
-    g_base = olct.family_grid(2.0)
+    g_wide = olct.verify.family_grid(0.5)
+    g_base = olct.verify.family_grid(2.0)
     assert g_base.t_max == 8.0
     assert g_wide.t_max > 8.0
     # slow-decay family fits the widened grid
     f = olct.gaussian_chirp(0.5, 0.0).sample(g_wide)
-    olct.derivative(f, 1)  # must not raise
+    olct.signals.derivative(f, 1)  # must not raise
 
 
 @pytest.mark.parametrize("scenario", ["a0", "a1"])
