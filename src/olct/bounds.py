@@ -19,8 +19,9 @@ pair for the chirped-Gaussian family used in the verification scenarios.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Mapping
 
@@ -126,17 +127,13 @@ class BoundBreakdown:
     hpw_rhs: float
     shw_rhs: float
     terms: tuple           # OrderTerm per q
+    u: SampledSignal = field(repr=False, compare=False)  # omega (t-t_m)^p g_b
+    v: SampledSignal = field(repr=False, compare=False)  # g_b^(p)
 
     def with_gram(self, gram_term: float, b: float, p: int) -> "BoundBreakdown":
         sharp = math.hypot(self.core, 2.0 * gram_term)
-        return BoundBreakdown(
-            core=self.core,
-            gram_term=float(gram_term),
-            sharpened=sharp,
-            hpw_rhs=self.hpw_rhs,
-            shw_rhs=shw_rhs(sharp, b, p),
-            terms=self.terms,
-        )
+        return replace(self, gram_term=float(gram_term), sharpened=sharp,
+                       shw_rhs=shw_rhs(sharp, b, p))
 
 
 def half_power(x: float) -> complex:
@@ -178,24 +175,18 @@ def modulation_cross_coeff(q: int, i: int, z: int, alpha: float) -> float:
     return math.comb(q, i) * math.comb(q, z) * float(alpha) ** (2 * q - z - i)
 
 
-def weight_deriv_centered(omega: WeightFunction, p: int, t_m: float, k: int,
-                          t: np.ndarray) -> np.ndarray:
-    """k-th derivative of (t - t_m)^p * omega(t), by the Leibniz rule with
-    the weight's exact derivatives."""
+def weight_deriv_centered(omega: WeightFunction, p: int, t_m: float, orders,
+                          t: np.ndarray) -> dict:
+    """Derivatives of (t - t_m)^p * omega(t): ``{k: k-th derivative}`` for
+    every requested order k >= 0, by the Leibniz rule with the weight's
+    exact derivatives.  Each omega^(j) and each power (t - t_m)^e is
+    evaluated once."""
     t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    for m in range(0, min(k, p) + 1):
-        falling = math.perm(p, m)
-        out += (math.comb(k, m) * falling * (t - t_m) ** (p - m)
-                * omega.deriv(k - m)(t))
-    return out
-
-
-def _deriv_cache(g: SampledSignal, orders) -> dict:
-    """Masked derivatives of g for exactly the given orders; order 0 is g."""
-    keep = np.abs(g.values) >= DERIV_UNDERFLOW_MASK * np.max(np.abs(g.values))
-    return {n: np.where(keep, derivative(g, n).values, 0.0) if n else g.values
-            for n in orders}
+    weight = functools.cache(lambda j: omega.deriv(j)(t))
+    power = functools.cache(lambda e: (t - t_m) ** e)
+    return {k: sum(math.comb(k, m) * math.perm(p, m) * power(p - m)
+                   * weight(k - m) for m in range(min(k, p) + 1))
+            for k in orders}
 
 
 def hpw_core(f: SampledSignal, params: OlctParams, cfg: HpwConfig) -> BoundBreakdown:
@@ -205,30 +196,39 @@ def hpw_core(f: SampledSignal, params: OlctParams, cfg: HpwConfig) -> BoundBreak
     demodulated signal, beta = (xi_m - tau)/b.  F_q carries the
     integration-by-parts sign (-1)^(p-2q), which equals (-1)^p for every q.
 
+    One :func:`derivative` call on g_b gives the orders q = 1..p/2 of the
+    F_q and the order p of the sharpening pair (u, v) it also returns.
+
     Returns a breakdown with the per-q terms filled in and the sharpening
     left at zero (``gram_term = 0``); use :meth:`BoundBreakdown.with_gram`
     to attach an auxiliary term.
     """
     if params.is_degenerate:
         raise ValueError("the bound functional requires b != 0")
+    p = cfg.p
     g_b = chirp_demodulate(f, params, cfg.xi_m)
-    t = f.grid.points()
-    sign = (-1) ** cfg.p
+    derivs = derivative(g_b, [*range(1, p // 2 + 1), p])
+    wd = weight_deriv_centered(cfg.omega, p, cfg.t_m,
+                               {p - 2 * q for q in range(p // 2 + 1)} | {0},
+                               f.grid.points())
+    keep = np.abs(g_b.values) >= DERIV_UNDERFLOW_MASK * np.max(np.abs(g_b.values))
+    sign = (-1) ** p
 
     terms = []
     core = 0.0
-    for q, g_q in _deriv_cache(g_b, range(cfg.p // 2 + 1)).items():
-        wd = weight_deriv_centered(cfg.omega, cfg.p, cfg.t_m, cfg.p - 2 * q, t)
+    for q in range(p // 2 + 1):
+        g_q = np.where(keep, derivs[q].values, 0.0) if q else g_b.values
         f_q = sign * guarded_integral(
-            f.grid, wd * np.abs(g_q) ** 2,
+            f.grid, wd[p - 2 * q] * np.abs(g_q) ** 2,
             "the weighted derivative-square integrand")
-        d_q = derivative_product_coeff(cfg.p, q)
+        d_q = derivative_product_coeff(p, q)
         terms.append(OrderTerm(q=q, coeff=d_q, value=f_q))
         core += d_q * f_q
 
-    rhs = hpw_rhs(core, params.b, cfg.p)
+    rhs = hpw_rhs(core, params.b, p)
     return BoundBreakdown(core=core, gram_term=0.0, sharpened=abs(core),
-                          hpw_rhs=rhs, shw_rhs=rhs, terms=tuple(terms))
+                          hpw_rhs=rhs, shw_rhs=rhs, terms=tuple(terms),
+                          u=g_b.with_values(wd[0] * g_b.values), v=derivs[p])
 
 
 def second_order_core_closed_form(f: SampledSignal, omega: WeightFunction,
@@ -240,7 +240,7 @@ def second_order_core_closed_form(f: SampledSignal, omega: WeightFunction,
     (integration-by-parts) sign, so the two agree in magnitude.
     """
     t = f.grid.points()
-    wd = weight_deriv_centered(omega, 1, t_m, 1, t)
+    wd = weight_deriv_centered(omega, 1, t_m, [1], t)[1]
     return guarded_integral(f.grid, wd * np.abs(f.values) ** 2,
                             "the second-order closed-form integrand")
 
@@ -248,12 +248,10 @@ def second_order_core_closed_form(f: SampledSignal, omega: WeightFunction,
 def moment_pair(f: SampledSignal, params: OlctParams,
                 cfg: HpwConfig) -> tuple:
     """The pair (u, v) entering the sharpening: u = omega(t) (t-t_m)^p g_b(t)
-    and v = g_b^(p)(t), with g_b the demodulated signal."""
-    g_b = chirp_demodulate(f, params, cfg.xi_m)
-    t = f.grid.points()
-    u = g_b.with_values(cfg.omega(t) * (t - cfg.t_m) ** cfg.p * g_b.values)
-    v = derivative(g_b, cfg.p)
-    return u, v
+    and v = g_b^(p)(t), with g_b the demodulated signal; the pair that
+    :func:`hpw_core`'s breakdown carries."""
+    breakdown = hpw_core(f, params, cfg)
+    return breakdown.u, breakdown.v
 
 
 def default_unit_gaussian(grid: Grid, t_m: float = 0.0) -> SampledSignal:
@@ -374,7 +372,8 @@ def check_identity1(f: AnalyticSignal, k: int, grid: Grid) -> float:
         fl = np.asarray(f.deriv(l)(t), dtype=np.complex128)
         sq = SampledSignal(grid, np.abs(fl) ** 2)
         order = k - 2 * l
-        term = derivative(sq, order).values.real if order >= 1 else sq.values.real
+        term = (derivative(sq, [order])[order].values.real if order >= 1
+                else sq.values.real)
         rhs += derivative_product_coeff(k, l) * term
 
     sl = _interior(grid.n)

@@ -46,6 +46,7 @@ from .bounds import (
     sharpened_bound_closed_form,
 )
 from .verify import (
+    A_MODES,
     GRID_FIELDS,
     PARAMS_FIELDS,
     SWEEP_SCENARIOS,
@@ -66,8 +67,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
-
-DEFAULT_PPR_TOL = 1e-4
 
 
 class ConfigError(ValueError):
@@ -186,7 +185,7 @@ class ScenarioConfig:
     p: int = 1
     t_m: float = 0.0
     xi_m: float = 0.0
-    a_mode: str = "saturating"          # zero | fixed | gram | saturating
+    a_mode: str = "saturating"          # one of verify.A_MODES
     a_value: float = 1.0
     grid: tuple = (-8.0, 8.0, 4097)
     tol: float = 1e-6
@@ -217,7 +216,7 @@ class ScenarioConfig:
             raise ConfigError(f"unknown signal family {self.signal!r}")
         if self.weight not in ("exp", "unit"):
             raise ConfigError(f"unknown weight {self.weight!r}")
-        if self.a_mode not in ("zero", "fixed", "gram", "saturating"):
+        if self.a_mode not in A_MODES:
             raise ConfigError(f"unknown a_mode {self.a_mode!r}")
         if not self.signal_r > 0:
             raise ConfigError(f"signal_r must be positive, got {self.signal_r}")
@@ -361,19 +360,18 @@ def cmd_transform(args) -> int:
 
 def cmd_ppr(args) -> int:
     cfg = load_config(args.config, args.scenario, args)
-    tol = float(args.tol) if args.tol is not None else DEFAULT_PPR_TOL
     params = cfg.params_obj()
     f = cfg.sampled_signal(params)
     res = ppr_check(f, params, cfg.p, cfg.xi_m)
-    ok = res.rel_gap <= tol
+    ok = res.rel_gap <= cfg.tol
     payload = {"scenario": cfg.name, "p": cfg.p, "xi_m": cfg.xi_m,
                "lhs": res.lhs, "rhs": res.rhs, "rel_gap": res.rel_gap,
-               "tol": tol, "passed": ok}
+               "tol": cfg.tol, "passed": ok}
     if args.out:
         write_text(Path(args.out) / "ppr.json", dumps(payload) + "\n")
     _emit(args, payload,
           f"moment identity p={cfg.p}: lhs={fmt(res.lhs)} rhs={fmt(res.rhs)} "
-          f"rel_gap={fmt(res.rel_gap)} (tol {fmt(tol)}): "
+          f"rel_gap={fmt(res.rel_gap)} (tol {fmt(cfg.tol)}): "
           f"{'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_VIOLATION
 

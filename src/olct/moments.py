@@ -104,7 +104,7 @@ def demodulation_freq(params: OlctParams, xi_m: float) -> float:
 
 
 def chirp_demodulate(f: SampledSignal, params: OlctParams,
-                     xi_m: float = 0.0) -> SampledSignal:
+                     xi_m: float) -> SampledSignal:
     """Chirp-cancelled, demodulated signal exp(-j beta t) exp(j a/(2b) t^2) f(t).
 
     The factors are unimodular, so the result has the same pointwise
@@ -148,6 +148,6 @@ def ppr_check(f: SampledSignal, params: OlctParams, p: int,
     lhs = spectral_moment_2p(spectrum, p, xi_m)
 
     g_b = chirp_demodulate(f, params, xi_m)
-    g_b_p = derivative(g_b, p) if p >= 1 else g_b
+    g_b_p = derivative(g_b, [p])[p] if p >= 1 else g_b
     rhs = params.b ** (2 * p) * energy(g_b_p)
     return PprResult(lhs=lhs, rhs=rhs, rel_gap=relative_gap(lhs, rhs))

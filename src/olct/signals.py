@@ -116,7 +116,7 @@ class AnalyticSignal:
     ``deriv_fn(k)`` returns the callable for the exact k-th derivative.
     """
 
-    def __init__(self, eval_fn: Callable, deriv_fn: Callable, label: str = ""):
+    def __init__(self, eval_fn: Callable, deriv_fn: Callable, label: str):
         self.eval_fn = eval_fn
         self.deriv_fn = deriv_fn
         self.label = label
@@ -280,30 +280,34 @@ def guarded_integral(grid: Grid, integrand: np.ndarray, what: str,
     return float(np.sum(w * integrand))
 
 
-def derivative(s: SampledSignal, k: int) -> SampledSignal:
-    """k-th derivative of a sampled signal, ``k >= 1``, by spectral
-    differentiation.
+def derivative(s: SampledSignal, orders) -> dict:
+    """Derivatives of a sampled signal by spectral differentiation:
+    ``{k: k-th derivative}`` for every requested order ``k >= 1``.
 
     The signal must be negligible at the grid edges (:func:`check_decay`).
     The samples are zero-padded to the fast FFT length ``next_fast_len(n)``,
-    which that decay makes harmless, and the result is truncated back to n.
+    which that decay makes harmless, and transformed once; each order is one
+    (j omega)^k multiplier and one inverse FFT, truncated back to n.
     Spectrum bins below ``SPECTRAL_NOISE_FLOOR`` of the peak are zeroed
-    before the (j omega)^k multiplier, and for an even padded length the
-    unmatched Nyquist bin is dropped at odd k.
+    before the multipliers, and for an even padded length the unmatched
+    Nyquist bin is dropped at odd k.
     """
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"derivative order must be >= 1, got {k}")
+    orders = [int(k) for k in orders]
+    if orders and min(orders) < 1:
+        raise ValueError(f"derivative order must be >= 1, got {min(orders)}")
     check_decay(s.values, "the signal to differentiate spectrally")
     n = s.grid.n
     nfft = sfft.next_fast_len(n)
     omega = 2.0j * np.pi * sfft.fftfreq(nfft, d=s.grid.dt)
-    mult = omega**k
-    if nfft % 2 == 0 and k % 2 == 1:
-        mult[nfft // 2] = 0.0  # unmatched Nyquist bin
     spec = sfft.fft(s.values, nfft)
     spec[np.abs(spec) < SPECTRAL_NOISE_FLOOR * np.max(np.abs(spec))] = 0.0
-    return s.with_values(sfft.ifft(spec * mult)[:n])
+    out = {}
+    for k in orders:
+        mult = omega**k
+        if nfft % 2 == 0 and k % 2 == 1:
+            mult[nfft // 2] = 0.0  # unmatched Nyquist bin
+        out[k] = s.with_values(sfft.ifft(spec * mult)[:n])
+    return out
 
 
 def energy(s: SampledSignal) -> float:

@@ -1,6 +1,6 @@
 """End-to-end inequality verification: assemble the moment products and all
-right-hand sides into reports, detect equality cases, and run the parameter
-sweeps behind the reproduction scenarios.
+right-hand sides into reports, and run the parameter sweeps behind the
+reproduction scenarios.
 """
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -42,7 +42,6 @@ from .bounds import (
     gram_offset,
     hw_rhs,
     hpw_core,
-    moment_pair,
     saturating_gram_term,
 )
 
@@ -62,6 +61,7 @@ __all__ = [
     "GRID_FIELDS",
     "PARAMS_FIELDS",
     "SWEEP_SCENARIOS",
+    "A_MODES",
 ]
 
 DEFAULT_TOL = 1e-6
@@ -70,38 +70,21 @@ DEFAULT_TOL = 1e-6
 FAMILY_DT = 16.0 / 4096.0
 FAMILY_T_HALF_MIN = 8.0
 
-# The serialized report fields: the report's own, then those of its grid
-# and of its transform parameters.  REPORT_COLUMNS is their fixed column
-# order in the CSV serialization (one report per row).
-_OWN_FIELDS = [
-    "scenario", "bound", "p", "lhs", "hpw_rhs", "shw_rhs", "hw_rhs",
-    "slack_hpw", "slack_shw", "slack_hw",
-    "rel_slack_hpw", "rel_slack_shw", "rel_slack_hw",
-    "passed_hpw", "passed_shw", "passed_hw",
-    "ppr_gap", "parseval_gap", "core", "gram_term", "sharpened",
-    "a_mode", "a_admissible", "mu_time", "mu_spec", "energy",
-    "holder_time_slack", "holder_spec_slack", "tol",
-]
-GRID_FIELDS = ["t_min", "t_max", "n"]
-PARAMS_FIELDS = ["a", "b", "c", "d", "tau", "eta"]
-REPORT_COLUMNS = _OWN_FIELDS + GRID_FIELDS + PARAMS_FIELDS
+# Auxiliary-term modes of the sharpened bound (see :func:`verify_shw`).
+A_MODES = ("zero", "fixed", "gram", "saturating")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class UncertaintyReport:
-    """One verified inequality: left side, right sides, slacks and flags."""
+    """One verified inequality: left side, right sides, slacks and flags.
+
+    The fields are declared in their CSV column order, the grid and the
+    transform parameters last."""
 
     scenario: str
     bound: str
     p: int
     lhs: float
-    parseval_gap: float
-    mu_time: float
-    mu_spec: float
-    energy: float
-    tol: float
-    grid: Grid
-    params: OlctParams
     hpw_rhs: Optional[float] = None
     shw_rhs: Optional[float] = None
     hw_rhs: Optional[float] = None
@@ -115,19 +98,36 @@ class UncertaintyReport:
     passed_shw: Optional[bool] = None
     passed_hw: Optional[bool] = None
     ppr_gap: Optional[float] = None
+    parseval_gap: float
     core: Optional[float] = None
     gram_term: Optional[float] = None
     sharpened: Optional[float] = None
     a_mode: Optional[str] = None
     a_admissible: Optional[bool] = None
+    mu_time: float
+    mu_spec: float
+    energy: float
     holder_time_slack: Optional[float] = None
     holder_spec_slack: Optional[float] = None
+    tol: float
+    grid: Grid
+    params: OlctParams
 
     @property
     def passed(self) -> bool:
         flags = [f for f in (self.passed_hpw, self.passed_shw, self.passed_hw)
                  if f is not None]
         return bool(flags) and all(flags)
+
+
+# The serialized report fields: the report's own, then those of its grid
+# and of its transform parameters.  REPORT_COLUMNS is their fixed column
+# order in the CSV serialization (one report per row).
+_OWN_FIELDS = [f.name for f in fields(UncertaintyReport)
+               if f.name not in ("grid", "params")]
+GRID_FIELDS = ["t_min", "t_max", "n"]
+PARAMS_FIELDS = ["a", "b", "c", "d", "tau", "eta"]
+REPORT_COLUMNS = _OWN_FIELDS + GRID_FIELDS + PARAMS_FIELDS
 
 
 def _slack(lhs: float, rhs: float, tol: float) -> tuple:
@@ -155,9 +155,9 @@ def _report(f: SampledSignal, params: OlctParams, cfg: HpwConfig, tol: float,
     is None, else the sharpened bound with that auxiliary-term mode.
 
     One transform on :func:`default_xi_grid` feeds the output-domain
-    moment, and the pair (u, v) feeds both the Gram term and the
-    moment-identity gap: mu_spec against b^(2p) ||v||^2, with v = g_b^(p)
-    differentiated in the time domain.
+    moment, and the pair (u, v) of :func:`hpw_core`'s breakdown feeds both
+    the Gram term and the moment-identity gap: mu_spec against
+    b^(2p) ||v||^2, with v = g_b^(p) differentiated in the time domain.
     """
     with _scenario_context(scenario):
         spectrum = olct_forward(f, params,
@@ -166,7 +166,7 @@ def _report(f: SampledSignal, params: OlctParams, cfg: HpwConfig, tol: float,
         mu_s = spectral_moment_2p(spectrum, cfg.p, cfg.xi_m)
         lhs = (mu_t * mu_s) ** (1.0 / (2.0 * cfg.p))
         breakdown = hpw_core(f, params, cfg)
-        u, v = moment_pair(f, params, cfg)
+        u, v = breakdown.u, breakdown.v
         ppr_gap = relative_gap(mu_s, params.b ** (2 * cfg.p) * energy(v))
 
         shw = {}
@@ -237,7 +237,7 @@ def verify_shw(f: SampledSignal, params: OlctParams, cfg: HpwConfig,
     """
     if a_mode == "fixed" and a_value is None:
         raise ValueError("a_mode='fixed' needs a_value")
-    if a_mode not in ("zero", "fixed", "gram", "saturating"):
+    if a_mode not in A_MODES:
         raise ValueError(f"unknown a_mode {a_mode!r}")
     return _report(f, params, cfg, tol, scenario, a_mode, a_value, h)
 

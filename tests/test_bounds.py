@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -71,24 +72,64 @@ def test_weighted_square_integral_odd_weight_vanishes(grid):
     assert abs(olct.hpw_core(g, olct.ft_params(), cfg).core) <= 1e-10
 
 
-def test_report_differentiates_only_the_demodulated_signal(grid, monkeypatch):
+def _spy(monkeypatch, fn, calls):
+    """Record (args, result) of every call to ``fn`` through any name the
+    ``olct`` package binds it to."""
+    def spied(*args):
+        out = fn(*args)
+        calls.append((args, out))
+        return out
+
+    for name, module in list(sys.modules.items()):
+        if name == "olct" or name.startswith("olct."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, spied)
+
+
+def test_report_differentiates_only_the_demodulated_signal(grid):
     # the bound functional and the sharpening pair read one signal, g_b:
-    # orders 1..p/2 for the core and order p for moment_pair
+    # one demodulation and one derivative call give orders 1..p/2 for the
+    # F_q terms and order p for (u, v), and the weight's derivatives are
+    # each evaluated once
     params = completed_params(0.6, 0.5, tau=1.0)
-    cfg = olct.HpwConfig(p=4, xi_m=1.5, omega=olct.exp_weight(1.0))
     f = olct.gaussian_chirp(2.0, 1.5).sample(grid)
-    g_b = moments.chirp_demodulate(f, params, cfg.xi_m).values
-    calls = []
-    original = bounds.derivative
+    g_b = moments.chirp_demodulate(f, params, 1.5).values
+    evals = []
+    exp = olct.exp_weight(1.0)
 
-    def counted(s, k, *args, **kwargs):
-        calls.append((k, np.array_equal(s.values, g_b)))
-        return original(s, k, *args, **kwargs)
+    def counted(j, fn):
+        return lambda t: (evals.append(j), fn(t))[1]
 
-    monkeypatch.setattr(olct.bounds, "derivative", counted)
-    olct.hpw_core(f, params, cfg)
-    bounds.moment_pair(f, params, cfg)
-    assert sorted(calls) == [(1, True), (2, True), (4, True)]
+    omega = signals.WeightFunction(
+        eval_fn=counted(0, exp.eval_fn),
+        deriv_factory=lambda j: counted(j, exp.deriv(j)))
+    for bound in ("hpw", "shw-gram"):
+        for p in (1, 2, 3, 4):
+            cfg = olct.HpwConfig(p=p, xi_m=1.5, omega=omega)
+            demods, derivs, per_core = [], [], []
+
+            def core(*args):
+                evals.clear()
+                out = bounds.hpw_core(*args)
+                per_core.append(sorted(evals))
+                return out
+
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                _spy(monkeypatch, moments.chirp_demodulate, demods)
+                _spy(monkeypatch, signals.derivative, derivs)
+                monkeypatch.setattr(olct.verify, "hpw_core", core)
+                if bound == "hpw":
+                    olct.verify_hpw(f, params, cfg)
+                else:
+                    olct.verify_shw(f, params, cfg, a_mode="gram")
+            assert len(demods) == 1, (bound, p)
+            assert np.array_equal(demods[0][1].values, g_b)
+            assert len(derivs) == 1, (bound, p)
+            (s, orders), _ = derivs[0]
+            assert sorted(orders) == sorted({*range(1, p // 2 + 1), p})
+            assert np.array_equal(s.values, g_b)
+            assert per_core == [list(range(p + 1))], (bound, p)
 
 
 def test_weight_deriv_centered_leibniz():
@@ -97,7 +138,7 @@ def test_weight_deriv_centered_leibniz():
     # [(t - 0.3)^2 e^{-2t}]'' by hand
     u = t - 0.3
     expected = np.exp(-2 * t) * (2.0 - 8.0 * u + 4.0 * u * u)
-    got = bounds.weight_deriv_centered(w, 2, 0.3, 2, t)
+    got = bounds.weight_deriv_centered(w, 2, 0.3, [2], t)[2]
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
@@ -206,7 +247,7 @@ def test_core_assembles_from_public_integrals(grid):
     t = grid.points()
     g = f.with_values(f.values * np.exp(1j * params.chirp_rate * t * t))
     keep = np.abs(g.values) >= 1e-13 * np.max(np.abs(g.values))
-    derivs = [g.values] + [np.where(keep, signals.derivative(g, k).values, 0.0)
+    derivs = [g.values] + [np.where(keep, signals.derivative(g, [k])[k].values, 0.0)
                            for k in (1, 2)]
     w = signals.quadrature_weights(grid.n, grid.dt)
     for p in (2, 3, 4):
@@ -225,7 +266,7 @@ def test_core_assembles_from_public_integrals(grid):
                         bounds.half_power(q - (i + z) / 2.0)
                         * derivs[i] * np.conj(derivs[z]))
             wd = bounds.weight_deriv_centered(cfg.omega, p, cfg.t_m,
-                                              p - 2 * q, t)
+                                              [p - 2 * q], t)[p - 2 * q]
             f_q = (-1) ** (p - 2 * q) * float(np.sum(w * wd * sq))
             total += bounds.derivative_product_coeff(p, q) * f_q
         assert breakdown.core == pytest.approx(total, rel=1e-12)

@@ -140,6 +140,22 @@ def test_ppr_command(tmp_path, capsys):
     assert (tmp_path / "ppr.json").exists()
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
+def test_ppr_gates_on_config_tol(tmp_path, capsys, json_flag):
+    # the shipped ppr scenario with a tolerance below any rounding error
+    body = REPRO.joinpath("ppr.cfg").read_text()
+    cfg = write_cfg(tmp_path, body.replace("tol = 1e-4", "tol = 1e-20"))
+    assert run_main("ppr", "--config", cfg, *json_flag) == 1
+    out = capsys.readouterr().out
+    if json_flag:
+        payload = json.loads(out)
+        assert (payload["tol"], payload["passed"]) == (1e-20, False)
+    else:
+        assert out.endswith(": FAIL\n")
+    # --tol still overrides the config's value
+    assert run_main("ppr", "--config", cfg, "--tol", "1e-4", *json_flag) == 0
+
+
 def test_verify_shw_example(tmp_path, capsys):
     code = run_main("verify", "--bound", "shw", "--config",
                     repro_path("verify_saturating.cfg"), "--json",

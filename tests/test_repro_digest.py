@@ -1,0 +1,43 @@
+"""``tools/repro_digest.py`` is the byte-identity check for refactors; it
+must keep covering every shipped repro config."""
+
+import importlib.util
+import os
+import re
+from importlib.resources import files
+from pathlib import Path
+
+DIGEST_PATH = Path(__file__).resolve().parents[1] / "tools" / "repro_digest.py"
+
+
+def load_digest():
+    spec = importlib.util.spec_from_file_location("repro_digest", DIGEST_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_digest_covers_every_repro_config():
+    digest = load_digest()
+    shipped = sorted(entry.name for entry in files("olct").joinpath("repro")
+                     .iterdir() if entry.name.endswith(".cfg"))
+    assert len(shipped) == 11
+    names = list(digest.configs())
+    assert names == shipped + [digest.ALIAS_NAME]
+    argvs = digest.argvs(names)
+    assert len(argvs) == len(names) * len(digest.SUBCOMMANDS) * 2
+    assert {argv[argv.index("--config") + 1] for argv in argvs} == {
+        f"cfg/{name}" for name in names}
+
+
+def test_digest_line_names_every_output():
+    digest = load_digest()
+    cwd = os.getcwd()
+    lines = digest.run(["gap_curve.cfg"])
+    assert os.getcwd() == cwd
+    assert len(lines) == len(digest.SUBCOMMANDS) * 2
+    sha = "[0-9a-f]{64}"
+    run = "gap-curve --config cfg/gap_curve.cfg --out out --json"
+    [line] = [line for line in lines if line.startswith(run + " |")]
+    assert re.fullmatch(rf"{run} \| exit 0 \| stdout {sha} \| stderr {sha} "
+                        rf"\| out/gap_curve\.csv {sha}", line)

@@ -175,14 +175,14 @@ def test_integrate_linearity(grid):
 
 def test_derivative_gaussian_at_stationary_point(grid):
     s = olct.SampledSignal(grid, np.exp(-grid.points() ** 2))
-    d = signals.derivative(s, 1)
+    d = signals.derivative(s, [1])[1]
     i0 = np.argmin(np.abs(grid.points()))
     assert abs(d.values[i0]) < 1e-8
 
 
 def test_derivative_gaussian_value(grid):
     s = olct.SampledSignal(grid, np.exp(-grid.points() ** 2))
-    d = signals.derivative(s, 1)
+    d = signals.derivative(s, [1])[1]
     i1 = np.argmin(np.abs(grid.points() - 1.0))
     assert d.values[i1].real == pytest.approx(-2.0 * math.exp(-1.0), abs=1e-6)
 
@@ -193,7 +193,7 @@ def test_spectral_derivative_matches_analytic(k, family, grid):
     r, chirp = family
     f = olct.gaussian_chirp(r, chirp)
     sampled = f.sample(grid)
-    numeric = signals.derivative(sampled, k).values
+    numeric = signals.derivative(sampled, [k])[k].values
     exact = f.deriv(k)(grid.points())
     scale = np.max(np.abs(exact))
     assert np.max(np.abs(numeric - exact)) <= 1e-6 * scale
@@ -204,16 +204,25 @@ def test_spectral_derivative_digits_at_fast_length(k, tol):
     # 65537 is prime; the derivative runs at next_fast_len(65537) = 65610
     grid = olct.make_grid(-8.0, 8.0, 65537)
     f = olct.gaussian_chirp(2.0, 3.0)
-    numeric = signals.derivative(f.sample(grid), k).values
+    numeric = signals.derivative(f.sample(grid), [k])[k].values
     exact = f.deriv(k)(grid.points())
     scale = np.max(np.abs(exact))
     assert np.max(np.abs(numeric - exact)) <= tol * scale
 
 
+def test_derivative_orders_share_one_spectrum(grid):
+    # several orders from one call carry the same bits as one call per order
+    s = olct.gaussian_chirp(2.0, 3.0).sample(grid)
+    together = signals.derivative(s, [1, 2, 4])
+    assert list(together) == [1, 2, 4]
+    for k, d in together.items():
+        assert np.array_equal(d.values, signals.derivative(s, [k])[k].values)
+
+
 def test_spectral_derivative_rejects_nondecaying(grid):
     s = olct.SampledSignal(grid, np.ones(grid.n))
     with pytest.raises(NumericsError, match=DECAY_PHRASE):
-        signals.derivative(s, 1)
+        signals.derivative(s, [1])
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +271,7 @@ def test_guarded_entry_points_reject_nondecaying(grid, call):
 def test_derivative_rejects_bad_order(grid):
     s = olct.SampledSignal(grid, np.exp(-grid.points() ** 2))
     with pytest.raises(ValueError):
-        signals.derivative(s, 0)
+        signals.derivative(s, [0])
 
 
 # ---------------------------------------------------------------------------

@@ -245,7 +245,7 @@ def test_family_grid_widens_for_slow_decay():
     assert g_wide.t_max > 8.0
     # slow-decay family fits the widened grid
     f = olct.gaussian_chirp(0.5, 0.0).sample(g_wide)
-    olct.signals.derivative(f, 1)  # must not raise
+    olct.signals.derivative(f, [1])  # must not raise
 
 
 @pytest.mark.parametrize("scenario", ["a0", "a1"])
