@@ -7,21 +7,25 @@ evaluated here:
   functional assembled from weighted integrals of the squared derivatives
   of the demodulated signal g_b = exp(-j beta t) exp(j a/(2b) t^2) f;
 * its sharpened form with E replaced by sqrt(E^2 + 4*A^2), where A comes
-  from a Gram-determinant construction with an auxiliary unit-norm function;
+  from a Gram-determinant construction with an auxiliary unit-norm function
+  applied to the pair (u, v) that :func:`hpw_core` returns with E;
 * the absolute-moment bound (|b|/2) * (energy^2)^(1/p) for p >= 2.
 
-The module also provides numerical validators for the two differential
-identities the functional is built on (the second one is the paper's
-expansion of |g_b^(q)|^2 into derivatives of the chirp-multiplied signal,
-with the coefficient functions defined here), and the closed-form bound
-pair for the chirped-Gaussian family used in the verification scenarios.
+:func:`hpw_core` evaluates E, its per-order terms and (u, v); the auxiliary
+terms and the right-hand sides are separate functions, which the reports of
+:mod:`olct.verify` assemble.  The module also provides numerical validators
+for the two differential identities the functional is built on (the second
+one is the paper's expansion of |g_b^(q)|^2 into derivatives of the
+chirp-multiplied signal, with the coefficient functions defined here), and
+the closed-form bound pair for the chirped-Gaussian family used in the
+verification scenarios.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Mapping
 
@@ -119,21 +123,12 @@ class OrderTerm:
 
 @dataclass(frozen=True)
 class BoundBreakdown:
-    """The bound functional with its sharpening and both right-hand sides."""
+    """The bound functional, its per-order terms and the sharpening pair."""
 
     core: float            # signed functional E
-    gram_term: float       # auxiliary term A
-    sharpened: float       # sqrt(E^2 + 4 A^2) >= |E|
-    hpw_rhs: float
-    shw_rhs: float
     terms: tuple           # OrderTerm per q
     u: SampledSignal = field(repr=False, compare=False)  # omega (t-t_m)^p g_b
     v: SampledSignal = field(repr=False, compare=False)  # g_b^(p)
-
-    def with_gram(self, gram_term: float, b: float, p: int) -> "BoundBreakdown":
-        sharp = math.hypot(self.core, 2.0 * gram_term)
-        return replace(self, gram_term=float(gram_term), sharpened=sharp,
-                       shw_rhs=shw_rhs(sharp, b, p))
 
 
 def half_power(x: float) -> complex:
@@ -198,10 +193,6 @@ def hpw_core(f: SampledSignal, params: OlctParams, cfg: HpwConfig) -> BoundBreak
 
     One :func:`derivative` call on g_b gives the orders q = 1..p/2 of the
     F_q and the order p of the sharpening pair (u, v) it also returns.
-
-    Returns a breakdown with the per-q terms filled in and the sharpening
-    left at zero (``gram_term = 0``); use :meth:`BoundBreakdown.with_gram`
-    to attach an auxiliary term.
     """
     if params.is_degenerate:
         raise ValueError("the bound functional requires b != 0")
@@ -225,9 +216,7 @@ def hpw_core(f: SampledSignal, params: OlctParams, cfg: HpwConfig) -> BoundBreak
         terms.append(OrderTerm(q=q, coeff=d_q, value=f_q))
         core += d_q * f_q
 
-    rhs = hpw_rhs(core, params.b, p)
-    return BoundBreakdown(core=core, gram_term=0.0, sharpened=abs(core),
-                          hpw_rhs=rhs, shw_rhs=rhs, terms=tuple(terms),
+    return BoundBreakdown(core=core, terms=tuple(terms),
                           u=g_b.with_values(wd[0] * g_b.values), v=derivs[p])
 
 

@@ -30,14 +30,14 @@ from .signals import (
     Grid,
     SampledSignal,
     WeightFunction,
-    energy,
+    check_decay,
     exp_weight,
     gaussian_chirp,
     make_grid,
     quadrature_weights,
     unit_weight,
 )
-from .transform import OlctParams, olct_forward, parseval_gap
+from .transform import OlctParams, ft_params, olct_forward, parseval_gap
 from .moments import ppr_check
 from .bounds import (
     HpwConfig,
@@ -422,6 +422,11 @@ def cmd_sweep(args) -> int:
         raise ConfigError(
             f"unknown sweep scenario {scenario!r}; expected one of "
             f"{sorted(SWEEP_SCENARIOS)}")
+    fixed_a = SWEEP_SCENARIOS[scenario][1]
+    if fixed_a is not None and cfg.a_value != fixed_a:
+        raise ConfigError(
+            f"a_value = {fmt(cfg.a_value)}, but sweep scenario {scenario!r} "
+            f"runs A = {fmt(fixed_a)}")
     params = cfg.params_obj()
     rows = sweep_r(cfg.r_values, scenario, params, p=cfg.p)
     out_dir = Path(args.out or ".")
@@ -479,10 +484,6 @@ def cmd_gap_curve(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
-def _density_rows(x: np.ndarray, dens: np.ndarray) -> list:
-    return list(zip(x.tolist(), dens.tolist()))
-
-
 def _second_central_moment(x: np.ndarray, dens: np.ndarray, w: np.ndarray) -> dict:
     total = float(np.sum(w * dens))
     centroid = float(np.sum(w * x * dens) / total) if total > 0 else 0.0
@@ -496,41 +497,28 @@ def cmd_energy(args) -> int:
     cfg = load_config(args.config, args.scenario, args)
     params = cfg.params_obj()
     f = cfg.sampled_signal(params)
-    t = f.grid.points()
-    w_t = quadrature_weights(f.grid.n, f.grid.dt)
-    omega = cfg.weight_obj()
-
-    dens_time = np.abs(f.values) ** 2
-    dens_weighted = np.abs(omega(t) * f.values) ** 2
-    from .transform import ft_params
     ft = olct_forward(f, ft_params())
     olct_spec = olct_forward(f, params)
+    # view -> (axis, grid, density); every density passes the truncation
+    # guard before any file is written
+    views = {
+        "time": ("t", f.grid, np.abs(f.values) ** 2),
+        "weighted": ("t", f.grid,
+                     np.abs(cfg.weight_obj()(f.grid.points()) * f.values) ** 2),
+        "ft": ("xi", ft.grid, np.abs(ft.values) ** 2),
+        "olct": ("xi", olct_spec.grid, np.abs(olct_spec.values) ** 2),
+    }
+    for view, (_, _, dens) in views.items():
+        check_decay(dens, f"the {view} energy density")
 
     out_dir = Path(args.out or ".")
-    files = {
-        "energy_time.csv": (["t", "density"], _density_rows(t, dens_time)),
-        "energy_weighted.csv": (["t", "density"], _density_rows(t, dens_weighted)),
-        "energy_ft.csv": (["xi", "density"],
-                          _density_rows(ft.grid.points(),
-                                        np.abs(ft.values) ** 2)),
-        "energy_olct.csv": (["xi", "density"],
-                            _density_rows(olct_spec.grid.points(),
-                                          np.abs(olct_spec.values) ** 2)),
-    }
-    for name, (header, rows) in files.items():
-        write_text(out_dir / name, csv_text(header, rows))
-
-    w_ft = quadrature_weights(ft.grid.n, ft.grid.dt)
-    w_ol = quadrature_weights(olct_spec.grid.n, olct_spec.grid.dt)
-    summary = {
-        "scenario": cfg.name,
-        "time": _second_central_moment(t, dens_time, w_t),
-        "weighted": _second_central_moment(t, dens_weighted, w_t),
-        "ft": _second_central_moment(ft.grid.points(),
-                                     np.abs(ft.values) ** 2, w_ft),
-        "olct": _second_central_moment(olct_spec.grid.points(),
-                                       np.abs(olct_spec.values) ** 2, w_ol),
-    }
+    summary = {"scenario": cfg.name}
+    for view, (axis, grid, dens) in views.items():
+        x = grid.points()
+        write_text(out_dir / f"energy_{view}.csv",
+                   csv_text([axis, "density"], zip(x.tolist(), dens.tolist())))
+        summary[view] = _second_central_moment(
+            x, dens, quadrature_weights(grid.n, grid.dt))
     write_text(out_dir / "energy_summary.json", dumps(summary) + "\n")
     _emit(args, summary,
           "\n".join(f"{k}: spread={fmt(v['second_central_moment'])}"

@@ -40,9 +40,11 @@ from .bounds import (
     HpwConfig,
     default_unit_gaussian,
     gram_offset,
-    hw_rhs,
     hpw_core,
+    hpw_rhs,
+    hw_rhs,
     saturating_gram_term,
+    shw_rhs,
 )
 
 __all__ = [
@@ -149,8 +151,7 @@ def _scenario_context(scenario: str):
 
 def _report(f: SampledSignal, params: OlctParams, cfg: HpwConfig, tol: float,
             scenario: str, a_mode: Optional[str] = None,
-            a_value: Optional[float] = None,
-            h: Optional[SampledSignal] = None) -> UncertaintyReport:
+            a_value: Optional[float] = None) -> UncertaintyReport:
     """Shared body of the 2p-order reports: the plain bound when ``a_mode``
     is None, else the sharpened bound with that auxiliary-term mode.
 
@@ -158,6 +159,8 @@ def _report(f: SampledSignal, params: OlctParams, cfg: HpwConfig, tol: float,
     moment, and the pair (u, v) of :func:`hpw_core`'s breakdown feeds both
     the Gram term and the moment-identity gap: mu_spec against
     b^(2p) ||v||^2, with v = g_b^(p) differentiated in the time domain.
+    Both right sides are assembled here from E and the auxiliary term A,
+    which is 0 for the plain bound.
     """
     with _scenario_context(scenario):
         spectrum = olct_forward(f, params,
@@ -166,38 +169,37 @@ def _report(f: SampledSignal, params: OlctParams, cfg: HpwConfig, tol: float,
         mu_s = spectral_moment_2p(spectrum, cfg.p, cfg.xi_m)
         lhs = (mu_t * mu_s) ** (1.0 / (2.0 * cfg.p))
         breakdown = hpw_core(f, params, cfg)
-        u, v = breakdown.u, breakdown.v
+        core, u, v = breakdown.core, breakdown.u, breakdown.v
         ppr_gap = relative_gap(mu_s, params.b ** (2 * cfg.p) * energy(v))
 
-        shw = {}
+        rhs_h = hpw_rhs(core, params.b, cfg.p)
+        a_term = 0.0
         if a_mode is not None:
             a_star = saturating_gram_term(u, v)
-            if a_mode == "zero":
-                a_term = 0.0
-            elif a_mode == "fixed":
+            if a_mode == "fixed":
                 a_term = float(a_value)
             elif a_mode == "gram":
-                if h is None:
-                    h = default_unit_gaussian(f.grid, cfg.t_m)
-                a_term = gram_offset(u, v, h)
-            else:
+                a_term = gram_offset(u, v,
+                                     default_unit_gaussian(f.grid, cfg.t_m))
+            elif a_mode == "saturating":
                 a_term = a_star
-            breakdown = breakdown.with_gram(a_term, params.b, cfg.p)
-            slack_s, rel_s, ok_s = _slack(lhs, breakdown.shw_rhs, tol)
+        sharpened = math.hypot(core, 2.0 * a_term)
+        shw = {}
+        if a_mode is not None:
+            rhs_s = shw_rhs(sharpened, params.b, cfg.p)
+            slack_s, rel_s, ok_s = _slack(lhs, rhs_s, tol)
             admissible = bool(abs(a_term) <= a_star * (1.0 + 1e-12) + 1e-300)
-            shw = dict(shw_rhs=breakdown.shw_rhs, slack_shw=slack_s,
-                       rel_slack_shw=rel_s,
+            shw = dict(shw_rhs=rhs_s, slack_shw=slack_s, rel_slack_shw=rel_s,
                        passed_shw=ok_s or (not admissible and a_mode == "fixed"),
                        a_mode=a_mode, a_admissible=admissible)
-        slack_h, rel_h, ok_h = _slack(lhs, breakdown.hpw_rhs, tol)
+        slack_h, rel_h, ok_h = _slack(lhs, rhs_h, tol)
     return UncertaintyReport(
         scenario=scenario, bound="hpw" if a_mode is None else "shw", p=cfg.p,
-        lhs=lhs, hpw_rhs=breakdown.hpw_rhs, slack_hpw=slack_h,
-        rel_slack_hpw=rel_h, passed_hpw=ok_h, ppr_gap=ppr_gap,
-        parseval_gap=parseval_gap(f, spectrum), core=breakdown.core,
-        gram_term=breakdown.gram_term, sharpened=breakdown.sharpened,
-        mu_time=mu_t, mu_spec=mu_s, energy=energy(f), tol=tol,
-        grid=f.grid, params=params, **shw,
+        lhs=lhs, hpw_rhs=rhs_h, slack_hpw=slack_h, rel_slack_hpw=rel_h,
+        passed_hpw=ok_h, ppr_gap=ppr_gap,
+        parseval_gap=parseval_gap(f, spectrum), core=core, gram_term=a_term,
+        sharpened=sharpened, mu_time=mu_t, mu_spec=mu_s, energy=energy(f),
+        tol=tol, grid=f.grid, params=params, **shw,
     )
 
 
@@ -220,26 +222,27 @@ def verify_hpw(f: SampledSignal, params: OlctParams, cfg: HpwConfig,
 
 def verify_shw(f: SampledSignal, params: OlctParams, cfg: HpwConfig,
                a_mode: str = "saturating", a_value: Optional[float] = None,
-               h: Optional[SampledSignal] = None, tol: float = DEFAULT_TOL,
+               tol: float = DEFAULT_TOL,
                scenario: str = "") -> UncertaintyReport:
     """Verify the sharpened bound, with the auxiliary term chosen by mode.
 
     Modes: ``"zero"`` (A = 0, reduces to the plain bound), ``"fixed"``
-    (A = ``a_value`` as given), ``"gram"`` (A = ||u|| x0 - ||v|| y0 against
-    the auxiliary function ``h``, default a unit Gaussian), ``"saturating"``
-    (the largest admissible A, which turns the bound into an equality
-    whenever the plain inequality chain is tight).
+    (A = ``a_value`` as given, which must be finite), ``"gram"``
+    (A = ||u|| x0 - ||v|| y0 against the unit-norm Gaussian centered at
+    t_m, :func:`default_unit_gaussian`), ``"saturating"`` (the largest
+    admissible A, which turns the bound into an equality whenever the plain
+    inequality chain is tight).
 
     A fixed A beyond the admissible range can push the right side above the
     left; the report flags that case through ``a_admissible`` instead of
     calling it a bound violation.  The health checks are those of
     :func:`verify_hpw`.
     """
-    if a_mode == "fixed" and a_value is None:
-        raise ValueError("a_mode='fixed' needs a_value")
+    if a_mode == "fixed" and (a_value is None or not math.isfinite(a_value)):
+        raise ValueError(f"a_mode='fixed' needs a finite a_value, got {a_value!r}")
     if a_mode not in A_MODES:
         raise ValueError(f"unknown a_mode {a_mode!r}")
-    return _report(f, params, cfg, tol, scenario, a_mode, a_value, h)
+    return _report(f, params, cfg, tol, scenario, a_mode, a_value)
 
 
 def verify_hw(f: SampledSignal, params: OlctParams, p: int,

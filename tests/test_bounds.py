@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -354,15 +355,21 @@ def test_rhs_values_and_ordering():
 
 def test_breakdown_sharpening_invariants(example_signal, example_params):
     cfg = olct.HpwConfig(p=1, omega=olct.exp_weight(2.0))
-    breakdown = olct.hpw_core(example_signal, example_params, cfg)
     for a in (0.0, 0.3, 2.0):
-        sharp = breakdown.with_gram(a, example_params.b, cfg.p)
-        assert sharp.sharpened >= abs(sharp.core)
-        assert sharp.shw_rhs >= sharp.hpw_rhs
+        report = olct.verify_shw(example_signal, example_params, cfg,
+                                 a_mode="fixed", a_value=a)
+        assert report.sharpened >= abs(report.core)
+        assert report.shw_rhs >= report.hpw_rhs
         if a == 0.0:
-            assert sharp.shw_rhs == sharp.hpw_rhs
+            assert report.sharpened == abs(report.core)
+            assert report.shw_rhs == report.hpw_rhs
         else:
-            assert sharp.shw_rhs - sharp.hpw_rhs > 1e-12
+            assert report.shw_rhs - report.hpw_rhs > 1e-12
+
+
+def test_breakdown_carries_only_what_hpw_core_computes():
+    assert [f.name for f in dataclasses.fields(bounds.BoundBreakdown)] == [
+        "core", "terms", "u", "v"]
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +423,7 @@ def test_ft_reduction_bridges_conventions(grid):
     mu_t = moments.time_moment_2p(f, 1, t_m, w)
     mu_s = moments.spectral_moment_2p(spec, 1, xi_m)
     lhs_olct = math.sqrt(mu_t) * math.sqrt(mu_s)
-    rhs_olct = olct.hpw_core(f, ft, cfg).hpw_rhs
+    rhs_olct = bounds.hpw_rhs(olct.hpw_core(f, ft, cfg).core, ft.b, 1)
 
     # cycles-convention side, fully independent quadrature
     sigma_m = xi_m / (2.0 * math.pi)

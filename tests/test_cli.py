@@ -227,6 +227,27 @@ def test_sweep_scenario_flag(tmp_path):
     assert (tmp_path / "sweep_a1.csv").exists()
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
+def test_sweep_rejects_a_value_the_scenario_does_not_run(tmp_path, capsys,
+                                                          json_flag):
+    # the a1 sweep fixes A = 1, so a_value = 7 would be silently ignored
+    cfg = write_cfg(tmp_path, "[x]\na_mode = fixed\na_value = 7\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_main("sweep", "--config", cfg, "--out", str(out),
+                    *json_flag) == 2
+    captured = capsys.readouterr()
+    if json_flag:
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "config"
+        message = error["message"]
+    else:
+        assert captured.err.startswith("config error: ")
+        message = captured.err
+    assert "a_value" in message and "'a1'" in message
+    assert list(out.iterdir()) == []
+
+
 def test_bound_table_command(tmp_path, capsys):
     code = run_main("bound-table", "--config", repro_path("bound_table.cfg"),
                     "--out", str(tmp_path), "--json")
@@ -264,6 +285,27 @@ def test_energy_command(tmp_path, capsys):
             < summary["ft"]["second_central_moment"])
     assert summary["time"]["energy"] == pytest.approx(
         np.sqrt(np.pi / 2.0), rel=1e-6)
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
+def test_energy_non_finite_density_exits_3(tmp_path, capsys, json_flag):
+    # exp(-100 t) overflows at the left grid edge, so the weighted density
+    # is infinite there; no density file and no summary may be written
+    cfg = write_cfg(tmp_path, "[x]\nsignal_r = 2\nweight_r = 100\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_main("energy", "--config", cfg, "--out", str(out),
+                    *json_flag) == 3
+    captured = capsys.readouterr()
+    if json_flag:
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "numerics"
+        message = error["message"]
+    else:
+        assert captured.err.startswith("numerical precondition failed: ")
+        message = captured.err
+    assert "the weighted energy density has non-finite values" in message
+    assert list(out.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

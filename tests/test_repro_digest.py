@@ -1,11 +1,13 @@
 """``tools/repro_digest.py`` is the byte-identity check for refactors; it
-must keep covering every shipped repro config."""
+must keep covering every shipped repro config and the library reports."""
 
 import importlib.util
 import os
 import re
 from importlib.resources import files
 from pathlib import Path
+
+import olct
 
 DIGEST_PATH = Path(__file__).resolve().parents[1] / "tools" / "repro_digest.py"
 
@@ -41,3 +43,22 @@ def test_digest_line_names_every_output():
     [line] = [line for line in lines if line.startswith(run + " |")]
     assert re.fullmatch(rf"{run} \| exit 0 \| stdout {sha} \| stderr {sha} "
                         rf"\| out/gap_curve\.csv {sha}", line)
+
+
+def test_library_lines_cover_every_scenario_order_and_sweep():
+    digest = load_digest()
+    assert len(digest.LIBRARY_SCENARIOS) == 4
+    assert digest.LIBRARY_ORDERS == (1, 2, 3, 4)
+    lines = digest.library_lines()
+    sweeps = list(olct.verify.SWEEP_SCENARIOS)
+    assert len(lines) == 4 * 4 + len(sweeps) == 20
+    sha = "[0-9a-f]{64}"
+    names = "|".join(re.escape(name) for name in digest.LIBRARY_SCENARIOS)
+    for line in lines[:16]:
+        assert re.fullmatch(rf"library ({names}) p=[1-4] \| reports {sha} "
+                            rf"\| core {sha} \| pair {sha}", line)
+    assert [line.split(" ")[:3] for line in lines[:16]] == [
+        ["library", name, f"p={p}"] for name in digest.LIBRARY_SCENARIOS
+        for p in digest.LIBRARY_ORDERS]
+    for line, scenario in zip(lines[16:], sweeps):
+        assert re.fullmatch(rf"sweep_r {scenario} \| rows {sha}", line)

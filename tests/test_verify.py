@@ -146,6 +146,22 @@ def test_verify_shw_requires_a_value(example_signal, example_params, example_cfg
                         a_mode="nope")
 
 
+
+@pytest.mark.parametrize("a_value", [math.nan, math.inf, -math.inf])
+def test_verify_shw_rejects_nonfinite_fixed_a(example_signal, example_params,
+                                              example_cfg, a_value):
+    with pytest.raises(ValueError, match="finite a_value"):
+        olct.verify_shw(example_signal, example_params, example_cfg,
+                        a_mode="fixed", a_value=a_value)
+
+
+def test_verify_hpw_reports_no_sharpening(example_signal, example_params,
+                                          example_cfg):
+    report = olct.verify_hpw(example_signal, example_params, example_cfg)
+    assert report.gram_term == 0.0
+    assert report.sharpened == abs(report.core)
+    assert report.shw_rhs is None
+
 # ---------------------------------------------------------------------------
 # absolute-moment verification
 

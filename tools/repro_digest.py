@@ -1,10 +1,19 @@
-"""Digest of every CLI run on the shipped repro configs.
+"""Digest of every CLI run on the shipped repro configs and of the library
+reports behind them.
 
 Runs each subcommand on every ``repro/*.cfg`` of the imported ``olct``
 package, plus the aliasing reproducer, through ``olct.cli.main``
 in-process, in human and ``--json`` modes, with the relative ``--out out``
 inside a temporary working directory.  Prints one line per run: the argv,
 the exit code, and the sha256 of stdout, of stderr and of each output file.
+
+Then it prints one line per library scenario and half-order p = 1..4: the
+sha256 of the ``reports_to_csv`` text of every 2p-order report (the plain
+bound, the sharpened bound in each auxiliary-term mode, and the
+absolute-moment bound for p >= 2), of ``repr((core, terms))`` from
+``hpw_core`` and of the bytes of ``moment_pair``'s (u, v); and one line per
+sweep scenario with the sha256 of the ``sweep_r`` rows.
+
 Two source trees print the same lines exactly when every run is
 byte-identical, so a diff of two digests checks a refactor:
 
@@ -25,6 +34,7 @@ import tempfile
 from pathlib import Path
 
 import olct.cli
+from olct import bounds, signals, transform, verify
 
 SUBCOMMANDS = (
     ["transform"],
@@ -104,5 +114,72 @@ def run(names=None) -> list:
             os.chdir(cwd)
 
 
+def _completed(a: float, b: float, tau: float, eta: float):
+    """Parameter set with (c, d) solved from a*d - b*c = 1."""
+    c = 0.5 if a else -1.0 / b
+    d = (1.0 + b * c) / a if a else 0.4
+    return transform.OlctParams(a, b, c, d, tau, eta)
+
+
+# Library scenarios: name -> (params, signal, weight, t_m, xi_m), all on the
+# grid -8:8:4097.  Between them: the published parameter set, b < 0,
+# tau != 0, t_m != 0, xi_m != tau, unit and exponential weights, and the
+# equality-attaining minimizer.
+_PUBLISHED = transform.OlctParams(0.6, 0.05, 0.5, 0.4, 0.0, 1.0, strict=False)
+_NEGATIVE_B = _completed(0.6, -0.5, 1.0, 0.5)
+_OFFSET = _completed(0.0, 1.0, 1.0, 0.0)
+LIBRARY_SCENARIOS = {
+    "published": (_PUBLISHED,
+                  signals.gaussian_chirp(2.0, _PUBLISHED.chirp_rate),
+                  signals.exp_weight(2.0), 0.0, 0.0),
+    "negative-b": (_NEGATIVE_B,
+                   signals.gaussian_chirp(1.5, _NEGATIVE_B.chirp_rate + 0.7),
+                   signals.unit_weight(), 0.3, 1.5),
+    "offset": (_OFFSET, signals.gaussian_chirp(3.0, _OFFSET.chirp_rate - 1.2),
+               signals.exp_weight(1.0), -0.2, 0.4),
+    "minimizer": (_PUBLISHED,
+                  verify.minimizer_signal(1.0, 2.0, 0.3, 0.6, _PUBLISHED),
+                  signals.unit_weight(), 0.3, 0.6),
+}
+LIBRARY_ORDERS = (1, 2, 3, 4)
+SWEEP_R_VALUES = (0.5, 1.0, 2.5, 4.0)
+
+
+def library_line(name: str, p: int) -> str:
+    """Digest of every 2p-order report, the functional and the sharpening
+    pair of one library scenario at half-order p."""
+    params, signal, omega, t_m, xi_m = LIBRARY_SCENARIOS[name]
+    f = signal.sample(signals.make_grid(-8.0, 8.0, 4097))
+    cfg = bounds.HpwConfig(p=p, t_m=t_m, xi_m=xi_m, omega=omega)
+    reports = [verify.verify_hpw(f, params, cfg, scenario=name)]
+    reports += [verify.verify_shw(f, params, cfg, a_mode=mode, a_value=0.5,
+                                  scenario=name)
+                for mode in ("zero", "fixed", "gram", "saturating")]
+    if p >= 2:
+        reports.append(verify.verify_hw(f, params, p, t_m=t_m, xi_m=xi_m,
+                                        scenario=name))
+    breakdown = bounds.hpw_core(f, params, cfg)
+    u, v = bounds.moment_pair(f, params, cfg)
+    return " | ".join([
+        f"library {name} p={p}",
+        f"reports {_sha(verify.reports_to_csv(reports).encode())}",
+        f"core {_sha(repr((breakdown.core, breakdown.terms)).encode())}",
+        f"pair {_sha(u.values.tobytes() + v.values.tobytes())}"])
+
+
+def sweep_line(scenario: str) -> str:
+    """Digest of the ``sweep_r`` rows of one sweep scenario."""
+    rows = verify.sweep_r(SWEEP_R_VALUES, scenario, transform.ft_params())
+    return f"sweep_r {scenario} | rows {_sha(repr(rows).encode())}"
+
+
+def library_lines() -> list:
+    """Digest lines of every library scenario and order, then of every
+    sweep scenario."""
+    return ([library_line(name, p) for name in LIBRARY_SCENARIOS
+             for p in LIBRARY_ORDERS]
+            + [sweep_line(scenario) for scenario in verify.SWEEP_SCENARIOS])
+
+
 if __name__ == "__main__":
-    sys.stdout.write("".join(line + "\n" for line in run()))
+    sys.stdout.write("".join(line + "\n" for line in run() + library_lines()))
