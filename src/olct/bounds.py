@@ -37,6 +37,7 @@ from .signals import (
     Grid,
     SampledSignal,
     WeightFunction,
+    centered_power,
     derivative,
     energy,
     guarded_integral,
@@ -178,7 +179,7 @@ def weight_deriv_centered(omega: WeightFunction, p: int, t_m: float, orders,
     evaluated once."""
     t = np.asarray(t, dtype=float)
     weight = functools.cache(lambda j: omega.deriv(j)(t))
-    power = functools.cache(lambda e: (t - t_m) ** e)
+    power = functools.cache(lambda e: centered_power(t, t_m, e))
     return {k: sum(math.comb(k, m) * math.perm(p, m) * power(p - m)
                    * weight(k - m) for m in range(min(k, p) + 1))
             for k in orders}
@@ -202,7 +203,8 @@ def hpw_core(f: SampledSignal, params: OlctParams, cfg: HpwConfig) -> BoundBreak
     wd = weight_deriv_centered(cfg.omega, p, cfg.t_m,
                                {p - 2 * q for q in range(p // 2 + 1)} | {0},
                                f.grid.points())
-    keep = np.abs(g_b.values) >= DERIV_UNDERFLOW_MASK * np.max(np.abs(g_b.values))
+    mag = np.abs(g_b.values)
+    keep = mag >= DERIV_UNDERFLOW_MASK * np.max(mag)
     sign = (-1) ** p
 
     terms = []

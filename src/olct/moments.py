@@ -21,6 +21,8 @@ import numpy as np
 from .signals import (
     SampledSignal,
     WeightFunction,
+    centered_power,
+    cis,
     derivative,
     energy,
     guarded_integral,
@@ -64,7 +66,7 @@ def time_moment_2p(f: SampledSignal, p: int, t_m: float,
     if not np.isfinite(t_m):
         raise ValueError("moment center t_m must be finite")
     t = f.grid.points()
-    integrand = (omega(t) * np.abs(f.values)) ** 2 * (t - t_m) ** (2 * p)
+    integrand = (omega(t) * np.abs(f.values)) ** 2 * centered_power(t, t_m, 2 * p)
     return guarded_integral(f.grid, integrand,
                             "the weighted time-moment integrand", COVERAGE_TOL)
 
@@ -73,7 +75,7 @@ def spectral_moment_2p(spectrum: SampledSignal, p: int, xi_m: float) -> float:
     """Spectral moment: integral of (xi - xi_m)^(2p) |O(xi)|^2."""
     p = _half_order(p)
     xi = spectrum.grid.points()
-    integrand = (xi - xi_m) ** (2 * p) * np.abs(spectrum.values) ** 2
+    integrand = centered_power(xi, xi_m, 2 * p) * np.abs(spectrum.values) ** 2
     return guarded_integral(spectrum.grid, integrand,
                             "the spectral-moment integrand", COVERAGE_TOL)
 
@@ -113,7 +115,7 @@ def chirp_demodulate(f: SampledSignal, params: OlctParams,
     beta = demodulation_freq(params, xi_m)
     t = f.grid.points()
     phase = params.chirp_rate * t * t - beta * t
-    return f.with_values(f.values * np.exp(1j * phase))
+    return f.with_values(f.values * cis(phase))
 
 
 @dataclass(frozen=True)

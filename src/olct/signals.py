@@ -31,6 +31,8 @@ __all__ = [
     "integrate",
     "check_decay",
     "guarded_integral",
+    "cis",
+    "centered_power",
     "derivative",
     "norm_l2",
     "energy",
@@ -280,6 +282,32 @@ def guarded_integral(grid: Grid, integrand: np.ndarray, what: str,
     return float(np.sum(w * integrand))
 
 
+def cis(phase) -> np.ndarray:
+    """exp(j*phase) for a real phase, as cos(phase) + j*sin(phase).
+
+    One cosine and one sine pass write the real and imaginary parts of one
+    complex array.  numpy's complex exponential gives the same values and
+    takes longer.
+    """
+    phase = np.asarray(phase, dtype=float)
+    out = np.empty(phase.shape, dtype=np.complex128)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
+def centered_power(x, center: float, e: int) -> np.ndarray:
+    """(x - center)^e for an integer e >= 0, as |x - center|^e with the sign
+    restored for odd e.
+
+    numpy raises a negative base to a power far more slowly than a
+    non-negative one; the result is within 1 ulp of ``(x - center) ** e``.
+    """
+    d = np.asarray(x, dtype=float) - center
+    out = np.abs(d) ** e
+    return np.copysign(out, d) if e % 2 else out
+
+
 def derivative(s: SampledSignal, orders) -> dict:
     """Derivatives of a sampled signal by spectral differentiation:
     ``{k: k-th derivative}`` for every requested order ``k >= 1``.
@@ -300,7 +328,8 @@ def derivative(s: SampledSignal, orders) -> dict:
     nfft = sfft.next_fast_len(n)
     omega = 2.0j * np.pi * sfft.fftfreq(nfft, d=s.grid.dt)
     spec = sfft.fft(s.values, nfft)
-    spec[np.abs(spec) < SPECTRAL_NOISE_FLOOR * np.max(np.abs(spec))] = 0.0
+    mag = np.abs(spec)
+    spec[mag < SPECTRAL_NOISE_FLOOR * np.max(mag)] = 0.0
     out = {}
     for k in orders:
         mult = omega**k

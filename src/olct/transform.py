@@ -30,6 +30,7 @@ from .signals import (
     Grid,
     SampledSignal,
     check_decay,
+    cis,
     energy,
     make_grid,
     quadrature_weights,
@@ -123,9 +124,16 @@ def olct_kernel(t, xi, params: OlctParams) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     xi = np.asarray(xi, dtype=float)
     p = params
-    phase = (p.a / (2.0 * p.b)) * t**2 - (1.0 / p.b) * t * (xi - p.tau)
-    phase = phase + _outer_phase(xi, p)
-    return _root_factor(p.b) * np.exp(1j * phase)
+    # one unimodular factor per phase term: a single exponential of their
+    # sum would round a phase of thousands of radians
+    return (_root_factor(p.b) * cis((p.a / (2.0 * p.b)) * t**2)
+            * cis(-(1.0 / p.b) * t * (xi - p.tau)) * cis(_outer_phase(xi, p)))
+
+
+def _mirrored(chirp: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """chirp[|l|] for l = lo..hi-1, lo <= 0 < hi, from a reversed and a
+    forward slice, which copy instead of gathering by index."""
+    return np.concatenate([chirp[-lo:0:-1], chirp[:hi]])
 
 
 def _fourier_sum(x: np.ndarray, x0: float, dx: float,
@@ -142,18 +150,20 @@ def _fourier_sum(x: np.ndarray, x0: float, dx: float,
     """
     n = x.size
     kc = np.arange(n) - n // 2
-    jc = np.arange(m) - m // 2
     theta = du * dx
     squares = np.arange(max(n, m)) ** 2
-    chirp = np.exp(-0.5j * theta * squares)  # indexed by |l|
-    y = x * np.exp(-1j * ((u0 + (m // 2) * du) * dx) * kc) * chirp[np.abs(kc)]
+    chirp = cis(-0.5 * theta * squares)  # indexed by |l|
+    y = (x * cis(-((u0 + (m // 2) * du) * dx) * kc)
+         * _mirrored(chirp, -(n // 2), n - n // 2))
     # conj chirp at j' - k' for j - k = -(n-1)..m-1; the linear convolution
     # y * h holds output j at index j + n - 1
-    h = np.conj(chirp[np.abs(np.arange(-(n - 1), m) + (n // 2 - m // 2))])
+    shift = n // 2 - m // 2
+    h = np.conj(_mirrored(chirp, shift - (n - 1), shift + m))
     nfft = sfft.next_fast_len(n + m - 1)
     conv = sfft.ifft(sfft.fft(y, nfft) * sfft.fft(h, nfft))[n - 1 : n - 1 + m]
     u = u0 + du * np.arange(m)
-    return np.exp(-1j * u * (x0 + (n // 2) * dx)) * chirp[np.abs(jc)] * conv
+    return (cis(-u * (x0 + (n // 2) * dx)) * _mirrored(chirp, -(m // 2), m - m // 2)
+            * conv)
 
 
 def default_xi_grid(f: SampledSignal, params: OlctParams, xi_m: float = 0.0,
@@ -170,7 +180,7 @@ def default_xi_grid(f: SampledSignal, params: OlctParams, xi_m: float = 0.0,
     if params.is_degenerate:
         raise ValueError("default output grid is only defined for b != 0")
     t = f.grid.points()
-    g = f.values * np.exp(1j * params.chirp_rate * t * t)
+    g = f.values * cis(params.chirp_rate * t * t)
     nfft = sfft.next_fast_len(f.grid.n)
     spec = np.abs(sfft.fft(g, nfft)) ** 2
     omega = 2.0 * np.pi * sfft.fftfreq(nfft, d=f.grid.dt)
@@ -219,11 +229,11 @@ def olct_forward(f: SampledSignal, params: OlctParams,
 
     if path == "chirp_fft":
         check_decay(f.values, "the input of the chirp_fft path")
-        g = w * f.values * np.exp(1j * p.chirp_rate * t * t)
+        g = w * f.values * cis(p.chirp_rate * t * t)
         u0 = (xi_grid.t_min - p.tau) / p.b
         du = xi_grid.dt / p.b
         inner = _fourier_sum(g, f.grid.t_min, f.grid.dt, u0, du, xi_grid.n)
-        out = _root_factor(p.b) * np.exp(1j * _outer_phase(xi, p)) * inner
+        out = _root_factor(p.b) * cis(_outer_phase(xi, p)) * inner
         return SampledSignal(xi_grid, out)
 
     if path == "direct":
@@ -264,7 +274,7 @@ def olct_forward_b0(f: SampledSignal, params: OlctParams,
     vals = np.where((arg >= f.grid.t_min) & (arg <= f.grid.t_max),
                     spline(np.clip(arg, f.grid.t_min, f.grid.t_max)), 0.0)
     phase = p.c * p.d * (xi - p.tau) ** 2 / 2.0 + xi * p.eta
-    return SampledSignal(xi_grid, math.sqrt(p.d) * np.exp(1j * phase) * vals)
+    return SampledSignal(xi_grid, math.sqrt(p.d) * cis(phase) * vals)
 
 
 def olct_inverse(spectrum: SampledSignal, params: OlctParams, t_grid: Grid) -> SampledSignal:
@@ -280,14 +290,14 @@ def olct_inverse(spectrum: SampledSignal, params: OlctParams, t_grid: Grid) -> S
     xi = spectrum.grid.points()
     t = t_grid.points()
     w = quadrature_weights(spectrum.grid.n, spectrum.grid.dt)
-    h = w * spectrum.values * np.exp(-1j * _outer_phase(xi, p))
+    h = w * spectrum.values * cis(-_outer_phase(xi, p))
     # sum_m h_m exp(+j t (xi_m - tau)/b), evaluated as a conjugated Bluestein sum
     u0 = t_grid.t_min / p.b
     du = t_grid.dt / p.b
     inner = np.conj(_fourier_sum(np.conj(h), spectrum.grid.t_min,
                                  spectrum.grid.dt, u0, du, t_grid.n))
-    inner = inner * np.exp(-1j * t * p.tau / p.b)
-    out = np.conj(_root_factor(p.b)) * np.exp(-1j * p.chirp_rate * t * t) * inner
+    inner = inner * cis(-t * p.tau / p.b)
+    out = np.conj(_root_factor(p.b)) * cis(-p.chirp_rate * t * t) * inner
     return SampledSignal(t_grid, out)
 
 

@@ -49,9 +49,10 @@ def test_library_lines_cover_every_scenario_order_and_sweep():
     digest = load_digest()
     assert len(digest.LIBRARY_SCENARIOS) == 4
     assert digest.LIBRARY_ORDERS == (1, 2, 3, 4)
+    assert digest.LARGE_GRID_LINE == ("published", 4, 65537)
     lines = digest.library_lines()
     sweeps = list(olct.verify.SWEEP_SCENARIOS)
-    assert len(lines) == 4 * 4 + len(sweeps) == 20
+    assert len(lines) == 4 * 4 + 1 + len(sweeps) == 21
     sha = "[0-9a-f]{64}"
     names = "|".join(re.escape(name) for name in digest.LIBRARY_SCENARIOS)
     for line in lines[:16]:
@@ -60,5 +61,7 @@ def test_library_lines_cover_every_scenario_order_and_sweep():
     assert [line.split(" ")[:3] for line in lines[:16]] == [
         ["library", name, f"p={p}"] for name in digest.LIBRARY_SCENARIOS
         for p in digest.LIBRARY_ORDERS]
-    for line, scenario in zip(lines[16:], sweeps):
+    assert re.fullmatch(rf"library published p=4 n=65537 \| reports {sha} "
+                        rf"\| core {sha} \| pair {sha}", lines[16])
+    for line, scenario in zip(lines[17:], sweeps):
         assert re.fullmatch(rf"sweep_r {scenario} \| rows {sha}", line)

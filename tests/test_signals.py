@@ -275,6 +275,40 @@ def test_derivative_rejects_bad_order(grid):
 
 
 # ---------------------------------------------------------------------------
+# unimodular factors and centered powers
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+def test_cis_matches_complex_exp_bit_for_bit(scale):
+    rng = np.random.default_rng(11)
+    phase = np.concatenate([rng.uniform(-scale, scale, 100_000),
+                            [scale, -scale, 0.0, -0.0]])
+    got = signals.cis(phase)
+    ref = np.exp(1j * phase)
+    assert got.dtype == np.complex128 and got.shape == phase.shape
+    # 1j * phase turns a phase of -0.0 into +0.0, so only there does the
+    # sign of a zero imaginary part differ
+    nonzero = phase != 0.0
+    assert got[nonzero].tobytes() == ref[nonzero].tobytes()
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("e", range(9))
+def test_centered_power_within_one_ulp(e):
+    rng = np.random.default_rng(e)
+    x = np.concatenate([rng.uniform(-10.0, 10.0, 20_000),
+                        rng.standard_normal(2_000) * 1e-3,
+                        [-0.0, 0.0, -1.0, 1.0, -2.5, 2.5]])
+    for center in (0.0, 0.3):
+        ref = (x - center) ** e
+        got = signals.centered_power(x, center, e)
+        assert np.all(np.abs(got - ref) <= np.spacing(np.abs(ref)))
+        # the sign, also of a zero, is that of (x - center) for odd e
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+    assert np.signbit(signals.centered_power(-0.0, 0.0, e)) == (e % 2 == 1)
+
+
+# ---------------------------------------------------------------------------
 # norms
 
 

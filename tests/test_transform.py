@@ -157,10 +157,14 @@ def test_forward_path_equivalence(params):
 
 
 @pytest.mark.parametrize("grid, n_out", [(DEFAULT_GRID, 513),
-                                         (olct.make_grid(-8.0, 8.0, 1000), 3001)])
+                                         (olct.make_grid(-8.0, 8.0, 1000), 3001),
+                                         (DEFAULT_GRID, 512),
+                                         (olct.make_grid(-8.0, 8.0, 1000), 600)])
 def test_forward_fast_path_matches_direct_to_rounding(grid, n_out):
-    # chirp phases must not carry a rounding error scaled by k^2; the second
-    # case has more output than input points and an even input length
+    # chirp phases must not carry a rounding error scaled by k^2; the cases
+    # cover every parity pair of n and m, which sets where the Bluestein
+    # filter's reversed and forward chirp slices meet, and more output than
+    # input points
     params = completed_params(0.6, 0.05)
     f = olct.gaussian_chirp(2.0, params.chirp_rate).sample(grid)
     xi_grid = olct.default_xi_grid(f, params, xi_m=0.5, n=n_out)
@@ -168,6 +172,18 @@ def test_forward_fast_path_matches_direct_to_rounding(grid, n_out):
     direct = olct.olct_forward(f, params, xi_grid, path="direct")
     scale = np.max(np.abs(direct.values))
     assert np.max(np.abs(fast.values - direct.values)) <= 1e-13 * scale
+
+
+def test_direct_path_keeps_large_kernel_phases_to_rounding():
+    # at b = 1 the kernel phase reaches thousands of radians; the direct
+    # reference must round each phase term on its own, not their sum
+    params = completed_params(0.6, 1.0)
+    f = olct.gaussian_chirp(10.0, params.chirp_rate).sample(DEFAULT_GRID)
+    xi_grid = olct.default_xi_grid(f, params, xi_m=0.5, n=513)
+    fast = olct.olct_forward(f, params, xi_grid, path="chirp_fft")
+    direct = olct.olct_forward(f, params, xi_grid, path="direct")
+    scale = np.max(np.abs(direct.values))
+    assert np.max(np.abs(fast.values - direct.values)) <= 1e-14 * scale
 
 
 def test_forward_energy_at_65537_points():

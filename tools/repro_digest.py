@@ -11,8 +11,9 @@ Then it prints one line per library scenario and half-order p = 1..4: the
 sha256 of the ``reports_to_csv`` text of every 2p-order report (the plain
 bound, the sharpened bound in each auxiliary-term mode, and the
 absolute-moment bound for p >= 2), of ``repr((core, terms))`` from
-``hpw_core`` and of the bytes of ``moment_pair``'s (u, v); and one line per
-sweep scenario with the sha256 of the ``sweep_r`` rows.
+``hpw_core`` and of the bytes of ``moment_pair``'s (u, v); the same for the
+published scenario at p = 4 on the 65537-point grid; and one line per sweep
+scenario with the sha256 of the ``sweep_r`` rows.
 
 Two source trees print the same lines exactly when every run is
 byte-identical, so a diff of two digests checks a refactor:
@@ -142,14 +143,18 @@ LIBRARY_SCENARIOS = {
                   signals.unit_weight(), 0.3, 0.6),
 }
 LIBRARY_ORDERS = (1, 2, 3, 4)
+LIBRARY_N = 4097
+# The benchmark's grid size, the only one at which the transform's chirp
+# phases reach their full range; one scenario and order keeps the run short.
+LARGE_GRID_LINE = ("published", 4, 65537)
 SWEEP_R_VALUES = (0.5, 1.0, 2.5, 4.0)
 
 
-def library_line(name: str, p: int) -> str:
+def library_line(name: str, p: int, n: int = LIBRARY_N) -> str:
     """Digest of every 2p-order report, the functional and the sharpening
-    pair of one library scenario at half-order p."""
+    pair of one library scenario at half-order p on -8:8:n."""
     params, signal, omega, t_m, xi_m = LIBRARY_SCENARIOS[name]
-    f = signal.sample(signals.make_grid(-8.0, 8.0, 4097))
+    f = signal.sample(signals.make_grid(-8.0, 8.0, n))
     cfg = bounds.HpwConfig(p=p, t_m=t_m, xi_m=xi_m, omega=omega)
     reports = [verify.verify_hpw(f, params, cfg, scenario=name)]
     reports += [verify.verify_shw(f, params, cfg, a_mode=mode, a_value=0.5,
@@ -161,7 +166,7 @@ def library_line(name: str, p: int) -> str:
     breakdown = bounds.hpw_core(f, params, cfg)
     u, v = bounds.moment_pair(f, params, cfg)
     return " | ".join([
-        f"library {name} p={p}",
+        f"library {name} p={p}" + ("" if n == LIBRARY_N else f" n={n}"),
         f"reports {_sha(verify.reports_to_csv(reports).encode())}",
         f"core {_sha(repr((breakdown.core, breakdown.terms)).encode())}",
         f"pair {_sha(u.values.tobytes() + v.values.tobytes())}"])
@@ -174,10 +179,11 @@ def sweep_line(scenario: str) -> str:
 
 
 def library_lines() -> list:
-    """Digest lines of every library scenario and order, then of every
-    sweep scenario."""
+    """Digest lines of every library scenario and order, then of the
+    large-grid line, then of every sweep scenario."""
     return ([library_line(name, p) for name in LIBRARY_SCENARIOS
              for p in LIBRARY_ORDERS]
+            + [library_line(*LARGE_GRID_LINE)]
             + [sweep_line(scenario) for scenario in verify.SWEEP_SCENARIOS])
 
 
