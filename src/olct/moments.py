@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signals import (
+    MAX_HALF_ORDER,
     SampledSignal,
     WeightFunction,
     centered_power,
@@ -39,10 +40,6 @@ __all__ = [
     "relative_gap",
     "ppr_check",
 ]
-
-# Largest half-order p of a 2p-order moment, bound functional or
-# derivative-product identity; every order check in the package reads it.
-MAX_HALF_ORDER = 4
 
 # Truncation-guard tolerance for moment integrands: one whose edge values
 # exceed this fraction of its peak is not covered by the truncated grid.

@@ -8,6 +8,7 @@ across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -39,6 +40,10 @@ __all__ = [
 ]
 
 MIN_GRID_POINTS = 16
+
+# Largest half-order p of a 2p-order moment, bound functional or
+# derivative-product identity; every order check in the package reads it.
+MAX_HALF_ORDER = 4
 
 # Relative edge magnitude above which the truncation guard refuses a signal
 # (spectral differentiation, the fast transform path) or a bound integrand.
@@ -215,13 +220,21 @@ def unit_weight() -> WeightFunction:
     )
 
 
+@functools.lru_cache(maxsize=8)
 def quadrature_weights(n: int, dt: float) -> np.ndarray:
     """Composite Simpson weights for ``n`` uniform samples.
 
     For an odd number of panels the last three are integrated with the 3/8
     rule, which keeps the composite rule exact for cubics on every grid
-    parity.
+    parity.  The weights of the last few (n, dt) are kept and shared, so
+    the array is read-only.
     """
+    w = _simpson_weights(n, dt)
+    w.setflags(write=False)
+    return w
+
+
+def _simpson_weights(n: int, dt: float) -> np.ndarray:
     if n < 2:
         raise ValueError("quadrature needs at least two samples")
     m = n - 1
@@ -236,8 +249,7 @@ def quadrature_weights(n: int, dt: float) -> np.ndarray:
     elif m == 3:
         w[:] = np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * dt / 8.0)
     else:
-        head = quadrature_weights(n - 3, dt)
-        w[: n - 3] = head
+        w[: n - 3] = _simpson_weights(n - 3, dt)
         w[n - 4 :] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * dt / 8.0)
     return w
 

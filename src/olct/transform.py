@@ -27,6 +27,9 @@ from scipy.interpolate import CubicSpline
 
 from .errors import NumericsError
 from .signals import (
+    MAX_HALF_ORDER,
+    MIN_GRID_POINTS,
+    SPECTRAL_NOISE_FLOOR,
     Grid,
     SampledSignal,
     check_decay,
@@ -49,9 +52,12 @@ __all__ = [
 
 DET_TOL = 1e-12
 
-# Half-width of the default output grid in units of |b| times the RMS
-# angular bandwidth of the chirp-multiplied signal.
-XI_SPAN_FACTOR = 40.0
+# Level, relative to its own peak, at which a moment integrand of the
+# input's spectrum ends the default output grid.  The edges then pass the
+# moment guard's 1e-10 with room to spare, and the tails cut off move a
+# moment by about this fraction, a rounding-level change (1e-13 moved
+# Gaussian moments by up to 1.2e-13).
+SPAN_TOL = 1e-16
 
 
 @dataclass(frozen=True)
@@ -168,32 +174,47 @@ def _fourier_sum(x: np.ndarray, x0: float, dx: float,
 
 def default_xi_grid(f: SampledSignal, params: OlctParams, xi_m: float = 0.0,
                     n: int | None = None) -> Grid:
-    """Output grid wide enough that moment integrands decay at its edges.
+    """Output grid that covers the spectrum's moment integrands and samples
+    them finely enough for the quadrature.
 
-    The half-width is ``XI_SPAN_FACTOR * |b|`` times the root-mean-square
-    angular bandwidth of the chirp-multiplied signal, centered on tau and
-    stretched by 2 |xi_m - tau| to keep the moment center well inside.  The
-    grid has ``n`` points, by default as many as the input grid.  The
-    bandwidth FFT zero-pads the input to a fast length, which leaves the
-    RMS width of a signal that has decayed at the grid ends as it is.
+    The output is O(xi) ~ G(u) at u = (xi - tau)/b, where G is the Fourier
+    transform of the chirp-multiplied input g = exp(j a/(2b) t^2) f.  One
+    FFT, zero-padded to a fast length, gives |G|^2 on the discrete band
+    |u| <= pi/dt; bins below ``SPECTRAL_NOISE_FLOOR`` of the peak amplitude
+    are rounding noise and are dropped.  The grid spans the outermost bins
+    where |G|^2 |u - u_m|^(2k), u_m = (xi_m - tau)/b, reaches ``SPAN_TOL``
+    of its own maximum for some k = 0..``MAX_HALF_ORDER``, so every moment
+    integrand has decayed at its edges, and the span stays inside the band.
+
+    The point count is the smallest odd m with spacing du <= pi/L in u
+    (d xi <= |b| pi/L), L the length of the input grid, and at least
+    ``MIN_GRID_POINTS``.  By Poisson summation, a Simpson sum over that grid
+    of |G|^2 times a polynomial differs from the integral by aliases of the
+    autocorrelation of g, which vanishes beyond lags of L; the rule's
+    coarser half-grid of spacing 2 du puts those aliases at 2 pi/(2 du) >= L,
+    whatever the spectrum's shape.  The same limit keeps the inverse
+    transform alias-free.  ``n`` overrides the count.
     """
     if params.is_degenerate:
         raise ValueError("default output grid is only defined for b != 0")
     t = f.grid.points()
     g = f.values * cis(params.chirp_rate * t * t)
     nfft = sfft.next_fast_len(f.grid.n)
-    spec = np.abs(sfft.fft(g, nfft)) ** 2
+    power = np.abs(sfft.fft(g, nfft)) ** 2
     omega = 2.0 * np.pi * sfft.fftfreq(nfft, d=f.grid.dt)
-    total = float(np.sum(spec))
-    if total == 0.0:
-        sigma = 1.0
-    else:
-        sigma = math.sqrt(float(np.sum(spec * omega**2)) / total)
-        sigma = max(sigma, 1.0 / f.grid.length)
-    half = (XI_SPAN_FACTOR * abs(params.b) * sigma
-            + 2.0 * abs(xi_m - params.tau))
-    n_out = f.grid.n if n is None else int(n)
-    return make_grid(params.tau - half, params.tau + half, n_out)
+    kept = power >= SPECTRAL_NOISE_FLOOR**2 * np.max(power)
+    omega, power = omega[kept], power[kept]
+    dist2 = (omega - (xi_m - params.tau) / params.b) ** 2
+    covered = np.zeros(omega.size, dtype=bool)
+    for _ in range(MAX_HALF_ORDER + 1):
+        covered |= power >= SPAN_TOL * np.max(power)
+        power = power * dist2
+    lo, hi = np.min(omega[covered]), np.max(omega[covered])
+    if n is None:
+        panel_pairs = math.ceil((hi - lo) * f.grid.length / (2.0 * math.pi))
+        n = 2 * max(panel_pairs, MIN_GRID_POINTS // 2) + 1
+    ends = sorted((params.tau + params.b * lo, params.tau + params.b * hi))
+    return make_grid(*ends, n)
 
 
 def olct_forward(f: SampledSignal, params: OlctParams,
@@ -207,7 +228,8 @@ def olct_forward(f: SampledSignal, params: OlctParams,
         Requires ``b != 0``; b = 0 parameter sets are routed to
         :func:`olct_forward_b0`.
     xi_grid : Grid, optional
-        Output grid; defaults to :func:`default_xi_grid`.
+        Output grid; defaults to :func:`default_xi_grid`, which spans the
+        input's spectrum (not the input grid) with its own point count.
     path : {"chirp_fft", "direct"}
         ``chirp_fft`` factorizes the kernel into chirp multiplication, a
         Fourier-type integral at frequencies (xi - tau)/b evaluated with a

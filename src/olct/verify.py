@@ -255,8 +255,12 @@ def verify_hw(f: SampledSignal, params: OlctParams, p: int,
     if p < 2:
         raise ValueError(f"absolute-moment order must be >= 2, got {p}")
     with _scenario_context(scenario):
-        spectrum = olct_forward(f, params,
-                                default_xi_grid(f, params, xi_m=xi_m))
+        # the default grid's point count resolves |O|^2 times a polynomial;
+        # |xi - xi_m|^p for odd p has a kink at xi_m, which Simpson's rule
+        # resolves only to O(dxi^(p+1)), so odd orders take the input's count
+        xi_grid = default_xi_grid(f, params, xi_m=xi_m,
+                                  n=f.grid.n if p % 2 else None)
+        spectrum = olct_forward(f, params, xi_grid)
         mu_t = abs_moment_p(f, p, t_m)
         mu_s = abs_moment_p(spectrum, p, xi_m)
         lhs = (mu_t * mu_s) ** (1.0 / p)

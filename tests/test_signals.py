@@ -123,6 +123,23 @@ def test_integrate_zero(grid):
     assert signals.integrate(s) == 0.0
 
 
+@pytest.mark.parametrize("n", [4097, 4098])
+def test_quadrature_weights_cached_bit_identical(n):
+    # one array per (n, dt), shared by every caller, equal to a fresh build
+    dt = 16.0 / (n - 1)
+    w = signals.quadrature_weights(n, dt)
+    assert signals.quadrature_weights(n, dt) is w
+    assert w.tobytes() == signals._simpson_weights(n, dt).tobytes()
+    assert signals.quadrature_weights.cache_info().maxsize == 8
+
+
+def test_quadrature_weights_reject_writes():
+    w = signals.quadrature_weights(257, 0.0625)
+    with pytest.raises(ValueError, match="read-only"):
+        w[0] = 1.0
+    assert w[0] == 0.0625 / 3.0
+
+
 def test_integrate_odd_integrand(grid):
     t = grid.points()
     s = olct.SampledSignal(grid, t * np.exp(-(t**2)))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import olct
-from olct import transform
+from olct import moments, transform
 from olct.errors import NumericsError
 
 from conftest import (DEFAULT_GRID, EXAMPLE_PARAMS, completed_params, cquad,
@@ -238,6 +238,61 @@ def test_forward_routes_degenerate_params(grid):
     params = olct.OlctParams(2.0, 0.0, 0.0, 0.5)
     spec = olct.olct_forward(f, params)
     assert isinstance(spec, olct.SampledSignal)
+
+
+# ---------------------------------------------------------------------------
+# default output grid
+
+
+def gaussian_chirp_moment(params, r, chirp, xi_m, p):
+    """Closed-form integral of (xi - xi_m)^(2p) |O(xi)|^2 for the input
+    exp(-(r/2) t^2 - j chirp t^2).
+
+    With beta = r/2 + j (chirp - a/(2b)) the transform's magnitude is
+    |O(xi)|^2 = exp(-kappa u^2) / (2 |beta|), u = (xi - tau)/b and
+    kappa = Re(1/beta)/2, so the moment is b^(2p)/(2|beta|) times
+    sum over even j of C(2p, j) u_m^(2p-j) Gamma((j+1)/2) / kappa^((j+1)/2).
+    """
+    beta = r / 2.0 + 1j * (chirp - params.chirp_rate)
+    kappa = (1.0 / beta).real / 2.0
+    u_m = (xi_m - params.tau) / params.b
+    gauss = sum(math.comb(2 * p, j) * u_m ** (2 * p - j)
+                * math.gamma((j + 1) / 2.0) / kappa ** ((j + 1) / 2.0)
+                for j in range(0, 2 * p + 1, 2))
+    return params.b ** (2 * p) * gauss / (2.0 * abs(beta))
+
+
+GRID_ORACLE_CASES = [
+    # (a, b, tau, r, chirp offset from a/(2b), xi_m)
+    (0.6, 0.05, 0.0, 2.0, 0.0, 0.0),
+    (0.6, 0.05, 1.0, 2.0, 0.7, 1.4),
+    (0.0, 1.0, 0.0, 1.0, 2.5, -3.0),
+    (6.0, 0.5, 1.0, 3.0, -1.2, 0.2),
+    (0.6, -0.5, 1.0, 1.5, 0.7, 1.5),
+    (0.0, -1.0, -0.5, 2.0, 1.0, 4.0),
+]
+
+
+@pytest.mark.parametrize("a, b, tau, r, offset, xi_m", GRID_ORACLE_CASES)
+def test_default_grid_matches_gaussian_chirp_closed_forms(a, b, tau, r, offset,
+                                                          xi_m):
+    params = completed_params(a, b, tau=tau)
+    chirp = params.chirp_rate + offset
+    f = olct.gaussian_chirp(r, chirp).sample(DEFAULT_GRID)
+    xi_grid = olct.default_xi_grid(f, params, xi_m=xi_m)
+    assert xi_grid.n % 2 == 1 and xi_grid.n <= 2 * DEFAULT_GRID.n - 1
+    assert xi_grid.dt <= abs(b) * math.pi / DEFAULT_GRID.length
+    spec = olct.olct_forward(f, params, xi_grid)
+    for p in range(moments.MAX_HALF_ORDER + 1):
+        exact = gaussian_chirp_moment(params, r, chirp, xi_m, p)
+        got = moments.spectral_moment_2p(spec, p, xi_m)
+        assert got == pytest.approx(exact, rel=1e-12, abs=0.0), p
+    back = transform.olct_inverse(spec, params, DEFAULT_GRID)
+    assert np.max(np.abs(back.values - f.values)) <= 1e-6
+
+
+def test_span_tolerance_sits_below_the_moment_guard():
+    assert 100.0 * transform.SPAN_TOL <= moments.COVERAGE_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,17 @@ def test_verify_hw_gaussian_family(p, example_signal, example_params):
     assert report.holder_spec_slack >= -1e-8 * report.mu_spec
 
 
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_verify_hw_spectral_moment_closed_form(p, example_signal, example_params):
+    # |O(xi)|^2 = exp(-xi^2 / (2 b^2)) / (2 |b|) for the matched chirp, so
+    # the moment is |b|^p 2^((p-1)/2) Gamma((p+1)/2); odd p puts a kink at
+    # xi_m into the integrand
+    b = abs(example_params.b)
+    exact = b**p * 2.0 ** ((p - 1) / 2.0) * math.gamma((p + 1) / 2.0)
+    report = olct.verify_hw(example_signal, example_params, p)
+    assert report.mu_spec == pytest.approx(exact, rel=1e-10, abs=0.0)
+
+
 def test_verify_hw_p2_matches_second_order_case(example_signal, example_params):
     hw = olct.verify_hw(example_signal, example_params, 2)
     hpw = olct.verify_hpw(example_signal, example_params, olct.HpwConfig(p=1))
@@ -198,6 +209,55 @@ def test_numerics_errors_carry_scenario_label(example_params):
     with pytest.raises(NumericsError, match=r"\[slow-decay\]"):
         olct.verify_hpw(wide, example_params, olct.HpwConfig(p=1),
                         scenario="slow-decay")
+
+
+# ---------------------------------------------------------------------------
+# the default output grid
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_offset_minimizer_passes_every_order(p, example_params):
+    # a narrow spectrum far from tau: a grid spanning many times its width
+    # lifted the p = 4 integrand's edges past the moment guard
+    f = olct.minimizer_signal(1.0, 1.0, 0.3, 0.6, example_params).sample(
+        DEFAULT_GRID)
+    cfg = olct.HpwConfig(p=p, t_m=0.3, xi_m=0.6, omega=olct.unit_weight())
+    report = olct.verify_shw(f, example_params, cfg, a_mode="gram")
+    assert report.passed
+    assert report.ppr_gap <= 1e-13
+
+
+def test_chirp_reproducer_matches_finer_grid():
+    # a grid that reached past the discrete band gave lhs 1449.6, ppr_gap
+    # 0.99 and parseval_gap 0.22 on 4097 points
+    cfg = olct.HpwConfig(p=1, omega=olct.exp_weight(2.0))
+    signal = olct.gaussian_chirp(2.0, 30.0)
+    reports = [olct.verify_shw(signal.sample(olct.make_grid(-8.0, 8.0, n)),
+                               olct.ft_params(), cfg)
+               for n in (4097, 8193)]
+    coarse, fine = reports
+    assert coarse.lhs == pytest.approx(fine.lhs, rel=1e-12, abs=0.0)
+    for report in reports:
+        assert report.passed
+        assert report.ppr_gap <= 1e-13 and report.parseval_gap <= 1e-13
+
+
+def test_undersampled_chirp_is_refused(tmp_path):
+    # instantaneous frequency 600 t passes pi/dt = 804 at |t| = 1.34
+    from olct import cli
+    from olct.errors import NumericsError
+
+    f = olct.gaussian_chirp(2.0, 300.0).sample(DEFAULT_GRID)
+    xi_grid = olct.default_xi_grid(f, olct.ft_params())
+    assert xi_grid.n <= 2 * DEFAULT_GRID.n - 1
+    with pytest.raises(NumericsError):
+        olct.verify_shw(f, olct.ft_params(), olct.HpwConfig(p=1))
+    cfg = tmp_path / "undersampled.cfg"
+    cfg.write_text("[undersampled]\nsignal_r = 2\nsignal_chirp = 300\n"
+                   "grid = -8:8:4097\n")
+    code = cli.main(["verify", "--bound", "shw", "--config", str(cfg),
+                     "--out", str(tmp_path)])
+    assert code == 3
 
 
 # ---------------------------------------------------------------------------

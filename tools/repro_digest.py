@@ -49,8 +49,11 @@ SUBCOMMANDS = (
     ["energy"],
 )
 
-# The aliasing reproducer: its default output grid reaches past the
-# discrete-Fourier band of the grid (the same config as the benchmark's).
+# The aliasing reproducer (the same config as the benchmark's): a chirped
+# Gaussian whose spectrum spans |xi| <= 280 of this grid's discrete-Fourier
+# band |xi| <= pi/dt = 804.  An output grid reaching past the band picks up
+# the Simpson weights' spectral replica; the default grid stays inside it,
+# so every run passes.
 ALIAS_NAME = "alias_ft_r2_chirp30.cfg"
 ALIAS_CONFIG = """\
 [alias-ft-r2-chirp30]
