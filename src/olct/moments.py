@@ -28,7 +28,7 @@ from .signals import (
     energy,
     guarded_integral,
 )
-from .transform import OlctParams, default_xi_grid, olct_forward
+from .transform import OlctParams, olct_forward
 
 __all__ = [
     "PprResult",
@@ -143,7 +143,7 @@ def ppr_check(f: SampledSignal, params: OlctParams, p: int,
     p = _half_order(p)
     if params.is_degenerate:
         raise ValueError("the moment identity requires b != 0")
-    spectrum = olct_forward(f, params, default_xi_grid(f, params, xi_m=xi_m))
+    spectrum = olct_forward(f, params, xi_m=xi_m)
     lhs = spectral_moment_2p(spectrum, p, xi_m)
 
     g_b = chirp_demodulate(f, params, xi_m)

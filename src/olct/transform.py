@@ -146,6 +146,8 @@ def _fourier_sum(x: np.ndarray, x0: float, dx: float,
                  u0: float, du: float, m: int) -> np.ndarray:
     """sum_k x[k] * exp(-j u_j x_k) for x_k = x0 + k*dx, u_j = u0 + j*du.
 
+    It serves the grids the bins of :func:`_bin_spectrum` do not: explicit
+    output grids of :func:`olct_forward` and every :func:`olct_inverse`.
     Bluestein's chirp convolution on centered indices k' = k - n//2 and
     j' = j - m//2, with j'k' = (j'^2 + k'^2 - (j'-k')^2)/2.  Each chirp phase
     theta*l^2/2, theta = du*dx, is formed from the exact integer square l^2,
@@ -172,53 +174,119 @@ def _fourier_sum(x: np.ndarray, x0: float, dx: float,
             * conv)
 
 
-def default_xi_grid(f: SampledSignal, params: OlctParams, xi_m: float = 0.0,
-                    n: int | None = None) -> Grid:
-    """Output grid that covers the spectrum's moment integrands and samples
-    them finely enough for the quadrature.
+def _bin_spectrum(f: SampledSignal, params: OlctParams, xi_m: float):
+    """The one FFT behind the default output grid and the transform on it.
 
     The output is O(xi) ~ G(u) at u = (xi - tau)/b, where G is the Fourier
-    transform of the chirp-multiplied input g = exp(j a/(2b) t^2) f.  One
-    FFT, zero-padded to a fast length, gives |G|^2 on the discrete band
-    |u| <= pi/dt; bins below ``SPECTRAL_NOISE_FLOOR`` of the peak amplitude
-    are rounding noise and are dropped.  The grid spans the outermost bins
-    where |G|^2 |u - u_m|^(2k), u_m = (xi_m - tau)/b, reaches ``SPAN_TOL``
-    of its own maximum for some k = 0..``MAX_HALF_ORDER``, so every moment
-    integrand has decayed at its edges, and the span stays inside the band.
+    transform of the chirp-multiplied input g = exp(j a/(2b) t^2) f.  g sits
+    on the centered indices k' = k - n//2 of an array of
+    M = 2 next_fast_len(n - 1) points, so bin j of its FFT is
+    G_j = sum_k g_k exp(-j u_j k' dt) at u_j = j du, du = 2 pi/(M dt) <= pi/L
+    (exactly pi/L on a 2^k + 1 grid), L the length of the input grid.
+    Bins below ``SPECTRAL_NOISE_FLOOR`` of the peak amplitude are rounding
+    noise and are dropped.  The grid spans the outermost bins where
+    |G|^2 |u - u_m|^(2k), u_m = (xi_m - tau)/b, reaches ``SPAN_TOL`` of its
+    own maximum for some k = 0..``MAX_HALF_ORDER``, so every moment
+    integrand has decayed at its edges and the span stays inside the band
+    |u| <= pi/dt; it is widened to an odd count of at least
+    ``MIN_GRID_POINTS`` + 1 bins.
 
-    The point count is the smallest odd m with spacing du <= pi/L in u
-    (d xi <= |b| pi/L), L the length of the input grid, and at least
-    ``MIN_GRID_POINTS``.  By Poisson summation, a Simpson sum over that grid
-    of |G|^2 times a polynomial differs from the integral by aliases of the
-    autocorrelation of g, which vanishes beyond lags of L; the rule's
-    coarser half-grid of spacing 2 du puts those aliases at 2 pi/(2 du) >= L,
-    whatever the spectrum's shape.  The same limit keeps the inverse
-    transform alias-free.  ``n`` overrides the count.
+    Returns the grid, its bins j in grid order (descending for b < 0), g
+    and the M-point FFT.
     """
-    if params.is_degenerate:
-        raise ValueError("default output grid is only defined for b != 0")
+    n, dt = f.grid.n, f.grid.dt
     t = f.grid.points()
     g = f.values * cis(params.chirp_rate * t * t)
-    nfft = sfft.next_fast_len(f.grid.n)
-    power = np.abs(sfft.fft(g, nfft)) ** 2
-    omega = 2.0 * np.pi * sfft.fftfreq(nfft, d=f.grid.dt)
-    kept = power >= SPECTRAL_NOISE_FLOOR**2 * np.max(power)
-    omega, power = omega[kept], power[kept]
-    dist2 = (omega - (xi_m - params.tau) / params.b) ** 2
-    covered = np.zeros(omega.size, dtype=bool)
+    size = 2 * sfft.next_fast_len(n - 1)
+    padded = np.zeros(size, dtype=np.complex128)
+    padded[: n - n // 2] = g[n // 2 :]
+    padded[size - n // 2 :] = g[: n // 2]
+    spec = sfft.fft(padded, overwrite_x=True)
+    du = 2.0 * np.pi / (size * dt)
+    power = np.abs(spec) ** 2
+    kept = np.flatnonzero(power >= SPECTRAL_NOISE_FLOOR**2 * np.max(power))
+    power = power[kept]
+    bins = np.where(kept < size // 2, kept, kept - size)  # signed bin index
+    dist2 = (bins * du - (xi_m - params.tau) / params.b) ** 2
+    covered = np.zeros(bins.size, dtype=bool)
     for _ in range(MAX_HALF_ORDER + 1):
         covered |= power >= SPAN_TOL * np.max(power)
         power = power * dist2
-    lo, hi = np.min(omega[covered]), np.max(omega[covered])
-    if n is None:
-        panel_pairs = math.ceil((hi - lo) * f.grid.length / (2.0 * math.pi))
-        n = 2 * max(panel_pairs, MIN_GRID_POINTS // 2) + 1
-    ends = sorted((params.tau + params.b * lo, params.tau + params.b * hi))
-    return make_grid(*ends, n)
+    lo, hi = int(np.min(bins[covered])), int(np.max(bins[covered]))
+    hi += (hi - lo) % 2
+    pad = max(0, MIN_GRID_POINTS // 2 - (hi - lo) // 2)
+    lo, hi = lo - pad, hi + pad
+    ends = sorted((params.tau + params.b * (lo * du),
+                   params.tau + params.b * (hi * du)))
+    # |b| du meets |b| pi/L exactly on a 2^k + 1 grid, and the float spacing
+    # may round an ulp above it; moving the ends inward by an ulp keeps it
+    # within, the points staying a few ulp from the bins
+    cap = abs(params.b) * np.pi / f.grid.length
+    while (ends[1] - ends[0]) / (hi - lo) > cap:
+        ends = [np.nextafter(ends[0], ends[1]), np.nextafter(ends[1], ends[0])]
+    grid = make_grid(*ends, hi - lo + 1)
+    order = np.arange(lo, hi + 1) if params.b > 0 else np.arange(hi, lo - 1, -1)
+    return grid, order, g, spec
+
+
+def _forward_on_bins(f: SampledSignal, params: OlctParams, xi_m: float
+                     ) -> SampledSignal:
+    """The chirp_fft transform on the default output grid, read off the bins
+    of :func:`_bin_spectrum`'s FFT.
+
+    The Simpson weights are dt - (dt/3)(-1)^k except at k = 0 and at the
+    last four samples (the ends, and the 3/8 rule for even n).  With
+    (-1)^k = (-1)^(n//2) exp(-j pi k'), the weighted sum at bin j is
+    dt G_j - (dt/3) (-1)^(n//2) G_(j+M/2), the second term being the
+    weights' spectral replica, plus the exact weight corrections at those
+    five samples.  The centre phase exp(-j u t_c), t_c the middle sample,
+    and the outer phase complete the kernel; both are taken at the grid
+    points, which sit within a few ulp of tau + b u_j, as the other paths
+    take them.
+    """
+    grid, bins, g, spec = _bin_spectrum(f, params, xi_m)
+    n, dt = f.grid.n, f.grid.dt
+    size = spec.size
+    sign = -1.0 if (n // 2) % 2 else 1.0
+    inner = (dt * spec[bins % size]
+             - (dt / 3.0) * sign * spec[(bins + size // 2) % size])
+    ends = np.array([0, n - 4, n - 3, n - 2, n - 1])
+    pattern = dt - (dt / 3.0) * (1.0 - 2.0 * (ends % 2))
+    delta = quadrature_weights(n, dt)[ends] - pattern
+    turns = np.outer(bins, ends - n // 2) % size
+    inner += cis((-2.0 * np.pi / size) * turns) @ (delta * g[ends])
+    xi = grid.points()
+    t_c = f.grid.t_min + (n // 2) * dt
+    out = (_root_factor(params.b) * cis(_outer_phase(xi, params))
+           * cis(-((xi - params.tau) / params.b) * t_c) * inner)
+    return SampledSignal(grid, out)
+
+
+def default_xi_grid(f: SampledSignal, params: OlctParams, xi_m: float = 0.0,
+                    n: int | None = None) -> Grid:
+    """Output grid that covers the spectrum's moment integrands and samples
+    them finely enough for the quadrature: the bins of one zero-padded FFT
+    of the chirp-multiplied input, spaced du <= pi/L in u = (xi - tau)/b
+    (d xi <= |b| pi/L), as :func:`_bin_spectrum` describes.  It is the grid
+    :func:`olct_forward` uses when given no grid.
+
+    By Poisson summation, a Simpson sum over such a grid of |G|^2 times a
+    polynomial differs from the integral by aliases of the autocorrelation
+    of g, which vanishes beyond lags of L; the rule's coarser half-grid of
+    spacing 2 du puts those aliases at 2 pi/(2 du) >= L, whatever the
+    spectrum's shape.  The same limit keeps the inverse transform
+    alias-free.  ``n`` overrides the count on the same span; a transform on
+    that grid runs the Bluestein sum.
+    """
+    if params.is_degenerate:
+        raise ValueError("default output grid is only defined for b != 0")
+    grid = _bin_spectrum(f, params, xi_m)[0]
+    return grid if n is None else make_grid(grid.t_min, grid.t_max, n)
 
 
 def olct_forward(f: SampledSignal, params: OlctParams,
-                 xi_grid: Grid | None = None, path: str = "chirp_fft") -> SampledSignal:
+                 xi_grid: Grid | None = None, path: str = "chirp_fft",
+                 xi_m: float = 0.0) -> SampledSignal:
     """Forward transform of a sampled signal onto a uniform output grid.
 
     Parameters
@@ -228,47 +296,58 @@ def olct_forward(f: SampledSignal, params: OlctParams,
         Requires ``b != 0``; b = 0 parameter sets are routed to
         :func:`olct_forward_b0`.
     xi_grid : Grid, optional
-        Output grid; defaults to :func:`default_xi_grid`, which spans the
-        input's spectrum (not the input grid) with its own point count.
+        Output grid; defaults to :func:`default_xi_grid` centred at
+        ``xi_m``, which spans the input's spectrum (not the input grid) with
+        its own point count.
     path : {"chirp_fft", "direct"}
         ``chirp_fft`` factorizes the kernel into chirp multiplication, a
-        Fourier-type integral at frequencies (xi - tau)/b evaluated with a
-        Bluestein chirp transform, and an output phase; it needs the signal
-        to decay at the grid edges.  ``direct`` evaluates the kernel
+        Fourier-type integral at frequencies (xi - tau)/b, and an output
+        phase; it needs the signal to decay at the grid edges.  On the
+        default grid the integral is read off the bins of the FFT that
+        chose the grid, one FFT in all; on an explicit grid it is a
+        Bluestein chirp transform.  ``direct`` evaluates the kernel
         quadrature densely and serves as the correctness reference.
+    xi_m : float
+        Centre of the default grid's moment integrands, as in
+        :func:`default_xi_grid`; only meaningful without ``xi_grid`` (a
+        nonzero value with one is an error), and unused for b = 0.
 
     Both paths apply the same composite-Simpson quadrature weights, so they
     agree to rounding error for decaying inputs.
     """
+    if xi_grid is not None and xi_m != 0.0:
+        raise ValueError("xi_m centres the default output grid; it cannot "
+                         "be combined with an explicit xi_grid")
     if params.is_degenerate:
         return olct_forward_b0(f, params, xi_grid)
-    if xi_grid is None:
-        xi_grid = default_xi_grid(f, params)
+    if path not in ("chirp_fft", "direct"):
+        raise ValueError(f"unknown forward path {path!r}")
     p = params
     t = f.grid.points()
-    xi = xi_grid.points()
     w = quadrature_weights(f.grid.n, f.grid.dt)
 
     if path == "chirp_fft":
         check_decay(f.values, "the input of the chirp_fft path")
+        if xi_grid is None:
+            return _forward_on_bins(f, p, xi_m)
         g = w * f.values * cis(p.chirp_rate * t * t)
         u0 = (xi_grid.t_min - p.tau) / p.b
         du = xi_grid.dt / p.b
         inner = _fourier_sum(g, f.grid.t_min, f.grid.dt, u0, du, xi_grid.n)
-        out = _root_factor(p.b) * cis(_outer_phase(xi, p)) * inner
+        out = _root_factor(p.b) * cis(_outer_phase(xi_grid.points(), p)) * inner
         return SampledSignal(xi_grid, out)
 
-    if path == "direct":
-        out = np.empty(xi_grid.n, dtype=np.complex128)
-        weighted = w * f.values
-        chunk = max(1, 2**22 // f.grid.n)
-        for lo in range(0, xi_grid.n, chunk):
-            block = xi[lo : lo + chunk, None]
-            kern = olct_kernel(t[None, :], block, p)
-            out[lo : lo + chunk] = kern @ weighted
-        return SampledSignal(xi_grid, out)
-
-    raise ValueError(f"unknown forward path {path!r}")
+    if xi_grid is None:
+        xi_grid = default_xi_grid(f, p, xi_m)
+    xi = xi_grid.points()
+    out = np.empty(xi_grid.n, dtype=np.complex128)
+    weighted = w * f.values
+    chunk = max(1, 2**22 // f.grid.n)
+    for lo in range(0, xi_grid.n, chunk):
+        block = xi[lo : lo + chunk, None]
+        kern = olct_kernel(t[None, :], block, p)
+        out[lo : lo + chunk] = kern @ weighted
+    return SampledSignal(xi_grid, out)
 
 
 def olct_forward_b0(f: SampledSignal, params: OlctParams,

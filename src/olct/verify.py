@@ -155,16 +155,16 @@ def _report(f: SampledSignal, params: OlctParams, cfg: HpwConfig, tol: float,
     """Shared body of the 2p-order reports: the plain bound when ``a_mode``
     is None, else the sharpened bound with that auxiliary-term mode.
 
-    One transform on :func:`default_xi_grid` feeds the output-domain
-    moment, and the pair (u, v) of :func:`hpw_core`'s breakdown feeds both
-    the Gram term and the moment-identity gap: mu_spec against
-    b^(2p) ||v||^2, with v = g_b^(p) differentiated in the time domain.
+    One transform onto the default output grid (one FFT, see
+    :func:`olct_forward`) feeds the output-domain moment, and the pair
+    (u, v) of :func:`hpw_core`'s breakdown feeds both the Gram term and
+    the moment-identity gap: mu_spec against b^(2p) ||v||^2, with
+    v = g_b^(p) differentiated in the time domain.
     Both right sides are assembled here from E and the auxiliary term A,
     which is 0 for the plain bound.
     """
     with _scenario_context(scenario):
-        spectrum = olct_forward(f, params,
-                                default_xi_grid(f, params, xi_m=cfg.xi_m))
+        spectrum = olct_forward(f, params, xi_m=cfg.xi_m)
         mu_t = time_moment_2p(f, cfg.p, cfg.t_m, cfg.omega)
         mu_s = spectral_moment_2p(spectrum, cfg.p, cfg.xi_m)
         lhs = (mu_t * mu_s) ** (1.0 / (2.0 * cfg.p))
@@ -258,9 +258,11 @@ def verify_hw(f: SampledSignal, params: OlctParams, p: int,
         # the default grid's point count resolves |O|^2 times a polynomial;
         # |xi - xi_m|^p for odd p has a kink at xi_m, which Simpson's rule
         # resolves only to O(dxi^(p+1)), so odd orders take the input's count
-        xi_grid = default_xi_grid(f, params, xi_m=xi_m,
-                                  n=f.grid.n if p % 2 else None)
-        spectrum = olct_forward(f, params, xi_grid)
+        if p % 2:
+            spectrum = olct_forward(
+                f, params, default_xi_grid(f, params, xi_m=xi_m, n=f.grid.n))
+        else:
+            spectrum = olct_forward(f, params, xi_m=xi_m)
         mu_t = abs_moment_p(f, p, t_m)
         mu_s = abs_moment_p(spectrum, p, xi_m)
         lhs = (mu_t * mu_s) ** (1.0 / p)

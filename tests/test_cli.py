@@ -152,9 +152,12 @@ def test_ppr_command(tmp_path, capsys):
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
 def test_ppr_gates_on_config_tol(tmp_path, capsys, json_flag):
-    # the shipped ppr scenario with a tolerance below any rounding error
+    # the shipped ppr scenario, centred off its spectrum's centre, with a
+    # tolerance below its rounding error (8e-16); centred at 0 the identity
+    # holds bit for bit, which no tolerance >= 0 fails
     body = REPRO.joinpath("ppr.cfg").read_text()
-    cfg = write_cfg(tmp_path, body.replace("tol = 1e-4", "tol = 1e-20"))
+    cfg = write_cfg(tmp_path, body.replace("tol = 1e-4", "tol = 1e-20")
+                    .replace("xi_m = 0\n", "xi_m = 0.3\n"))
     assert run_main("ppr", "--config", cfg, *json_flag) == 1
     out = capsys.readouterr().out
     if json_flag:

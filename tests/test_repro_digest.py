@@ -50,9 +50,10 @@ def test_library_lines_cover_every_scenario_order_and_sweep():
     assert len(digest.LIBRARY_SCENARIOS) == 4
     assert digest.LIBRARY_ORDERS == (1, 2, 3, 4)
     assert digest.LARGE_GRID_LINE == ("published", 4, 65537)
+    assert digest.EVEN_GRID_LINE == ("negative-b", 4, 4096)
     lines = digest.library_lines()
     sweeps = list(olct.verify.SWEEP_SCENARIOS)
-    assert len(lines) == 4 * 4 + 1 + len(sweeps) == 21
+    assert len(lines) == 4 * 4 + 2 + len(sweeps) == 22
     sha = "[0-9a-f]{64}"
     names = "|".join(re.escape(name) for name in digest.LIBRARY_SCENARIOS)
     for line in lines[:16]:
@@ -63,5 +64,25 @@ def test_library_lines_cover_every_scenario_order_and_sweep():
         for p in digest.LIBRARY_ORDERS]
     assert re.fullmatch(rf"library published p=4 n=65537 \| reports {sha} "
                         rf"\| core {sha} \| pair {sha}", lines[16])
-    for line, scenario in zip(lines[17:], sweeps):
+    assert re.fullmatch(rf"library negative-b p=4 n=4096 \| reports {sha} "
+                        rf"\| core {sha} \| pair {sha}", lines[17])
+    for line, scenario in zip(lines[18:], sweeps):
         assert re.fullmatch(rf"sweep_r {scenario} \| rows {sha}", line)
+
+
+def test_value_lines_list_every_report_field():
+    digest = load_digest()
+    lines = digest.value_lines()
+    columns = olct.verify.REPORT_COLUMNS
+    # 5 reports at p = 1 and 6 (with the absolute-moment bound) at p >= 2,
+    # over 4 scenarios, then the large-grid and even-grid lines at p = 4
+    assert len(lines) == (4 * (5 + 3 * 6) + 2 * 6) * len(columns)
+    first = lines[: len(columns)]
+    assert [line.split(" | ")[2].split(" ")[0] for line in first] == columns
+    assert first[0] == "library published p=1 | hpw | scenario published"
+    reports = digest.library_reports("negative-b", 4, 4096)[-1]
+    even = [line for line in lines
+            if line.startswith("library negative-b p=4 n=4096 | shw gram | lhs ")]
+    [gram] = [rep for rep in reports if rep.a_mode == "gram"]
+    assert even == [f"library negative-b p=4 n=4096 | shw gram | lhs "
+                    f"{olct.verify.fmt(gram.lhs)}"]

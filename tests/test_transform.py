@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import olct
-from olct import moments, transform
+from olct import moments, signals, transform
 from olct.errors import NumericsError
 
 from conftest import (DEFAULT_GRID, EXAMPLE_PARAMS, completed_params, cquad,
@@ -186,6 +186,88 @@ def test_direct_path_keeps_large_kernel_phases_to_rounding():
     assert np.max(np.abs(fast.values - direct.values)) <= 1e-14 * scale
 
 
+# (params, signal, input grid, xi_m): b < 0 with tau, eta != 0 and an
+# off-centre xi_m on odd and even n (the even ones take the 3/8 end rule),
+# an input grid not centred at 0, large kernel phases, and the smallest grid
+_B_NEG = completed_params(0.6, -0.5, tau=1.0, eta=0.5)
+_OFFSET = completed_params(0.0, 1.0, tau=1.0, eta=-0.3)
+BIN_PATH_CASES = [
+    (_B_NEG, olct.gaussian_chirp(1.5, _B_NEG.chirp_rate + 0.7),
+     DEFAULT_GRID, 1.5),
+    (_B_NEG, olct.gaussian_chirp(1.5, _B_NEG.chirp_rate + 0.7),
+     olct.make_grid(-8.0, 8.0, 4096), 1.5),
+    (_OFFSET, olct.gaussian_chirp(3.0, -1.2), olct.make_grid(-8.0, 8.0, 4098),
+     0.4),
+    (completed_params(0.6, 0.5, tau=1.0, eta=0.5),
+     olct.gaussian_chirp(2.0, 1.0), olct.make_grid(-6.0, 10.0, 1001), -0.7),
+    (completed_params(0.6, 1.0), olct.gaussian_chirp(10.0, 0.3), DEFAULT_GRID,
+     0.5),
+    (olct.ft_params(), olct.gaussian_chirp(2.0, 0.3), olct.make_grid(-6.0, 6.0, 16),
+     0.0),
+]
+
+
+def assert_bins_match_bluestein_and_direct(f, params, xi_m):
+    binned = olct.olct_forward(f, params, xi_m=xi_m)
+    xi_grid = olct.default_xi_grid(f, params, xi_m=xi_m)
+    assert binned.grid == xi_grid
+    bluestein = olct.olct_forward(f, params, xi_grid)
+    direct = olct.olct_forward(f, params, xi_grid, path="direct")
+    scale = np.max(np.abs(direct.values))
+    assert np.max(np.abs(binned.values - bluestein.values)) <= 1e-14 * scale
+    assert np.max(np.abs(binned.values - direct.values)) <= 1e-14 * scale
+    return xi_grid
+
+
+@pytest.mark.parametrize("params, signal, grid, xi_m", BIN_PATH_CASES)
+def test_default_grid_transform_matches_bluestein_and_direct(params, signal,
+                                                             grid, xi_m):
+    assert_bins_match_bluestein_and_direct(signal.sample(grid), params, xi_m)
+
+
+@pytest.mark.parametrize("n", [16, 4096])
+def test_default_grid_pads_to_17_points(n, monkeypatch):
+    # under the shipped span rule a Gaussian that passes the edge guard
+    # spans at least 29 bins (r = 0.05..50, n = 16..4097), so a coarse rule
+    # stands in for the span
+    monkeypatch.setattr(transform, "SPAN_TOL", 0.5)
+    monkeypatch.setattr(transform, "MAX_HALF_ORDER", 0)
+    f = olct.gaussian_chirp(2.0, 0.3).sample(olct.make_grid(-6.0, 6.0, n))
+    xi_grid = assert_bins_match_bluestein_and_direct(f, olct.ft_params(), 0.0)
+    assert xi_grid.n == 17
+
+
+def test_default_grid_transform_carries_the_simpson_replica():
+    # the spectrum fills most of the band |xi| <= pi/dt = 3217, so the
+    # weights' replica, centred at pi/dt at a third of the spectrum's
+    # amplitude, reaches into the grid; the direct sum on 61 of its rows is
+    # the reference
+    params = olct.ft_params()
+    f = olct.gaussian_chirp(2.0, 300.0).sample(olct.make_grid(-8.0, 8.0, 16385))
+    binned = olct.olct_forward(f, params)
+    rows = np.linspace(0, binned.grid.n - 1, 61).astype(int)
+    kernel = transform.olct_kernel(f.grid.points()[None, :],
+                                   binned.grid.points()[rows, None], params)
+    w = signals.quadrature_weights(f.grid.n, f.grid.dt)
+    direct = kernel @ (w * f.values)
+    scale = np.max(np.abs(direct))
+    # the alternating part of the Simpson weights is a sizeable share here
+    assert np.max(np.abs(direct - kernel @ (f.grid.dt * f.values))) >= 0.1 * scale
+    # kernel phases u t reach 2e4 rad here; the float grid points sit up to
+    # 12 ulp from the FFT bins, which moves the value by up to 2.2e-13 of
+    # the peak (against a long-double sum at the bins it is 1.5e-14), and
+    # the Bluestein sum's chirp phases round to 1.2e-12
+    assert np.max(np.abs(binned.values[rows] - direct)) <= 5e-13 * scale
+
+
+def test_default_grid_and_centre_are_exclusive(example_signal, example_params):
+    xi_grid = olct.default_xi_grid(example_signal, example_params, xi_m=0.3)
+    with pytest.raises(ValueError, match="xi_m"):
+        olct.olct_forward(example_signal, example_params, xi_grid, xi_m=0.3)
+    # the default centre with an explicit grid is the plain explicit call
+    olct.olct_forward(example_signal, example_params, xi_grid, xi_m=0.0)
+
+
 def test_forward_energy_at_65537_points():
     # a rounding error scaled by k^2 in the chirp phases grows like n^2
     params = completed_params(0.6, 0.05, tau=1.0)
@@ -279,10 +361,11 @@ def test_default_grid_matches_gaussian_chirp_closed_forms(a, b, tau, r, offset,
     params = completed_params(a, b, tau=tau)
     chirp = params.chirp_rate + offset
     f = olct.gaussian_chirp(r, chirp).sample(DEFAULT_GRID)
-    xi_grid = olct.default_xi_grid(f, params, xi_m=xi_m)
+    # the default grid and the transform read off its bins, as reports take them
+    spec = olct.olct_forward(f, params, xi_m=xi_m)
+    xi_grid = spec.grid
     assert xi_grid.n % 2 == 1 and xi_grid.n <= 2 * DEFAULT_GRID.n - 1
     assert xi_grid.dt <= abs(b) * math.pi / DEFAULT_GRID.length
-    spec = olct.olct_forward(f, params, xi_grid)
     for p in range(moments.MAX_HALF_ORDER + 1):
         exact = gaussian_chirp_moment(params, r, chirp, xi_m, p)
         got = moments.spectral_moment_2p(spec, p, xi_m)

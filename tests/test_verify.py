@@ -50,6 +50,24 @@ def test_one_transform_per_report(verify, p, example_signal, example_params,
     assert report.mu_spec == ppr.lhs
 
 
+def test_report_reads_its_spectrum_off_one_fft(example_signal, example_params,
+                                               monkeypatch):
+    # a p = 4 sharpened report: one FFT for the transform on the default
+    # grid, then one forward and three inverse FFTs for the derivative
+    # orders {1, 2, 4}; a bandwidth FFT plus a three-FFT chirp-z sum made 8
+    from scipy import fft as sfft
+
+    calls = []
+    for name in ("fft", "ifft"):
+        def counted(*args, _name=name, _fn=getattr(sfft, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(sfft, name, counted)
+    cfg = olct.HpwConfig(p=4, xi_m=0.3, omega=olct.exp_weight(2.0))
+    olct.verify_shw(example_signal, example_params, cfg, a_mode="gram")
+    assert sorted(calls) == ["fft", "fft", "ifft", "ifft", "ifft"]
+
+
 def test_verify_hpw_minimizer_equality(example_params):
     f = olct.minimizer_signal(1.0, 1.0, 0.0, 0.0, example_params).sample(DEFAULT_GRID)
     report = olct.verify_hpw(f, example_params, olct.HpwConfig(p=1))

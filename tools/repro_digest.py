@@ -12,7 +12,8 @@ sha256 of the ``reports_to_csv`` text of every 2p-order report (the plain
 bound, the sharpened bound in each auxiliary-term mode, and the
 absolute-moment bound for p >= 2), of ``repr((core, terms))`` from
 ``hpw_core`` and of the bytes of ``moment_pair``'s (u, v); the same for the
-published scenario at p = 4 on the 65537-point grid; and one line per sweep
+published scenario at p = 4 on the 65537-point grid and for the negative-b
+scenario at p = 4 on an even, 4096-point grid; and one line per sweep
 scenario with the sha256 of the ``sweep_r`` rows.
 
 Two source trees print the same lines exactly when every run is
@@ -21,6 +22,10 @@ byte-identical, so a diff of two digests checks a refactor:
     PYTHONPATH=src python tools/repro_digest.py > after.txt
     PYTHONPATH=<other checkout>/src python tools/repro_digest.py > before.txt
     diff before.txt after.txt
+
+With ``--values`` it prints instead every field of every library report,
+one line each at 17 significant digits, so the same diff lists the values
+a change moved.
 """
 
 from __future__ import annotations
@@ -150,12 +155,20 @@ LIBRARY_N = 4097
 # The benchmark's grid size, the only one at which the transform's chirp
 # phases reach their full range; one scenario and order keeps the run short.
 LARGE_GRID_LINE = ("published", 4, 65537)
+# An even point count, where the last three panels take the 3/8 rule.
+EVEN_GRID_LINE = ("negative-b", 4, 4096)
 SWEEP_R_VALUES = (0.5, 1.0, 2.5, 4.0)
 
 
-def library_line(name: str, p: int, n: int = LIBRARY_N) -> str:
-    """Digest of every 2p-order report, the functional and the sharpening
-    pair of one library scenario at half-order p on -8:8:n."""
+def _library_label(name: str, p: int, n: int) -> str:
+    return f"library {name} p={p}" + ("" if n == LIBRARY_N else f" n={n}")
+
+
+def library_reports(name: str, p: int, n: int = LIBRARY_N) -> tuple:
+    """Every 2p-order report of one library scenario at half-order p on
+    -8:8:n: the plain bound, the sharpened bound in each auxiliary-term
+    mode, and the absolute-moment bound for p >= 2.  Returns the sampled
+    input, the parameters and the bound configuration with the reports."""
     params, signal, omega, t_m, xi_m = LIBRARY_SCENARIOS[name]
     f = signal.sample(signals.make_grid(-8.0, 8.0, n))
     cfg = bounds.HpwConfig(p=p, t_m=t_m, xi_m=xi_m, omega=omega)
@@ -166,13 +179,37 @@ def library_line(name: str, p: int, n: int = LIBRARY_N) -> str:
     if p >= 2:
         reports.append(verify.verify_hw(f, params, p, t_m=t_m, xi_m=xi_m,
                                         scenario=name))
+    return f, params, cfg, reports
+
+
+def library_line(name: str, p: int, n: int = LIBRARY_N) -> str:
+    """Digest of every 2p-order report, the functional and the sharpening
+    pair of one library scenario at half-order p on -8:8:n."""
+    f, params, cfg, reports = library_reports(name, p, n)
     breakdown = bounds.hpw_core(f, params, cfg)
     u, v = bounds.moment_pair(f, params, cfg)
     return " | ".join([
-        f"library {name} p={p}" + ("" if n == LIBRARY_N else f" n={n}"),
+        _library_label(name, p, n),
         f"reports {_sha(verify.reports_to_csv(reports).encode())}",
         f"core {_sha(repr((breakdown.core, breakdown.terms)).encode())}",
         f"pair {_sha(u.values.tobytes() + v.values.tobytes())}"])
+
+
+def _library_keys() -> list:
+    return ([(name, p, LIBRARY_N) for name in LIBRARY_SCENARIOS
+             for p in LIBRARY_ORDERS] + [LARGE_GRID_LINE, EVEN_GRID_LINE])
+
+
+def value_lines() -> list:
+    """One line per field of every library report, ``<label> | <bound>
+    [<a_mode>] | <field> <value>``, floats at 17 significant digits."""
+    lines = []
+    for key in _library_keys():
+        for report in library_reports(*key)[-1]:
+            kind = " ".join(x for x in (report.bound, report.a_mode) if x)
+            lines += [f"{_library_label(*key)} | {kind} | {field} {verify.fmt(value)}"
+                      for field, value in verify.report_to_dict(report).items()]
+    return lines
 
 
 def sweep_line(scenario: str) -> str:
@@ -183,12 +220,11 @@ def sweep_line(scenario: str) -> str:
 
 def library_lines() -> list:
     """Digest lines of every library scenario and order, then of the
-    large-grid line, then of every sweep scenario."""
-    return ([library_line(name, p) for name in LIBRARY_SCENARIOS
-             for p in LIBRARY_ORDERS]
-            + [library_line(*LARGE_GRID_LINE)]
+    large-grid and even-grid lines, then of every sweep scenario."""
+    return ([library_line(*key) for key in _library_keys()]
             + [sweep_line(scenario) for scenario in verify.SWEEP_SCENARIOS])
 
 
 if __name__ == "__main__":
-    sys.stdout.write("".join(line + "\n" for line in run() + library_lines()))
+    lines = value_lines() if sys.argv[1:] == ["--values"] else run() + library_lines()
+    sys.stdout.write("".join(line + "\n" for line in lines))
