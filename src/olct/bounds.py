@@ -27,7 +27,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -37,9 +37,8 @@ from .signals import (
     Grid,
     SampledSignal,
     WeightFunction,
-    centered_power,
+    _energy,
     derivative,
-    energy,
     guarded_integral,
     norm_l2,
     quadrature_weights,
@@ -175,14 +174,36 @@ def weight_deriv_centered(omega: WeightFunction, p: int, t_m: float, orders,
                           t: np.ndarray) -> dict:
     """Derivatives of (t - t_m)^p * omega(t): ``{k: k-th derivative}`` for
     every requested order k >= 0, by the Leibniz rule with the weight's
-    exact derivatives.  Each omega^(j) and each power (t - t_m)^e is
-    evaluated once."""
+    exact derivatives.
+
+    t - t_m and |t - t_m| are formed once, and each omega^(j) and each
+    power (t - t_m)^e (as in :func:`centered_power`) is evaluated once.
+    The terms of each order are summed in place in one buffer, in the
+    order and with the roundings of the term-by-term sum
+    0 + T_0 + T_1 + ..., T_m = binom(k, m) p!/(p-m)! (t - t_m)^(p-m)
+    omega^(k-m).
+    """
     t = np.asarray(t, dtype=float)
+    d = t - t_m
+    mag = np.abs(d)
     weight = functools.cache(lambda j: omega.deriv(j)(t))
-    power = functools.cache(lambda e: centered_power(t, t_m, e))
-    return {k: sum(math.comb(k, m) * math.perm(p, m) * power(p - m)
-                   * weight(k - m) for m in range(min(k, p) + 1))
-            for k in orders}
+
+    @functools.cache
+    def power(e: int) -> np.ndarray:
+        out = np.power(mag, e)
+        return np.copysign(out, d, out=out) if e % 2 else out
+
+    term = np.empty_like(t)
+    out = {}
+    for k in orders:
+        acc = np.zeros_like(t)
+        for m in range(min(k, p) + 1):
+            np.multiply(math.comb(k, m) * math.perm(p, m), power(p - m),
+                        out=term)
+            term *= weight(k - m)
+            acc += term
+        out[k] = acc
+    return out
 
 
 def hpw_core(f: SampledSignal, params: OlctParams, cfg: HpwConfig) -> BoundBreakdown:
@@ -204,16 +225,23 @@ def hpw_core(f: SampledSignal, params: OlctParams, cfg: HpwConfig) -> BoundBreak
                                {p - 2 * q for q in range(p // 2 + 1)} | {0},
                                f.grid.points())
     mag = np.abs(g_b.values)
-    keep = mag >= DERIV_UNDERFLOW_MASK * np.max(mag)
+    underflow = mag < DERIV_UNDERFLOW_MASK * np.max(mag)
     sign = (-1) ** p
 
     terms = []
     core = 0.0
     for q in range(p // 2 + 1):
-        g_q = np.where(keep, derivs[q].values, 0.0) if q else g_b.values
+        # |g_b^(q)|^2 times the weight derivative, built in one buffer; for
+        # q >= 1 it is zero where g_b has underflowed
+        if q:
+            integrand = np.abs(derivs.pop(q).values)
+            integrand[underflow] = 0.0
+        else:
+            integrand = mag
+        np.square(integrand, out=integrand)
+        integrand *= wd[p - 2 * q]
         f_q = sign * guarded_integral(
-            f.grid, wd[p - 2 * q] * np.abs(g_q) ** 2,
-            "the weighted derivative-square integrand")
+            f.grid, integrand, "the weighted derivative-square integrand")
         d_q = derivative_product_coeff(p, q)
         terms.append(OrderTerm(q=q, coeff=d_q, value=f_q))
         core += d_q * f_q
@@ -253,26 +281,60 @@ def default_unit_gaussian(grid: Grid, t_m: float = 0.0) -> SampledSignal:
     return h.with_values(h.values / norm_l2(h))
 
 
+@functools.lru_cache(maxsize=2)
+def _unit_gaussian_abs_energy(grid: Grid, t_m: float) -> _AbsEnergy:
+    """:func:`_abs_energy` of :func:`default_unit_gaussian`, which depends
+    only on (grid, t_m): gram-mode reports on one grid and centre share it.
+    Two entries are kept and |h| is read-only."""
+    h = _abs_energy(default_unit_gaussian(grid, t_m))
+    h.mag.setflags(write=False)
+    return h
+
+
 def gram_offset(u: SampledSignal, v: SampledSignal, h: SampledSignal) -> float:
     """Auxiliary term A = ||u|| x0 - ||v|| y0 with x0 = integral |v||h| and
     y0 = integral |u||h|; h must be unit norm."""
-    nh = norm_l2(h)
-    if abs(nh - 1.0) > UNIT_NORM_TOL:
-        raise NumericsError(
-            f"auxiliary function must be unit norm (||h|| = {nh!r})")
-    w = quadrature_weights(u.grid.n, u.grid.dt)
-    x0 = float(np.sum(w * np.abs(v.values) * np.abs(h.values)))
-    y0 = float(np.sum(w * np.abs(u.values) * np.abs(h.values)))
-    return norm_l2(u) * x0 - norm_l2(v) * y0
+    return _gram_offset(_abs_energy(u), _abs_energy(v), _abs_energy(h))
 
 
 def saturating_gram_term(u: SampledSignal, v: SampledSignal) -> float:
     """Largest admissible auxiliary term:
     A*^2 = ||u||^2 ||v||^2 - (integral |u||v|)^2."""
+    return _saturating_gram_term(_abs_energy(u), _abs_energy(v))
+
+
+class _AbsEnergy(NamedTuple):
+    """|s| and ||s||^2 of a signal s: what the Gram terms read of u, v and
+    h, formed once so that a report shares them among its terms."""
+
+    grid: Grid
+    mag: np.ndarray
+    energy: float
+
+
+def _abs_energy(s: SampledSignal) -> _AbsEnergy:
+    mag = np.abs(s.values)
+    return _AbsEnergy(s.grid, mag, _energy(s.grid, mag ** 2))
+
+
+def _gram_offset(u: _AbsEnergy, v: _AbsEnergy, h: _AbsEnergy) -> float:
+    """:func:`gram_offset` from |u|, |v|, |h| and their energies."""
+    nh = math.sqrt(max(h.energy, 0.0))
+    if abs(nh - 1.0) > UNIT_NORM_TOL:
+        raise NumericsError(
+            f"auxiliary function must be unit norm (||h|| = {nh!r})")
     w = quadrature_weights(u.grid.n, u.grid.dt)
-    uv = float(np.sum(w * np.abs(u.values) * np.abs(v.values)))
-    val = energy(u) * energy(v) - uv * uv
-    return math.sqrt(max(val, 0.0))
+    x0 = float(np.sum(w * v.mag * h.mag))
+    y0 = float(np.sum(w * u.mag * h.mag))
+    return (math.sqrt(max(u.energy, 0.0)) * x0
+            - math.sqrt(max(v.energy, 0.0)) * y0)
+
+
+def _saturating_gram_term(u: _AbsEnergy, v: _AbsEnergy) -> float:
+    """:func:`saturating_gram_term` from |u|, |v| and their energies."""
+    w = quadrature_weights(u.grid.n, u.grid.dt)
+    uv = float(np.sum(w * u.mag * v.mag))
+    return math.sqrt(max(u.energy * v.energy - uv * uv, 0.0))
 
 
 def hpw_rhs(core: float, b: float, p: int) -> float:

@@ -62,9 +62,16 @@ def time_moment_2p(f: SampledSignal, p: int, t_m: float,
     p = _half_order(p)
     if not np.isfinite(t_m):
         raise ValueError("moment center t_m must be finite")
-    t = f.grid.points()
-    integrand = (omega(t) * np.abs(f.values)) ** 2 * centered_power(t, t_m, 2 * p)
-    return guarded_integral(f.grid, integrand,
+    return _time_moment_2p(f.grid, np.abs(f.values), p, t_m, omega)
+
+
+def _time_moment_2p(grid, mag: np.ndarray, p: int, t_m: float,
+                    omega: WeightFunction) -> float:
+    """:func:`time_moment_2p` from |f|, for a caller that also takes the
+    energy of f from it; p and t_m as that function has checked them."""
+    t = grid.points()
+    integrand = (omega(t) * mag) ** 2 * centered_power(t, t_m, 2 * p)
+    return guarded_integral(grid, integrand,
                             "the weighted time-moment integrand", COVERAGE_TOL)
 
 
@@ -89,10 +96,15 @@ def abs_moment_p(s: SampledSignal, p: int, center: float) -> float:
             f"absolute moment of order {p} < 2 is not usable for the "
             "duration-bandwidth bound"
         )
-    x = s.grid.points()
-    integrand = np.abs(x - center) ** p * np.abs(s.values) ** 2
-    return guarded_integral(s.grid, integrand, "the absolute-moment integrand",
-                            COVERAGE_TOL)
+    return _abs_moment(s.grid, np.abs(s.grid.points() - center),
+                       np.abs(s.values) ** 2, p)
+
+
+def _abs_moment(grid, dist: np.ndarray, sq: np.ndarray, p: int) -> float:
+    """:func:`abs_moment_p` from |x - center| and |s|^2, which a caller
+    taking several orders and the energy of one signal forms once."""
+    return guarded_integral(grid, dist ** p * sq,
+                            "the absolute-moment integrand", COVERAGE_TOL)
 
 
 def demodulation_freq(params: OlctParams, xi_m: float) -> float:

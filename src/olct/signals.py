@@ -68,7 +68,18 @@ class Grid:
         return (self.t_max - self.t_min) / (self.n - 1)
 
     def points(self) -> np.ndarray:
-        return np.linspace(self.t_min, self.t_max, self.n)
+        """The n sample locations, ``np.linspace(t_min, t_max, n)``.
+
+        They are computed on the first call and the same read-only array
+        is returned by every later call on this grid.
+        """
+        return self._points
+
+    @functools.cached_property
+    def _points(self) -> np.ndarray:
+        pts = np.linspace(self.t_min, self.t_max, self.n)
+        pts.setflags(write=False)
+        return pts
 
     @property
     def length(self) -> float:
@@ -331,6 +342,12 @@ def derivative(s: SampledSignal, orders) -> dict:
     Spectrum bins below ``SPECTRAL_NOISE_FLOOR`` of the peak are zeroed
     before the multipliers, and for an even padded length the unmatched
     Nyquist bin is dropped at odd k.
+
+    A decaying signal keeps few bins (39 to 128 of the 65610 on the
+    benchmark's 65537-point reports), so the multipliers and products are
+    formed on the kept bins alone and scattered into one zeroed buffer per
+    order, which the inverse FFT overwrites.  The values are those of the
+    full-length products bit for bit.
     """
     orders = [int(k) for k in orders]
     if orders and min(orders) < 1:
@@ -338,23 +355,37 @@ def derivative(s: SampledSignal, orders) -> dict:
     check_decay(s.values, "the signal to differentiate spectrally")
     n = s.grid.n
     nfft = sfft.next_fast_len(n)
-    omega = 2.0j * np.pi * sfft.fftfreq(nfft, d=s.grid.dt)
     spec = sfft.fft(s.values, nfft)
     mag = np.abs(spec)
-    spec[mag < SPECTRAL_NOISE_FLOOR * np.max(mag)] = 0.0
+    # every bin but those below the floor (a NaN bin is kept, as before)
+    kept = np.flatnonzero(~(mag < SPECTRAL_NOISE_FLOOR * np.max(mag)))
+    spec = spec[kept]
+    del mag
+    # fftfreq's values at the kept bins: signed bin index / (nfft dt)
+    signed = np.where(kept < (nfft + 1) // 2, kept, kept - nfft)
+    omega = 2.0j * np.pi * (signed * (1.0 / (nfft * s.grid.dt)))
+    nyquist = np.flatnonzero(kept == nfft // 2) if nfft % 2 == 0 else kept[:0]
     out = {}
     for k in orders:
         mult = omega**k
-        if nfft % 2 == 0 and k % 2 == 1:
-            mult[nfft // 2] = 0.0  # unmatched Nyquist bin
-        out[k] = s.with_values(sfft.ifft(spec * mult)[:n])
+        if k % 2 == 1:
+            mult[nyquist] = 0.0  # unmatched Nyquist bin
+        full = np.zeros(nfft, dtype=np.complex128)
+        full[kept] = spec * mult
+        out[k] = s.with_values(sfft.ifft(full, overwrite_x=True)[:n])
     return out
 
 
 def energy(s: SampledSignal) -> float:
     """Integral of |s|^2 over the grid."""
-    w = quadrature_weights(s.grid.n, s.grid.dt)
-    return float(np.sum(w * np.abs(s.values) ** 2))
+    return _energy(s.grid, np.abs(s.values) ** 2)
+
+
+def _energy(grid: Grid, sq: np.ndarray) -> float:
+    """Integral over the grid of ``sq``, a squared magnitude |s|^2 that the
+    caller already holds; :func:`energy` of a signal with that magnitude."""
+    w = quadrature_weights(grid.n, grid.dt)
+    return float(np.sum(w * sq))
 
 
 def norm_l2(s: SampledSignal) -> float:

@@ -405,10 +405,13 @@ def olct_inverse(spectrum: SampledSignal, params: OlctParams, t_grid: Grid) -> S
 def parseval_gap(f: SampledSignal, spectrum: SampledSignal) -> float:
     """Relative energy mismatch |E_f - E_O| / E_f between a signal and its
     transform; zero for an exactly unitary pair."""
-    e_f = energy(f)
-    e_o = energy(spectrum)
+    return _parseval_gap(energy(f), energy(spectrum))
+
+
+def _parseval_gap(e_f: float, e_o: float) -> float:
+    """:func:`parseval_gap` from the two energies E_f and E_O."""
     if not (np.isfinite(e_f) and np.isfinite(e_o)):
-        raise ValueError("energies must be finite")
+        raise NumericsError("energies must be finite")
     if e_f <= 0.0:
         raise NumericsError("zero-energy signal: relative energy gap undefined")
     return abs(e_f - e_o) / e_f

@@ -18,6 +18,7 @@ from .signals import (
     AnalyticSignal,
     Grid,
     SampledSignal,
+    _energy,
     energy,
     exp_quadratic,
     exp_weight,
@@ -27,23 +28,24 @@ from .signals import (
 from .transform import (
     OlctParams,
     default_xi_grid,
+    _parseval_gap,
     olct_forward,
-    parseval_gap,
 )
 from .moments import (
-    abs_moment_p,
+    _abs_moment,
+    _time_moment_2p,
     relative_gap,
     spectral_moment_2p,
-    time_moment_2p,
 )
 from .bounds import (
     HpwConfig,
-    default_unit_gaussian,
-    gram_offset,
+    _abs_energy,
+    _gram_offset,
+    _saturating_gram_term,
+    _unit_gaussian_abs_energy,
     hpw_core,
     hpw_rhs,
     hw_rhs,
-    saturating_gram_term,
     shw_rhs,
 )
 
@@ -161,26 +163,38 @@ def _report(f: SampledSignal, params: OlctParams, cfg: HpwConfig, tol: float,
     the moment-identity gap: mu_spec against b^(2p) ||v||^2, with
     v = g_b^(p) differentiated in the time domain.
     Both right sides are assembled here from E and the auxiliary term A,
-    which is 0 for the plain bound.
+    which is 0 for the plain bound.  |u|, |v| and the energies of u, v, the
+    input and the spectrum are each formed once and shared by the gaps, the
+    ``energy`` field and the Gram terms.
     """
     with _scenario_context(scenario):
         spectrum = olct_forward(f, params, xi_m=cfg.xi_m)
-        mu_t = time_moment_2p(f, cfg.p, cfg.t_m, cfg.omega)
+        # |f| serves the time moment and the energy; HpwConfig has checked
+        # p and t_m
+        mag_f = np.abs(f.values)
+        mu_t = _time_moment_2p(f.grid, mag_f, cfg.p, cfg.t_m, cfg.omega)
+        e_f = _energy(f.grid, mag_f ** 2)
+        del mag_f
         mu_s = spectral_moment_2p(spectrum, cfg.p, cfg.xi_m)
         lhs = (mu_t * mu_s) ** (1.0 / (2.0 * cfg.p))
         breakdown = hpw_core(f, params, cfg)
-        core, u, v = breakdown.core, breakdown.u, breakdown.v
-        ppr_gap = relative_gap(mu_s, params.b ** (2 * cfg.p) * energy(v))
+        core = breakdown.core
+        # the gap and the Gram terms read only |u|, |v| and their
+        # energies; u and v themselves are freed before the Gram terms run
+        v = _abs_energy(breakdown.v)
+        u = _abs_energy(breakdown.u) if a_mode is not None else None
+        del breakdown
+        ppr_gap = relative_gap(mu_s, params.b ** (2 * cfg.p) * v.energy)
 
         rhs_h = hpw_rhs(core, params.b, cfg.p)
         a_term = 0.0
         if a_mode is not None:
-            a_star = saturating_gram_term(u, v)
+            a_star = _saturating_gram_term(u, v)
             if a_mode == "fixed":
                 a_term = float(a_value)
             elif a_mode == "gram":
-                a_term = gram_offset(u, v,
-                                     default_unit_gaussian(f.grid, cfg.t_m))
+                a_term = _gram_offset(
+                    u, v, _unit_gaussian_abs_energy(f.grid, cfg.t_m))
             elif a_mode == "saturating":
                 a_term = a_star
         sharpened = math.hypot(core, 2.0 * a_term)
@@ -197,8 +211,9 @@ def _report(f: SampledSignal, params: OlctParams, cfg: HpwConfig, tol: float,
         scenario=scenario, bound="hpw" if a_mode is None else "shw", p=cfg.p,
         lhs=lhs, hpw_rhs=rhs_h, slack_hpw=slack_h, rel_slack_hpw=rel_h,
         passed_hpw=ok_h, ppr_gap=ppr_gap,
-        parseval_gap=parseval_gap(f, spectrum), core=core, gram_term=a_term,
-        sharpened=sharpened, mu_time=mu_t, mu_spec=mu_s, energy=energy(f),
+        parseval_gap=_parseval_gap(e_f, energy(spectrum)), core=core,
+        gram_term=a_term, sharpened=sharpened, mu_time=mu_t, mu_spec=mu_s,
+        energy=e_f,
         tol=tol, grid=f.grid, params=params, **shw,
     )
 
@@ -263,22 +278,28 @@ def verify_hw(f: SampledSignal, params: OlctParams, p: int,
                 f, params, default_xi_grid(f, params, xi_m=xi_m, n=f.grid.n))
         else:
             spectrum = olct_forward(f, params, xi_m=xi_m)
-        mu_t = abs_moment_p(f, p, t_m)
-        mu_s = abs_moment_p(spectrum, p, xi_m)
+        # |x - centre| and |s|^2 of each domain serve both orders and the
+        # energy
+        dist_t = np.abs(f.grid.points() - t_m)
+        sq_f = np.abs(f.values) ** 2
+        dist_s = np.abs(spectrum.grid.points() - xi_m)
+        sq_o = np.abs(spectrum.values) ** 2
+        mu_t = _abs_moment(f.grid, dist_t, sq_f, p)
+        mu_s = _abs_moment(spectrum.grid, dist_s, sq_o, p)
         lhs = (mu_t * mu_s) ** (1.0 / p)
-        e_f = energy(f)
-        e_o = energy(spectrum)
+        e_f = _energy(f.grid, sq_f)
+        e_o = _energy(spectrum.grid, sq_o)
         rhs = hw_rhs(e_f, params.b, p)
         slack, rel, ok = _slack(lhs, rhs, tol)
 
-        mu2_t = abs_moment_p(f, 2, t_m)
-        mu2_s = abs_moment_p(spectrum, 2, xi_m)
+        mu2_t = _abs_moment(f.grid, dist_t, sq_f, 2)
+        mu2_s = _abs_moment(spectrum.grid, dist_s, sq_o, 2)
         holder_t = mu_t ** (2.0 / p) * e_f ** (1.0 - 2.0 / p) - mu2_t
         holder_s = mu_s ** (2.0 / p) * e_o ** (1.0 - 2.0 / p) - mu2_s
     return UncertaintyReport(
         scenario=scenario, bound="hw", p=p, lhs=lhs,
         hw_rhs=rhs, slack_hw=slack, rel_slack_hw=rel, passed_hw=ok,
-        parseval_gap=parseval_gap(f, spectrum),
+        parseval_gap=_parseval_gap(e_f, e_o),
         mu_time=mu_t, mu_spec=mu_s, energy=e_f, tol=tol,
         holder_time_slack=holder_t, holder_spec_slack=holder_s,
         grid=f.grid, params=params,

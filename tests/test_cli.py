@@ -321,6 +321,20 @@ def test_energy_non_finite_density_exits_3(tmp_path, capsys, json_flag):
     assert list(out.iterdir()) == []
 
 
+def test_transform_non_finite_energy_exits_3(tmp_path, capsys):
+    # |f|^2 of a 1e200-scaled signal overflows, so the energies of the
+    # Parseval check are infinite: a numerical failure, not a config error
+    cfg = write_cfg(tmp_path,
+                    "[x]\nsignal = minimizer\nc0 = 1e200\ngrid = -8:8:4097\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_main("transform", "--config", cfg, "--out", str(out),
+                    "--json") == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"type": "numerics", "message": "energies must be finite"}
+    assert list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # determinism
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,31 @@ def test_make_grid_spacing():
     assert pts[0] == -8.0 and pts[-1] == 8.0
     steps = np.diff(pts)
     assert np.max(np.abs(steps - g.dt)) <= 4 * np.finfo(float).eps * abs(g.dt)
+
+
+def test_grid_points_are_computed_once_and_read_only():
+    g = olct.make_grid(-8, 8, 4097)
+    pts = g.points()
+    assert g.points() is pts
+    assert pts.tobytes() == np.linspace(-8.0, 8.0, 4097).tobytes()
+    assert not pts.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        pts[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        pts += 1.0
+    assert pts[0] == -8.0
+
+
+def test_grid_value_semantics_ignore_the_cached_points():
+    fresh = olct.make_grid(-8, 8, 4097)
+    used = olct.make_grid(-8, 8, 4097)
+    used.points()
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == "Grid(t_min=-8.0, t_max=8.0, n=4097)"
+    assert used != olct.make_grid(-8, 8, 4098)
+    wider = dataclasses.replace(used, n=17)
+    assert wider == olct.make_grid(-8, 8, 17)
+    assert wider.points().tobytes() == np.linspace(-8.0, 8.0, 17).tobytes()
 
 
 def test_make_grid_rejects_small():
@@ -225,6 +251,49 @@ def test_spectral_derivative_digits_at_fast_length(k, tol):
     exact = f.deriv(k)(grid.points())
     scale = np.max(np.abs(exact))
     assert np.max(np.abs(numeric - exact)) <= tol * scale
+
+
+def _full_length_derivative(s, orders):
+    """Spectral derivative with (j omega)^k formed on every bin of the padded
+    FFT, the noise-floor bins zeroed in the spectrum first."""
+    from scipy import fft as sfft
+
+    n = s.grid.n
+    nfft = sfft.next_fast_len(n)
+    omega = 2.0j * np.pi * sfft.fftfreq(nfft, d=s.grid.dt)
+    spec = sfft.fft(s.values, nfft)
+    mag = np.abs(spec)
+    spec[mag < signals.SPECTRAL_NOISE_FLOOR * np.max(mag)] = 0.0
+    out = {}
+    for k in orders:
+        mult = omega**k
+        if nfft % 2 == 0 and k % 2 == 1:
+            mult[nfft // 2] = 0.0
+        out[k] = sfft.ifft(spec * mult)[:n]
+    return out
+
+
+# next_fast_len: 16, 1000, 4096 -> themselves; 1025 -> 1029 (odd);
+# 4097, 4098 -> 4116; 65537 -> 65610
+@pytest.mark.parametrize("n", [16, 1000, 1025, 4096, 4097, 4098, 65537])
+@pytest.mark.parametrize("narrow", [False, True], ids=["wide", "narrow"])
+def test_kept_bin_derivative_is_bit_identical_to_full_length(n, narrow):
+    # the narrow pulse (sigma = dt) keeps bins up to the Nyquist bin, so
+    # its odd orders cover the dropped Nyquist bin; the comparison is of
+    # the bits, so the signs of zeros count too
+    grid = olct.make_grid(-8.0, 8.0, n)
+    t = grid.points()
+    if narrow:
+        values = np.exp(-0.5 * ((t - 0.3) / grid.dt) ** 2) + 0j
+    else:
+        values = np.exp(-0.7 * (t - 0.3) ** 2 + 1j * (1.5 * t + 0.4 * t * t))
+    s = olct.SampledSignal(grid, values)
+    orders = range(1, 9)
+    kept = signals.derivative(s, orders)
+    full = _full_length_derivative(s, orders)
+    for k in orders:
+        assert np.array_equal(kept[k].values.view(np.uint64),
+                              full[k].view(np.uint64)), k
 
 
 def test_derivative_orders_share_one_spectrum(grid):

@@ -68,6 +68,27 @@ def test_report_reads_its_spectrum_off_one_fft(example_signal, example_params,
     assert sorted(calls) == ["fft", "fft", "ifft", "ifft", "ifft"]
 
 
+def test_report_evaluates_each_grid_once(example_params, monkeypatch):
+    # a p = 4 sharpened report reads the points of the input grid and of
+    # the output grid; each grid evaluates them once, so np.linspace runs at
+    # most twice however many stages read them
+    grid = olct.make_grid(-8, 8, 4097)
+    t = np.linspace(-8.0, 8.0, 4097)
+    f = olct.SampledSignal(grid, np.exp(-(1.0 + 1j) * t * t))
+    calls = []
+    linspace = np.linspace
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return linspace(*args, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", counted)
+    cfg = olct.HpwConfig(p=4, xi_m=0.3, omega=olct.exp_weight(2.0))
+    report = olct.verify_shw(f, example_params, cfg, a_mode="gram")
+    assert report.passed
+    assert len(calls) <= 2
+
+
 def test_verify_hpw_minimizer_equality(example_params):
     f = olct.minimizer_signal(1.0, 1.0, 0.0, 0.0, example_params).sample(DEFAULT_GRID)
     report = olct.verify_hpw(f, example_params, olct.HpwConfig(p=1))
