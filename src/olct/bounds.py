@@ -38,9 +38,9 @@ from .signals import (
     SampledSignal,
     WeightFunction,
     _energy,
+    _signed_power,
     derivative,
     guarded_integral,
-    norm_l2,
     quadrature_weights,
     unit_weight,
 )
@@ -187,12 +187,7 @@ def weight_deriv_centered(omega: WeightFunction, p: int, t_m: float, orders,
     d = t - t_m
     mag = np.abs(d)
     weight = functools.cache(lambda j: omega.deriv(j)(t))
-
-    @functools.cache
-    def power(e: int) -> np.ndarray:
-        out = np.power(mag, e)
-        return np.copysign(out, d, out=out) if e % 2 else out
-
+    power = functools.cache(lambda e: _signed_power(d, mag, e))
     term = np.empty_like(t)
     out = {}
     for k in orders:
@@ -275,20 +270,22 @@ def moment_pair(f: SampledSignal, params: OlctParams,
 
 def default_unit_gaussian(grid: Grid, t_m: float = 0.0) -> SampledSignal:
     """Unit-norm Gaussian exp(-(t - t_m)^2 / 2) / pi^(1/4) on the grid."""
-    t = grid.points()
-    vals = np.exp(-((t - t_m) ** 2) / 2.0) / np.pi**0.25
-    h = SampledSignal(grid, vals)
-    return h.with_values(h.values / norm_l2(h))
+    return SampledSignal(grid, _unit_gaussian_abs_energy(grid, t_m).mag)
 
 
-@functools.lru_cache(maxsize=2)
 def _unit_gaussian_abs_energy(grid: Grid, t_m: float) -> _AbsEnergy:
-    """:func:`_abs_energy` of :func:`default_unit_gaussian`, which depends
-    only on (grid, t_m): gram-mode reports on one grid and centre share it.
-    Two entries are kept and |h| is read-only."""
-    h = _abs_energy(default_unit_gaussian(grid, t_m))
-    h.mag.setflags(write=False)
-    return h
+    """:func:`_abs_energy` of :func:`default_unit_gaussian`, formed on a
+    real array: h is a positive Gaussian, so |h| = h.  Scaling by the
+    reciprocal of the norm rounds as dividing the complex samples by it
+    did."""
+    t = grid.points()
+    h = np.exp(-((t - t_m) ** 2) / 2.0) / np.pi**0.25
+    nh = math.sqrt(max(_energy(grid, h ** 2), 0.0))
+    if nh == 0.0:
+        raise NumericsError(
+            f"the unit Gaussian centred at t_m = {t_m!r} vanishes on the grid")
+    h *= 1.0 / nh
+    return _AbsEnergy(grid, h, _energy(grid, h ** 2))
 
 
 def gram_offset(u: SampledSignal, v: SampledSignal, h: SampledSignal) -> float:

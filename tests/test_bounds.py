@@ -143,6 +143,55 @@ def test_weight_deriv_centered_leibniz():
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
+def _term_sum_weight_deriv(omega, p, t_m, k, t):
+    """The k-th derivative of (t - t_m)^p omega(t) as the term-by-term sum
+    of the Leibniz terms, each power as |t - t_m|^e with the sign of
+    t - t_m restored for odd e."""
+    d = t - t_m
+
+    def power(e):
+        out = np.abs(d) ** e
+        return np.copysign(out, d) if e % 2 else out
+
+    return sum(math.comb(k, m) * math.perm(p, m) * power(p - m)
+               * omega.deriv(k - m)(t) for m in range(min(k, p) + 1))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+@pytest.mark.parametrize("omega", [olct.unit_weight(), olct.exp_weight(2.0)],
+                         ids=["unit", "exp"])
+def test_weight_deriv_centered_is_bit_identical_to_term_sum(p, omega):
+    # t_m = 0 and t_m = -1.5 fall on grid points, so the signs of the zeros
+    # of odd powers count too
+    t = olct.make_grid(-8.0, 8.0, 4097).points()
+    for t_m in (0.0, 0.3, -1.5):
+        orders = range(p + 3)
+        got = bounds.weight_deriv_centered(omega, p, t_m, orders, t)
+        for k in orders:
+            ref = _term_sum_weight_deriv(omega, p, t_m, k, t)
+            assert np.array_equal(got[k].view(np.uint64),
+                                  ref.view(np.uint64)), (t_m, k)
+
+
+def test_default_unit_gaussian_is_bit_identical_to_complex_division():
+    # h is formed on a real array and scaled by 1/||h||; dividing the
+    # complex samples by ||h|| rounds the same way
+    for n, t_m in [(151, 0.0), (4097, 0.3), (65537, -2.5)]:
+        grid = olct.make_grid(-8.0, 8.0, n)
+        t = grid.points()
+        raw = olct.SampledSignal(
+            grid, np.exp(-((t - t_m) ** 2) / 2.0) / np.pi**0.25)
+        ref = raw.values / signals.norm_l2(raw)
+        h = bounds.default_unit_gaussian(grid, t_m)
+        assert np.array_equal(h.values.view(np.uint64), ref.view(np.uint64))
+        assert signals.norm_l2(h) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_default_unit_gaussian_rejects_a_vanishing_gaussian():
+    with pytest.raises(NumericsError, match="vanishes on the grid"):
+        bounds.default_unit_gaussian(olct.make_grid(-1.0, 1.0, 151), 40.0)
+
+
 # ---------------------------------------------------------------------------
 # the bound functional
 

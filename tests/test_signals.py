@@ -276,17 +276,23 @@ def _full_length_derivative(s, orders):
 # next_fast_len: 16, 1000, 4096 -> themselves; 1025 -> 1029 (odd);
 # 4097, 4098 -> 4116; 65537 -> 65610
 @pytest.mark.parametrize("n", [16, 1000, 1025, 4096, 4097, 4098, 65537])
-@pytest.mark.parametrize("narrow", [False, True], ids=["wide", "narrow"])
-def test_kept_bin_derivative_is_bit_identical_to_full_length(n, narrow):
-    # the narrow pulse (sigma = dt) keeps bins up to the Nyquist bin, so
-    # its odd orders cover the dropped Nyquist bin; the comparison is of
+@pytest.mark.parametrize("shape", ["wide", "narrow", "pulse3", "alternating"])
+def test_kept_bin_derivative_is_bit_identical_to_full_length(n, shape):
+    # "wide" keeps few bins; the narrow pulse (sigma = dt) keeps bins up to
+    # the Nyquist bin, so its odd orders cover the dropped Nyquist bin; a
+    # sigma = 3 dt pulse keeps most bins but not all (sigma is at most 0.5
+    # so that it decays on the 16-point grid), and the alternating
+    # Gaussian keeps few bins around the Nyquist bin.  The comparison is of
     # the bits, so the signs of zeros count too
     grid = olct.make_grid(-8.0, 8.0, n)
     t = grid.points()
-    if narrow:
-        values = np.exp(-0.5 * ((t - 0.3) / grid.dt) ** 2) + 0j
-    else:
+    if shape == "wide":
         values = np.exp(-0.7 * (t - 0.3) ** 2 + 1j * (1.5 * t + 0.4 * t * t))
+    elif shape == "alternating":
+        values = np.exp(-0.7 * (t - 0.3) ** 2) * (-1.0) ** np.arange(n) + 0j
+    else:
+        width = grid.dt if shape == "narrow" else min(3.0 * grid.dt, 0.5)
+        values = np.exp(-0.5 * ((t - 0.3) / width) ** 2) + 0j
     s = olct.SampledSignal(grid, values)
     orders = range(1, 9)
     kept = signals.derivative(s, orders)

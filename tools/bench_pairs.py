@@ -9,6 +9,7 @@ own ``bench/run.py`` from its own root, exactly as
 
     python3 bench/run.py --workload W --seed S --seconds T --trace 0
 
+with T the ``run_seconds`` that ``BENCHMARK.json`` fixes for every run,
 and the last line of its standard output is parsed as the run's JSON
 result.  Nothing under ``bench/`` is changed.
 
@@ -19,8 +20,6 @@ of the change tree), and whether the gap of the medians exceeds the
 interquartile range of the base runs.
 
     python3 tools/bench_pairs.py ../base . --workload reports-64k --seed 43 --pairs 10
-
-``--out FILE`` also writes every run's JSON result, in run order.
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=36.0)
-    ap.add_argument("--out", type=Path, help="write every run's result here")
     return ap.parse_args(argv)
 
 
@@ -63,9 +60,13 @@ def pair_order(i: int) -> tuple:
     return ("base", "change") if i % 2 == 0 else ("change", "base")
 
 
+def bench_spec(tree: Path) -> dict:
+    return json.loads((tree / "BENCHMARK.json").read_text())
+
+
 def directions(tree: Path) -> dict:
     """metric name -> "lower" or "higher", from the tree's BENCHMARK.json."""
-    spec = json.loads((tree / "BENCHMARK.json").read_text())
+    spec = bench_spec(tree)
     return {m["name"]: m["better"]
             for key in ("end_to_end", "per_layer") for m in spec.get(key, [])}
 
@@ -110,29 +111,26 @@ def main(argv=None) -> int:
     for tree in trees.values():
         if not (tree / "bench" / "run.py").is_file():
             sys.exit(f"bench_pairs: no bench/run.py under {tree}")
-    pairs, runs = [], []
+    seconds = bench_spec(trees["change"])["run_seconds"]
+    pairs = []
     for i in range(args.pairs):
         pair = {}
         for side in pair_order(i):
-            result = run_bench(trees[side], args.workload, args.seed,
-                               args.seconds)
+            result = run_bench(trees[side], args.workload, args.seed, seconds)
             pair[side] = result
-            runs.append({"pair": i + 1, "side": side, "result": result})
             print(f"pair {i + 1}/{args.pairs} {side}: correct="
                   f"{result['correct']} failed={result['failed']}",
                   file=sys.stderr)
         pairs.append(pair)
-    if args.out:
-        args.out.write_text(json.dumps(runs, indent=1) + "\n")
 
     n = len(pairs)
     print(f"{args.workload}, seed {args.seed}, {n} pairs of "
-          f"{args.seconds:g} s; base = {trees['base']}, "
+          f"{seconds:g} s; base = {trees['base']}, "
           f"change = {trees['change']}")
     for side in ("base", "change"):
-        bad = [r for r in runs if r["side"] == side
-               and not (r["result"]["correct"] and r["result"]["failed"] == 0)]
-        print(f"{side}: {n - len(bad)}/{n} runs correct with 0 failed")
+        good = sum(p[side]["correct"] and p[side]["failed"] == 0
+                   for p in pairs)
+        print(f"{side}: {good}/{n} runs correct with 0 failed")
     print(f"{'metric':<14} {'base median [q1, q3]':>30} "
           f"{'change median [q1, q3]':>30} {'change':>8} {'won':>6}  "
           "gap > base IQR")
