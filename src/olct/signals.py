@@ -233,40 +233,26 @@ def unit_weight() -> WeightFunction:
 
 @functools.lru_cache(maxsize=8)
 def quadrature_weights(n: int, dt: float) -> np.ndarray:
-    """Composite Simpson weights for ``n`` uniform samples.
+    """Trapezoid weights for ``n`` uniform samples: dt at every sample and
+    dt/2 at both ends.
 
-    For an odd number of panels the last three are integrated with the 3/8
-    rule, which keeps the composite rule exact for cubics on every grid
-    parity.  The weights of the last few (n, dt) are kept and shared, so
-    the array is read-only.
+    Every integrand the package integrates has decayed at both grid ends
+    (:func:`check_decay`), where the trapezoid rule converges exponentially
+    (Trefethen & Weideman, SIAM Review 2014).  It is also the rule the DFT
+    applies, so a Fourier sum with these weights has no spectral replica.
+    The weights of the last few (n, dt) are kept and shared, so the array
+    is read-only.
     """
-    w = _simpson_weights(n, dt)
+    if n < 2:
+        raise ValueError("quadrature needs at least two samples")
+    w = np.full(n, float(dt))
+    w[0] = w[-1] = dt / 2.0
     w.setflags(write=False)
     return w
 
 
-def _simpson_weights(n: int, dt: float) -> np.ndarray:
-    if n < 2:
-        raise ValueError("quadrature needs at least two samples")
-    m = n - 1
-    w = np.zeros(n)
-    if m % 2 == 0:
-        w[0] = w[-1] = 1.0
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        w *= dt / 3.0
-    elif m == 1:
-        w[:] = dt / 2.0
-    elif m == 3:
-        w[:] = np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * dt / 8.0)
-    else:
-        w[: n - 3] = _simpson_weights(n - 3, dt)
-        w[n - 4 :] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * dt / 8.0)
-    return w
-
-
 def integrate(s: SampledSignal) -> complex:
-    """Integral of the signal over its grid interval (composite Simpson)."""
+    """Integral of the signal over its grid interval (trapezoid rule)."""
     w = quadrature_weights(s.grid.n, s.grid.dt)
     return complex(np.sum(w * s.values))
 
@@ -298,7 +284,7 @@ def check_decay(values: np.ndarray, what: str,
 
 def guarded_integral(grid: Grid, integrand: np.ndarray, what: str,
                      tol: float = EDGE_DECAY_TOL) -> float:
-    """Composite-Simpson integral of a real integrand over the grid, after
+    """Trapezoid-rule integral of a real integrand over the grid, after
     :func:`check_decay` has confirmed that the truncation drops nothing."""
     check_decay(integrand, what, tol)
     w = quadrature_weights(grid.n, grid.dt)

@@ -234,12 +234,9 @@ def _forward_on_bins(f: SampledSignal, params: OlctParams, xi_m: float
     """The chirp_fft transform on the default output grid, read off the bins
     of :func:`_bin_spectrum`'s FFT.
 
-    The Simpson weights are dt - (dt/3)(-1)^k except at k = 0 and at the
-    last four samples (the ends, and the 3/8 rule for even n).  With
-    (-1)^k = (-1)^(n//2) exp(-j pi k'), the weighted sum at bin j is
-    dt G_j - (dt/3) (-1)^(n//2) G_(j+M/2), the second term being the
-    weights' spectral replica, plus the exact weight corrections at those
-    five samples.  The centre phase exp(-j u t_c), t_c the middle sample,
+    The quadrature weights are dt except at the two end samples, so the
+    weighted sum at bin j is dt G_j plus the weight corrections at those
+    two samples.  The centre phase exp(-j u t_c), t_c the middle sample,
     and the outer phase complete the kernel; both are taken at the grid
     points, which sit within a few ulp of tau + b u_j, as the other paths
     take them.
@@ -247,12 +244,9 @@ def _forward_on_bins(f: SampledSignal, params: OlctParams, xi_m: float
     grid, bins, g, spec = _bin_spectrum(f, params, xi_m)
     n, dt = f.grid.n, f.grid.dt
     size = spec.size
-    sign = -1.0 if (n // 2) % 2 else 1.0
-    inner = (dt * spec[bins % size]
-             - (dt / 3.0) * sign * spec[(bins + size // 2) % size])
-    ends = np.array([0, n - 4, n - 3, n - 2, n - 1])
-    pattern = dt - (dt / 3.0) * (1.0 - 2.0 * (ends % 2))
-    delta = quadrature_weights(n, dt)[ends] - pattern
+    inner = dt * spec[bins % size]
+    ends = np.array([0, n - 1])
+    delta = quadrature_weights(n, dt)[ends] - dt
     turns = np.outer(bins, ends - n // 2) % size
     inner += cis((-2.0 * np.pi / size) * turns) @ (delta * g[ends])
     xi = grid.points()
@@ -270,13 +264,12 @@ def default_xi_grid(f: SampledSignal, params: OlctParams, xi_m: float = 0.0,
     (d xi <= |b| pi/L), as :func:`_bin_spectrum` describes.  It is the grid
     :func:`olct_forward` uses when given no grid.
 
-    By Poisson summation, a Simpson sum over such a grid of |G|^2 times a
+    By Poisson summation, a trapezoid sum over such a grid of |G|^2 times a
     polynomial differs from the integral by aliases of the autocorrelation
-    of g, which vanishes beyond lags of L; the rule's coarser half-grid of
-    spacing 2 du puts those aliases at 2 pi/(2 du) >= L, whatever the
-    spectrum's shape.  The same limit keeps the inverse transform
-    alias-free.  ``n`` overrides the count on the same span; a transform on
-    that grid runs the Bluestein sum.
+    of g, which vanishes beyond lags of L; the spacing du puts those aliases
+    at 2 pi/du >= 2L, whatever the spectrum's shape.  The same limit keeps
+    the inverse transform alias-free.  ``n`` overrides the count on the
+    same span; a transform on that grid runs the Bluestein sum.
     """
     if params.is_degenerate:
         raise ValueError("default output grid is only defined for b != 0")
@@ -312,8 +305,8 @@ def olct_forward(f: SampledSignal, params: OlctParams,
         :func:`default_xi_grid`; only meaningful without ``xi_grid`` (a
         nonzero value with one is an error), and unused for b = 0.
 
-    Both paths apply the same composite-Simpson quadrature weights, so they
-    agree to rounding error for decaying inputs.
+    Both paths apply the same trapezoid quadrature weights, so they agree
+    to rounding error for decaying inputs.
     """
     if xi_grid is not None and xi_m != 0.0:
         raise ValueError("xi_m centres the default output grid; it cannot "

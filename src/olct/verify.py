@@ -271,8 +271,9 @@ def verify_hw(f: SampledSignal, params: OlctParams, p: int,
         raise ValueError(f"absolute-moment order must be >= 2, got {p}")
     with _scenario_context(scenario):
         # the default grid's point count resolves |O|^2 times a polynomial;
-        # |xi - xi_m|^p for odd p has a kink at xi_m, which Simpson's rule
-        # resolves only to O(dxi^(p+1)), so odd orders take the input's count
+        # |xi - xi_m|^p for odd p has a kink at xi_m, which the trapezoid
+        # rule resolves only to O(dxi^(p+1)), so odd orders take the input's
+        # count
         if p % 2:
             spectrum = olct_forward(
                 f, params, default_xi_grid(f, params, xi_m=xi_m, n=f.grid.n))

@@ -51,9 +51,10 @@ def test_library_lines_cover_every_scenario_order_and_sweep():
     assert digest.LIBRARY_ORDERS == (1, 2, 3, 4)
     assert digest.LARGE_GRID_LINE == ("published", 4, 65537)
     assert digest.EVEN_GRID_LINE == ("negative-b", 4, 4096)
+    assert digest.BAND_FILLING_LINE == ("band-filling", 1, 16385)
     lines = digest.library_lines()
     sweeps = list(olct.verify.SWEEP_SCENARIOS)
-    assert len(lines) == 4 * 4 + 2 + len(sweeps) == 22
+    assert len(lines) == 4 * 4 + 3 + len(sweeps) == 23
     sha = "[0-9a-f]{64}"
     names = "|".join(re.escape(name) for name in digest.LIBRARY_SCENARIOS)
     for line in lines[:16]:
@@ -66,7 +67,9 @@ def test_library_lines_cover_every_scenario_order_and_sweep():
                         rf"\| core {sha} \| pair {sha}", lines[16])
     assert re.fullmatch(rf"library negative-b p=4 n=4096 \| reports {sha} "
                         rf"\| core {sha} \| pair {sha}", lines[17])
-    for line, scenario in zip(lines[18:], sweeps):
+    assert re.fullmatch(rf"library band-filling p=1 n=16385 \| reports {sha} "
+                        rf"\| core {sha} \| pair {sha}", lines[18])
+    for line, scenario in zip(lines[19:], sweeps):
         assert re.fullmatch(rf"sweep_r {scenario} \| rows {sha}", line)
 
 
@@ -75,8 +78,9 @@ def test_value_lines_list_every_report_field():
     lines = digest.value_lines()
     columns = olct.verify.REPORT_COLUMNS
     # 5 reports at p = 1 and 6 (with the absolute-moment bound) at p >= 2,
-    # over 4 scenarios, then the large-grid and even-grid lines at p = 4
-    assert len(lines) == (4 * (5 + 3 * 6) + 2 * 6) * len(columns)
+    # over 4 scenarios, then the large-grid and even-grid lines at p = 4 and
+    # the band-filling line at p = 1
+    assert len(lines) == (4 * (5 + 3 * 6) + 2 * 6 + 5) * len(columns)
     first = lines[: len(columns)]
     assert [line.split(" | ")[2].split(" ")[0] for line in first] == columns
     assert first[0] == "library published p=1 | hpw | scenario published"

@@ -225,6 +225,18 @@ def test_verify_hw_spectral_moment_closed_form(p, example_signal, example_params
     assert report.mu_spec == pytest.approx(exact, rel=1e-10, abs=0.0)
 
 
+def test_verify_hw_odd_order_time_moment_closed_form(example_signal,
+                                                     example_params):
+    # |f|^2 = exp(-r (t - t_m)^2) gives mu_time = int |s|^3 exp(-r s^2) ds
+    # = 1/r^2 at p = 3, whose integrand has a kink at t_m
+    minimizer = olct.minimizer_signal(1.0, 2.0, 0.3, 0.6, example_params)
+    cases = [(minimizer.sample(DEFAULT_GRID), 0.3, 0.6, 1.0 / 16.0),
+             (example_signal, 0.0, 0.0, 1.0 / 4.0)]
+    for f, t_m, xi_m, exact in cases:
+        report = olct.verify_hw(f, example_params, 3, t_m=t_m, xi_m=xi_m)
+        assert report.mu_time == pytest.approx(exact, rel=5e-11, abs=0.0)
+
+
 def test_verify_hw_p2_matches_second_order_case(example_signal, example_params):
     hw = olct.verify_hw(example_signal, example_params, 2)
     hpw = olct.verify_hpw(example_signal, example_params, olct.HpwConfig(p=1))
@@ -279,6 +291,20 @@ def test_chirp_reproducer_matches_finer_grid():
     for report in reports:
         assert report.passed
         assert report.ppr_gap <= 1e-13 and report.parseval_gap <= 1e-13
+
+
+def test_band_filling_chirp_matches_finer_grid():
+    # on 16385 points the default grid spans +-3030 inside pi/dt = 3217 and
+    # the derivative keeps 98 % of its FFT bins; weights that alternate from
+    # sample to sample would add a replica of the spectrum at pi/dt and
+    # trip the spectral-moment edge guard
+    signal = olct.gaussian_chirp(2.0, 300.0)
+    coarse, fine = [olct.verify_shw(signal.sample(olct.make_grid(-8.0, 8.0, n)),
+                                    olct.ft_params(), olct.HpwConfig(p=1))
+                    for n in (16385, 65537)]
+    assert coarse.lhs == pytest.approx(fine.lhs, rel=1e-12, abs=0.0)
+    assert coarse.passed
+    assert coarse.ppr_gap <= 1e-14 and coarse.parseval_gap <= 1e-14
 
 
 def test_undersampled_chirp_is_refused(tmp_path):

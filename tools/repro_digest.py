@@ -12,9 +12,10 @@ sha256 of the ``reports_to_csv`` text of every 2p-order report (the plain
 bound, the sharpened bound in each auxiliary-term mode, and the
 absolute-moment bound for p >= 2), of ``repr((core, terms))`` from
 ``hpw_core`` and of the bytes of ``moment_pair``'s (u, v); the same for the
-published scenario at p = 4 on the 65537-point grid and for the negative-b
-scenario at p = 4 on an even, 4096-point grid; and one line per sweep
-scenario with the sha256 of the ``sweep_r`` rows.
+published scenario at p = 4 on the 65537-point grid, for the negative-b
+scenario at p = 4 on an even, 4096-point grid and for a band-filling
+spectrum at p = 1 on a 16385-point grid; and one line per sweep scenario
+with the sha256 of the ``sweep_r`` rows.
 
 Two source trees print the same lines exactly when every run is
 byte-identical, so a diff of two digests checks a refactor:
@@ -56,9 +57,8 @@ SUBCOMMANDS = (
 
 # The aliasing reproducer (the same config as the benchmark's): a chirped
 # Gaussian whose spectrum spans |xi| <= 280 of this grid's discrete-Fourier
-# band |xi| <= pi/dt = 804.  An output grid reaching past the band picks up
-# the Simpson weights' spectral replica; the default grid stays inside it,
-# so every run passes.
+# band |xi| <= pi/dt = 804.  The default grid stays inside the band, so
+# every run passes.
 ALIAS_NAME = "alias_ft_r2_chirp30.cfg"
 ALIAS_CONFIG = """\
 [alias-ft-r2-chirp30]
@@ -155,8 +155,15 @@ LIBRARY_N = 4097
 # The benchmark's grid size, the only one at which the transform's chirp
 # phases reach their full range; one scenario and order keeps the run short.
 LARGE_GRID_LINE = ("published", 4, 65537)
-# An even point count, where the last three panels take the 3/8 rule.
+# An even point count, where the centred indices k - n//2 are asymmetric.
 EVEN_GRID_LINE = ("negative-b", 4, 4096)
+# A spectrum that fills most of the band |xi| <= pi/dt = 3217 of this grid,
+# whose derivative keeps 98 % of its FFT bins; 4097 points undersample it,
+# so it is not a 4097-point scenario.
+BAND_FILLING_SCENARIO = (transform.ft_params(),
+                         signals.gaussian_chirp(2.0, 300.0),
+                         signals.unit_weight(), 0.0, 0.0)
+BAND_FILLING_LINE = ("band-filling", 1, 16385)
 SWEEP_R_VALUES = (0.5, 1.0, 2.5, 4.0)
 
 
@@ -169,7 +176,9 @@ def library_reports(name: str, p: int, n: int = LIBRARY_N) -> tuple:
     -8:8:n: the plain bound, the sharpened bound in each auxiliary-term
     mode, and the absolute-moment bound for p >= 2.  Returns the sampled
     input, the parameters and the bound configuration with the reports."""
-    params, signal, omega, t_m, xi_m = LIBRARY_SCENARIOS[name]
+    params, signal, omega, t_m, xi_m = (
+        BAND_FILLING_SCENARIO if name == BAND_FILLING_LINE[0]
+        else LIBRARY_SCENARIOS[name])
     f = signal.sample(signals.make_grid(-8.0, 8.0, n))
     cfg = bounds.HpwConfig(p=p, t_m=t_m, xi_m=xi_m, omega=omega)
     reports = [verify.verify_hpw(f, params, cfg, scenario=name)]
@@ -197,7 +206,8 @@ def library_line(name: str, p: int, n: int = LIBRARY_N) -> str:
 
 def _library_keys() -> list:
     return ([(name, p, LIBRARY_N) for name in LIBRARY_SCENARIOS
-             for p in LIBRARY_ORDERS] + [LARGE_GRID_LINE, EVEN_GRID_LINE])
+             for p in LIBRARY_ORDERS]
+            + [LARGE_GRID_LINE, EVEN_GRID_LINE, BAND_FILLING_LINE])
 
 
 def value_lines() -> list:
@@ -220,7 +230,8 @@ def sweep_line(scenario: str) -> str:
 
 def library_lines() -> list:
     """Digest lines of every library scenario and order, then of the
-    large-grid and even-grid lines, then of every sweep scenario."""
+    large-grid, even-grid and band-filling lines, then of every sweep
+    scenario."""
     return ([library_line(*key) for key in _library_keys()]
             + [sweep_line(scenario) for scenario in verify.SWEEP_SCENARIOS])
 
