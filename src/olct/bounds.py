@@ -8,17 +8,18 @@ evaluated here:
   of the demodulated signal g_b = exp(-j beta t) exp(j a/(2b) t^2) f;
 * its sharpened form with E replaced by sqrt(E^2 + 4*A^2), where A comes
   from a Gram-determinant construction with an auxiliary unit-norm function
-  applied to the pair (u, v) that :func:`hpw_core` returns with E;
+  applied to the pair (u, v) that :func:`hpw_core` forms with E;
 * the absolute-moment bound (|b|/2) * (energy^2)^(1/p) for p >= 2.
 
-:func:`hpw_core` evaluates E, its per-order terms and (u, v); the auxiliary
-terms and the right-hand sides are separate functions, which the reports of
-:mod:`olct.verify` assemble.  The module also provides numerical validators
-for the two differential identities the functional is built on (the second
-one is the paper's expansion of |g_b^(q)|^2 into derivatives of the
-chirp-multiplied signal, with the coefficient functions defined here), and
-the closed-form bound pair for the chirped-Gaussian family used in the
-verification scenarios.
+:func:`hpw_core` evaluates E, its per-order terms, v and what u is formed
+from.  The auxiliary terms, which read the :class:`AbsEnergy` of u, v and
+h, and the right-hand sides are separate functions, which the reports of
+:mod:`olct.verify` assemble.  The module also provides numerical
+validators for the two differential identities the functional is built on
+(the second one is the paper's expansion of |g_b^(q)|^2 into derivatives
+of the chirp-multiplied signal, with the coefficient functions defined
+here), and the closed-form bound pair for the chirped-Gaussian family used
+in the verification scenarios.
 """
 
 from __future__ import annotations
@@ -27,19 +28,20 @@ import functools
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
 from .errors import NumericsError
 from .signals import (
+    AbsEnergy,
     AnalyticSignal,
     Grid,
     SampledSignal,
     WeightFunction,
-    _energy,
-    _signed_power,
+    centered_power,
     derivative,
+    energy,
     guarded_integral,
     quadrature_weights,
     unit_weight,
@@ -123,12 +125,18 @@ class OrderTerm:
 
 @dataclass(frozen=True)
 class BoundBreakdown:
-    """The bound functional, its per-order terms and the sharpening pair."""
+    """The bound functional, its per-order terms and what the sharpening
+    pair (u, v) is formed from."""
 
     core: float            # signed functional E
     terms: tuple           # OrderTerm per q
-    u: SampledSignal = field(repr=False, compare=False)  # omega (t-t_m)^p g_b
+    g_b: SampledSignal = field(repr=False, compare=False)  # demodulated f
+    u_weight: np.ndarray = field(repr=False, compare=False)  # omega (t-t_m)^p
     v: SampledSignal = field(repr=False, compare=False)  # g_b^(p)
+
+    def u(self) -> SampledSignal:
+        """The pair's u = omega(t) (t - t_m)^p g_b(t)."""
+        return self.g_b.with_values(self.u_weight * self.g_b.values)
 
 
 def half_power(x: float) -> complex:
@@ -187,7 +195,7 @@ def weight_deriv_centered(omega: WeightFunction, p: int, t_m: float, orders,
     d = t - t_m
     mag = np.abs(d)
     weight = functools.cache(lambda j: omega.deriv(j)(t))
-    power = functools.cache(lambda e: _signed_power(d, mag, e))
+    power = functools.cache(lambda e: centered_power(d, mag, e))
     term = np.empty_like(t)
     out = {}
     for k in orders:
@@ -209,7 +217,9 @@ def hpw_core(f: SampledSignal, params: OlctParams, cfg: HpwConfig) -> BoundBreak
     integration-by-parts sign (-1)^(p-2q), which equals (-1)^p for every q.
 
     One :func:`derivative` call on g_b gives the orders q = 1..p/2 of the
-    F_q and the order p of the sharpening pair (u, v) it also returns.
+    F_q and the order p of the sharpening pair (u, v).  The breakdown
+    carries v, g_b and the weight omega (t - t_m)^p, from which
+    :meth:`BoundBreakdown.u` forms u for a caller that needs it.
     """
     if params.is_degenerate:
         raise ValueError("the bound functional requires b != 0")
@@ -241,8 +251,8 @@ def hpw_core(f: SampledSignal, params: OlctParams, cfg: HpwConfig) -> BoundBreak
         terms.append(OrderTerm(q=q, coeff=d_q, value=f_q))
         core += d_q * f_q
 
-    return BoundBreakdown(core=core, terms=tuple(terms),
-                          u=g_b.with_values(wd[0] * g_b.values), v=derivs[p])
+    return BoundBreakdown(core=core, terms=tuple(terms), g_b=g_b,
+                          u_weight=wd[0], v=derivs[p])
 
 
 def second_order_core_closed_form(f: SampledSignal, omega: WeightFunction,
@@ -262,60 +272,33 @@ def second_order_core_closed_form(f: SampledSignal, omega: WeightFunction,
 def moment_pair(f: SampledSignal, params: OlctParams,
                 cfg: HpwConfig) -> tuple:
     """The pair (u, v) entering the sharpening: u = omega(t) (t-t_m)^p g_b(t)
-    and v = g_b^(p)(t), with g_b the demodulated signal; the pair that
-    :func:`hpw_core`'s breakdown carries."""
+    and v = g_b^(p)(t), with g_b the demodulated signal, from
+    :func:`hpw_core`'s breakdown."""
     breakdown = hpw_core(f, params, cfg)
-    return breakdown.u, breakdown.v
+    return breakdown.u(), breakdown.v
 
 
-def default_unit_gaussian(grid: Grid, t_m: float = 0.0) -> SampledSignal:
-    """Unit-norm Gaussian exp(-(t - t_m)^2 / 2) / pi^(1/4) on the grid."""
-    return SampledSignal(grid, _unit_gaussian_abs_energy(grid, t_m).mag)
+def default_unit_gaussian(grid: Grid, t_m: float = 0.0) -> AbsEnergy:
+    """The :class:`AbsEnergy` of the unit-norm Gaussian
+    h = exp(-(t - t_m)^2 / 2) / pi^(1/4) on the grid.
 
-
-def _unit_gaussian_abs_energy(grid: Grid, t_m: float) -> _AbsEnergy:
-    """:func:`_abs_energy` of :func:`default_unit_gaussian`, formed on a
-    real array: h is a positive Gaussian, so |h| = h.  Scaling by the
-    reciprocal of the norm rounds as dividing the complex samples by it
-    did."""
+    h is positive, so |h| = h is formed on a real array.  Scaling by the
+    reciprocal of the norm rounds as dividing complex samples by it does.
+    """
     t = grid.points()
     h = np.exp(-((t - t_m) ** 2) / 2.0) / np.pi**0.25
-    nh = math.sqrt(max(_energy(grid, h ** 2), 0.0))
+    nh = math.sqrt(max(energy(grid, h ** 2), 0.0))
     if nh == 0.0:
         raise NumericsError(
             f"the unit Gaussian centred at t_m = {t_m!r} vanishes on the grid")
     h *= 1.0 / nh
-    return _AbsEnergy(grid, h, _energy(grid, h ** 2))
+    return AbsEnergy(grid, h, energy(grid, h ** 2))
 
 
-def gram_offset(u: SampledSignal, v: SampledSignal, h: SampledSignal) -> float:
+def gram_offset(u: AbsEnergy, v: AbsEnergy, h: AbsEnergy) -> float:
     """Auxiliary term A = ||u|| x0 - ||v|| y0 with x0 = integral |v||h| and
-    y0 = integral |u||h|; h must be unit norm."""
-    return _gram_offset(_abs_energy(u), _abs_energy(v), _abs_energy(h))
-
-
-def saturating_gram_term(u: SampledSignal, v: SampledSignal) -> float:
-    """Largest admissible auxiliary term:
-    A*^2 = ||u||^2 ||v||^2 - (integral |u||v|)^2."""
-    return _saturating_gram_term(_abs_energy(u), _abs_energy(v))
-
-
-class _AbsEnergy(NamedTuple):
-    """|s| and ||s||^2 of a signal s: what the Gram terms read of u, v and
-    h, formed once so that a report shares them among its terms."""
-
-    grid: Grid
-    mag: np.ndarray
-    energy: float
-
-
-def _abs_energy(s: SampledSignal) -> _AbsEnergy:
-    mag = np.abs(s.values)
-    return _AbsEnergy(s.grid, mag, _energy(s.grid, mag ** 2))
-
-
-def _gram_offset(u: _AbsEnergy, v: _AbsEnergy, h: _AbsEnergy) -> float:
-    """:func:`gram_offset` from |u|, |v|, |h| and their energies."""
+    y0 = integral |u||h|, from the :class:`AbsEnergy` of u, v and h; h must
+    be unit norm."""
     nh = math.sqrt(max(h.energy, 0.0))
     if abs(nh - 1.0) > UNIT_NORM_TOL:
         raise NumericsError(
@@ -327,8 +310,9 @@ def _gram_offset(u: _AbsEnergy, v: _AbsEnergy, h: _AbsEnergy) -> float:
             - math.sqrt(max(v.energy, 0.0)) * y0)
 
 
-def _saturating_gram_term(u: _AbsEnergy, v: _AbsEnergy) -> float:
-    """:func:`saturating_gram_term` from |u|, |v| and their energies."""
+def saturating_gram_term(u: AbsEnergy, v: AbsEnergy) -> float:
+    """Largest admissible auxiliary term, from the :class:`AbsEnergy` of u
+    and v: A*^2 = ||u||^2 ||v||^2 - (integral |u||v|)^2."""
     w = quadrature_weights(u.grid.n, u.grid.dt)
     uv = float(np.sum(w * u.mag * v.mag))
     return math.sqrt(max(u.energy * v.energy - uv * uv, 0.0))

@@ -20,12 +20,14 @@ import numpy as np
 
 from .signals import (
     MAX_HALF_ORDER,
+    AbsEnergy,
+    Grid,
     SampledSignal,
     WeightFunction,
+    abs_energy,
     centered_power,
     cis,
     derivative,
-    energy,
     guarded_integral,
 )
 from .transform import OlctParams, olct_forward
@@ -52,9 +54,10 @@ def _half_order(p) -> int:
     return int(p)
 
 
-def time_moment_2p(f: SampledSignal, p: int, t_m: float,
+def time_moment_2p(f: AbsEnergy, p: int, t_m: float,
                    omega: WeightFunction) -> float:
-    """Weighted time moment: integral of w(t)^2 (t - t_m)^(2p) |f(t)|^2.
+    """Weighted time moment: integral of w(t)^2 (t - t_m)^(2p) |f(t)|^2,
+    from the :class:`AbsEnergy` of f.
 
     The weight multiplies |f| before squaring, so a weight that overflows
     where the signal has decayed gives a finite product, not inf * 0.
@@ -62,30 +65,28 @@ def time_moment_2p(f: SampledSignal, p: int, t_m: float,
     p = _half_order(p)
     if not np.isfinite(t_m):
         raise ValueError("moment center t_m must be finite")
-    return _time_moment_2p(f.grid, np.abs(f.values), p, t_m, omega)
-
-
-def _time_moment_2p(grid, mag: np.ndarray, p: int, t_m: float,
-                    omega: WeightFunction) -> float:
-    """:func:`time_moment_2p` from |f|, for a caller that also takes the
-    energy of f from it; p and t_m as that function has checked them."""
-    t = grid.points()
-    integrand = (omega(t) * mag) ** 2 * centered_power(t, t_m, 2 * p)
-    return guarded_integral(grid, integrand,
+    t = f.grid.points()
+    d = t - t_m
+    integrand = (omega(t) * f.mag) ** 2 * centered_power(d, np.abs(d), 2 * p)
+    return guarded_integral(f.grid, integrand,
                             "the weighted time-moment integrand", COVERAGE_TOL)
 
 
 def spectral_moment_2p(spectrum: SampledSignal, p: int, xi_m: float) -> float:
     """Spectral moment: integral of (xi - xi_m)^(2p) |O(xi)|^2."""
     p = _half_order(p)
-    xi = spectrum.grid.points()
-    integrand = centered_power(xi, xi_m, 2 * p) * np.abs(spectrum.values) ** 2
+    d = spectrum.grid.points() - xi_m
+    integrand = (centered_power(d, np.abs(d), 2 * p)
+                 * np.abs(spectrum.values) ** 2)
     return guarded_integral(spectrum.grid, integrand,
                             "the spectral-moment integrand", COVERAGE_TOL)
 
 
-def abs_moment_p(s: SampledSignal, p: int, center: float) -> float:
-    """Absolute moment: integral of |x - center|^p |s(x)|^2, for p >= 2.
+def abs_moment_p(grid: Grid, dist: np.ndarray, sq: np.ndarray,
+                 p: int) -> float:
+    """Absolute moment: integral of |x - center|^p |s(x)|^2, for p >= 2,
+    from dist = |x - center| and sq = |s|^2 on the grid, which a caller
+    taking several orders and the energy of one signal forms once.
 
     Orders below 2 are outside the duration-bandwidth machinery and are
     rejected.
@@ -96,13 +97,6 @@ def abs_moment_p(s: SampledSignal, p: int, center: float) -> float:
             f"absolute moment of order {p} < 2 is not usable for the "
             "duration-bandwidth bound"
         )
-    return _abs_moment(s.grid, np.abs(s.grid.points() - center),
-                       np.abs(s.values) ** 2, p)
-
-
-def _abs_moment(grid, dist: np.ndarray, sq: np.ndarray, p: int) -> float:
-    """:func:`abs_moment_p` from |x - center| and |s|^2, which a caller
-    taking several orders and the energy of one signal forms once."""
     return guarded_integral(grid, dist ** p * sq,
                             "the absolute-moment integrand", COVERAGE_TOL)
 
@@ -160,5 +154,5 @@ def ppr_check(f: SampledSignal, params: OlctParams, p: int,
 
     g_b = chirp_demodulate(f, params, xi_m)
     g_b_p = derivative(g_b, [p])[p] if p >= 1 else g_b
-    rhs = params.b ** (2 * p) * energy(g_b_p)
+    rhs = params.b ** (2 * p) * abs_energy(g_b_p).energy
     return PprResult(lhs=lhs, rhs=rhs, rel_gap=relative_gap(lhs, rhs))

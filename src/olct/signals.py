@@ -1,5 +1,5 @@
 """Uniform grids, sampled complex signals, analytic signal families,
-quadrature, differentiation and norms.
+quadrature, differentiation, magnitudes and energies.
 
 Everything here is a pure function over immutable value objects; results
 only depend on the arguments, so signals and grids can be shared freely
@@ -9,9 +9,8 @@ across threads.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import fft as sfft
@@ -35,8 +34,9 @@ __all__ = [
     "cis",
     "centered_power",
     "derivative",
-    "norm_l2",
     "energy",
+    "AbsEnergy",
+    "abs_energy",
 ]
 
 MIN_GRID_POINTS = 16
@@ -305,23 +305,17 @@ def cis(phase) -> np.ndarray:
     return out
 
 
-def centered_power(x, center: float, e: int) -> np.ndarray:
-    """(x - center)^e for an integer e >= 0, as |x - center|^e with the sign
-    restored for odd e.
+def centered_power(d: np.ndarray, mag: np.ndarray, e: int) -> np.ndarray:
+    """(x - center)^e for an integer e >= 0, from d = x - center and
+    mag = |d|: mag^e with the sign of d restored for odd e.
 
     numpy raises a negative base to a power far more slowly than a
     non-negative one; the result is within 1 ulp of ``(x - center) ** e``.
+    A caller that takes several powers of one d forms d and |d| once.
     """
-    d = np.asarray(x, dtype=float) - center
-    return _signed_power(d, np.abs(d), e)
-
-
-def _signed_power(d: np.ndarray, mag: np.ndarray, e: int) -> np.ndarray:
-    """:func:`centered_power` from d = x - center and mag = |d|, for a
-    caller that takes several powers of one d."""
     out = mag ** e
     if e % 2:
-        # in place, unless a scalar x made out a numpy scalar
+        # in place, unless a scalar d made out a numpy scalar
         out = np.copysign(out, d,
                           out=out if isinstance(out, np.ndarray) else None)
     return out
@@ -383,17 +377,23 @@ def derivative(s: SampledSignal, orders) -> dict:
     return out
 
 
-def energy(s: SampledSignal) -> float:
-    """Integral of |s|^2 over the grid."""
-    return _energy(s.grid, np.abs(s.values) ** 2)
-
-
-def _energy(grid: Grid, sq: np.ndarray) -> float:
-    """Integral over the grid of ``sq``, a squared magnitude |s|^2 that the
-    caller already holds; :func:`energy` of a signal with that magnitude."""
+def energy(grid: Grid, sq: np.ndarray) -> float:
+    """Integral over the grid of ``sq``, a squared magnitude |s|^2."""
     w = quadrature_weights(grid.n, grid.dt)
     return float(np.sum(w * sq))
 
 
-def norm_l2(s: SampledSignal) -> float:
-    return math.sqrt(max(energy(s), 0.0))
+class AbsEnergy(NamedTuple):
+    """|s| and ||s||^2 of a signal s on its grid: what the moments, the
+    gaps and the Gram terms of a report read of f, u, v and h, formed once
+    so that the report shares them."""
+
+    grid: Grid
+    mag: np.ndarray
+    energy: float
+
+
+def abs_energy(s: SampledSignal) -> AbsEnergy:
+    """The :class:`AbsEnergy` of a sampled signal."""
+    mag = np.abs(s.values)
+    return AbsEnergy(s.grid, mag, energy(s.grid, mag ** 2))

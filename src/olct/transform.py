@@ -32,9 +32,9 @@ from .signals import (
     SPECTRAL_NOISE_FLOOR,
     Grid,
     SampledSignal,
+    abs_energy,
     check_decay,
     cis,
-    energy,
     make_grid,
     quadrature_weights,
 )
@@ -47,6 +47,7 @@ __all__ = [
     "olct_forward_b0",
     "olct_inverse",
     "parseval_gap",
+    "energy_gap",
     "default_xi_grid",
 ]
 
@@ -396,13 +397,14 @@ def olct_inverse(spectrum: SampledSignal, params: OlctParams, t_grid: Grid) -> S
 
 
 def parseval_gap(f: SampledSignal, spectrum: SampledSignal) -> float:
-    """Relative energy mismatch |E_f - E_O| / E_f between a signal and its
-    transform; zero for an exactly unitary pair."""
-    return _parseval_gap(energy(f), energy(spectrum))
+    """:func:`energy_gap` of a signal and its transform."""
+    return energy_gap(abs_energy(f).energy, abs_energy(spectrum).energy)
 
 
-def _parseval_gap(e_f: float, e_o: float) -> float:
-    """:func:`parseval_gap` from the two energies E_f and E_O."""
+def energy_gap(e_f: float, e_o: float) -> float:
+    """Relative energy mismatch |E_f - E_O| / E_f between a signal of
+    energy E_f and its transform of energy E_O; zero for an exactly unitary
+    pair."""
     if not (np.isfinite(e_f) and np.isfinite(e_o)):
         raise NumericsError("energies must be finite")
     if e_f <= 0.0:

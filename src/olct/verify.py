@@ -18,7 +18,7 @@ from .signals import (
     AnalyticSignal,
     Grid,
     SampledSignal,
-    _energy,
+    abs_energy,
     energy,
     exp_quadratic,
     exp_weight,
@@ -28,24 +28,23 @@ from .signals import (
 from .transform import (
     OlctParams,
     default_xi_grid,
-    _parseval_gap,
+    energy_gap,
     olct_forward,
 )
 from .moments import (
-    _abs_moment,
-    _time_moment_2p,
+    abs_moment_p,
     relative_gap,
     spectral_moment_2p,
+    time_moment_2p,
 )
 from .bounds import (
     HpwConfig,
-    _abs_energy,
-    _gram_offset,
-    _saturating_gram_term,
-    _unit_gaussian_abs_energy,
+    default_unit_gaussian,
+    gram_offset,
     hpw_core,
     hpw_rhs,
     hw_rhs,
+    saturating_gram_term,
     shw_rhs,
 )
 
@@ -159,42 +158,42 @@ def _report(f: SampledSignal, params: OlctParams, cfg: HpwConfig, tol: float,
 
     One transform onto the default output grid (one FFT, see
     :func:`olct_forward`) feeds the output-domain moment, and the pair
-    (u, v) of :func:`hpw_core`'s breakdown feeds both the Gram term and
-    the moment-identity gap: mu_spec against b^(2p) ||v||^2, with
+    (u, v) formed from :func:`hpw_core`'s breakdown feeds both the Gram
+    term and the moment-identity gap: mu_spec against b^(2p) ||v||^2, with
     v = g_b^(p) differentiated in the time domain.
     Both right sides are assembled here from E and the auxiliary term A,
-    which is 0 for the plain bound.  |u|, |v| and the energies of u, v, the
-    input and the spectrum are each formed once and shared by the gaps, the
-    ``energy`` field and the Gram terms.
+    which is 0 for the plain bound.  The :class:`~olct.signals.AbsEnergy`
+    of f, u and v, and the energy of the spectrum, are each formed once and
+    shared by the moments, the gaps, the ``energy`` field and the Gram
+    terms; u is formed only for the sharpened bound.
     """
     with _scenario_context(scenario):
         spectrum = olct_forward(f, params, xi_m=cfg.xi_m)
-        # |f| serves the time moment and the energy; HpwConfig has checked
-        # p and t_m
-        mag_f = np.abs(f.values)
-        mu_t = _time_moment_2p(f.grid, mag_f, cfg.p, cfg.t_m, cfg.omega)
-        e_f = _energy(f.grid, mag_f ** 2)
-        del mag_f
+        # |f| serves the energy and the time moment, and is freed after them
+        abs_f = abs_energy(f)
+        e_f = abs_f.energy
+        mu_t = time_moment_2p(abs_f, cfg.p, cfg.t_m, cfg.omega)
+        del abs_f
         mu_s = spectral_moment_2p(spectrum, cfg.p, cfg.xi_m)
         lhs = (mu_t * mu_s) ** (1.0 / (2.0 * cfg.p))
         breakdown = hpw_core(f, params, cfg)
         core = breakdown.core
         # the gap and the Gram terms read only |u|, |v| and their
         # energies; u and v themselves are freed before the Gram terms run
-        v = _abs_energy(breakdown.v)
-        u = _abs_energy(breakdown.u) if a_mode is not None else None
+        v = abs_energy(breakdown.v)
+        u = abs_energy(breakdown.u()) if a_mode is not None else None
         del breakdown
         ppr_gap = relative_gap(mu_s, params.b ** (2 * cfg.p) * v.energy)
 
         rhs_h = hpw_rhs(core, params.b, cfg.p)
         a_term = 0.0
         if a_mode is not None:
-            a_star = _saturating_gram_term(u, v)
+            a_star = saturating_gram_term(u, v)
             if a_mode == "fixed":
                 a_term = float(a_value)
             elif a_mode == "gram":
-                a_term = _gram_offset(
-                    u, v, _unit_gaussian_abs_energy(f.grid, cfg.t_m))
+                a_term = gram_offset(
+                    u, v, default_unit_gaussian(f.grid, cfg.t_m))
             elif a_mode == "saturating":
                 a_term = a_star
         sharpened = math.hypot(core, 2.0 * a_term)
@@ -211,7 +210,7 @@ def _report(f: SampledSignal, params: OlctParams, cfg: HpwConfig, tol: float,
         scenario=scenario, bound="hpw" if a_mode is None else "shw", p=cfg.p,
         lhs=lhs, hpw_rhs=rhs_h, slack_hpw=slack_h, rel_slack_hpw=rel_h,
         passed_hpw=ok_h, ppr_gap=ppr_gap,
-        parseval_gap=_parseval_gap(e_f, energy(spectrum)), core=core,
+        parseval_gap=energy_gap(e_f, abs_energy(spectrum).energy), core=core,
         gram_term=a_term, sharpened=sharpened, mu_time=mu_t, mu_spec=mu_s,
         energy=e_f,
         tol=tol, grid=f.grid, params=params, **shw,
@@ -285,22 +284,22 @@ def verify_hw(f: SampledSignal, params: OlctParams, p: int,
         sq_f = np.abs(f.values) ** 2
         dist_s = np.abs(spectrum.grid.points() - xi_m)
         sq_o = np.abs(spectrum.values) ** 2
-        mu_t = _abs_moment(f.grid, dist_t, sq_f, p)
-        mu_s = _abs_moment(spectrum.grid, dist_s, sq_o, p)
+        mu_t = abs_moment_p(f.grid, dist_t, sq_f, p)
+        mu_s = abs_moment_p(spectrum.grid, dist_s, sq_o, p)
         lhs = (mu_t * mu_s) ** (1.0 / p)
-        e_f = _energy(f.grid, sq_f)
-        e_o = _energy(spectrum.grid, sq_o)
+        e_f = energy(f.grid, sq_f)
+        e_o = energy(spectrum.grid, sq_o)
         rhs = hw_rhs(e_f, params.b, p)
         slack, rel, ok = _slack(lhs, rhs, tol)
 
-        mu2_t = _abs_moment(f.grid, dist_t, sq_f, 2)
-        mu2_s = _abs_moment(spectrum.grid, dist_s, sq_o, 2)
+        mu2_t = abs_moment_p(f.grid, dist_t, sq_f, 2)
+        mu2_s = abs_moment_p(spectrum.grid, dist_s, sq_o, 2)
         holder_t = mu_t ** (2.0 / p) * e_f ** (1.0 - 2.0 / p) - mu2_t
         holder_s = mu_s ** (2.0 / p) * e_o ** (1.0 - 2.0 / p) - mu2_s
     return UncertaintyReport(
         scenario=scenario, bound="hw", p=p, lhs=lhs,
         hw_rhs=rhs, slack_hw=slack, rel_slack_hw=rel, passed_hw=ok,
-        parseval_gap=_parseval_gap(e_f, e_o),
+        parseval_gap=energy_gap(e_f, e_o),
         mu_time=mu_t, mu_spec=mu_s, energy=e_f, tol=tol,
         holder_time_slack=holder_t, holder_spec_slack=holder_s,
         grid=f.grid, params=params,

@@ -56,7 +56,7 @@ def test_weighted_square_integral_p1(grid):
     # the integrated-by-parts sign is (-1), so the value is minus the energy
     g = olct.SampledSignal(grid, np.exp(-grid.points() ** 2))
     val = olct.hpw_core(g, olct.ft_params(), olct.HpwConfig(p=1)).core
-    assert val == pytest.approx(-signals.energy(g), rel=1e-12)
+    assert val == pytest.approx(-signals.abs_energy(g).energy, rel=1e-12)
 
 
 def test_weighted_square_integral_odd_weight_vanishes(grid):
@@ -181,10 +181,11 @@ def test_default_unit_gaussian_is_bit_identical_to_complex_division():
         t = grid.points()
         raw = olct.SampledSignal(
             grid, np.exp(-((t - t_m) ** 2) / 2.0) / np.pi**0.25)
-        ref = raw.values / signals.norm_l2(raw)
+        ref = raw.values / math.sqrt(signals.abs_energy(raw).energy)
         h = bounds.default_unit_gaussian(grid, t_m)
-        assert np.array_equal(h.values.view(np.uint64), ref.view(np.uint64))
-        assert signals.norm_l2(h) == pytest.approx(1.0, abs=1e-14)
+        assert np.array_equal(h.mag.astype(np.complex128).view(np.uint64),
+                              ref.view(np.uint64))
+        assert math.sqrt(h.energy) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_default_unit_gaussian_rejects_a_vanishing_gaussian():
@@ -199,9 +200,10 @@ def test_default_unit_gaussian_rejects_a_vanishing_gaussian():
 def test_core_p1_unit_weight_is_energy(grid, example_params):
     f = olct.gaussian_chirp(2.0, example_params.chirp_rate).sample(grid)
     breakdown = olct.hpw_core(f, example_params, olct.HpwConfig(p=1))
-    assert abs(breakdown.core) == pytest.approx(signals.energy(f), rel=1e-10)
+    e_f = signals.abs_energy(f).energy
+    assert abs(breakdown.core) == pytest.approx(e_f, rel=1e-10)
     # integrated-by-parts sign makes the functional the negative closed form
-    assert breakdown.core == pytest.approx(-signals.energy(f), rel=1e-10)
+    assert breakdown.core == pytest.approx(-e_f, rel=1e-10)
 
 
 def test_core_p1_weighted_oracle(example_signal, example_params):
@@ -341,21 +343,22 @@ def test_hpw_config_validation():
 
 def test_gram_offset_symmetric_cases(grid):
     h = bounds.default_unit_gaussian(grid)
-    u = h.with_values(1.7 * h.values)
+    u = signals.abs_energy(olct.SampledSignal(grid, 1.7 * h.mag))
     assert abs(bounds.gram_offset(u, u, h)) <= 1e-12
     assert abs(bounds.gram_offset(h, h, h)) <= 1e-12
 
 
 def test_gram_offset_rejects_unnormalized(grid):
     h = bounds.default_unit_gaussian(grid)
-    bad = h.with_values(2.0 * h.values)
+    bad = signals.abs_energy(olct.SampledSignal(grid, 2.0 * h.mag))
     with pytest.raises(NumericsError, match="unit norm"):
         bounds.gram_offset(h, h, bad)
 
 
 def test_gram_offset_is_admissible(example_signal, example_params):
     cfg = olct.HpwConfig(p=1, omega=olct.exp_weight(2.0))
-    u, v = bounds.moment_pair(example_signal, example_params, cfg)
+    u, v = map(signals.abs_energy,
+               bounds.moment_pair(example_signal, example_params, cfg))
     h = bounds.default_unit_gaussian(example_signal.grid)
     a = bounds.gram_offset(u, v, h)
     a_star = bounds.saturating_gram_term(u, v)
@@ -365,20 +368,21 @@ def test_gram_offset_is_admissible(example_signal, example_params):
 def test_saturating_term_definition(example_signal, example_params):
     cfg = olct.HpwConfig(p=1, omega=olct.exp_weight(2.0))
     u, v = bounds.moment_pair(example_signal, example_params, cfg)
-    a_star = bounds.saturating_gram_term(u, v)
+    abs_u, abs_v = signals.abs_energy(u), signals.abs_energy(v)
+    a_star = bounds.saturating_gram_term(abs_u, abs_v)
     w = signals.quadrature_weights(u.grid.n, u.grid.dt)
     uv = float(np.sum(w * np.abs(u.values) * np.abs(v.values)))
     assert a_star**2 + uv**2 == pytest.approx(
-        signals.energy(u) * signals.energy(v), rel=1e-12)
+        abs_u.energy * abs_v.energy, rel=1e-12)
 
 
 def test_saturating_term_zero_for_proportional_pair(grid, example_params):
     # with a unit weight the minimizer gives |u| proportional to |v|
     f = olct.minimizer_signal(1.0, 1.0, 0.0, 0.0, example_params).sample(grid)
     cfg = olct.HpwConfig(p=1)
-    u, v = bounds.moment_pair(f, example_params, cfg)
+    u, v = map(signals.abs_energy, bounds.moment_pair(f, example_params, cfg))
     a_star = bounds.saturating_gram_term(u, v)
-    assert a_star**2 <= 1e-10 * signals.energy(u) * signals.energy(v)
+    assert a_star**2 <= 1e-10 * u.energy * v.energy
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +422,7 @@ def test_breakdown_sharpening_invariants(example_signal, example_params):
 
 def test_breakdown_carries_only_what_hpw_core_computes():
     assert [f.name for f in dataclasses.fields(bounds.BoundBreakdown)] == [
-        "core", "terms", "u", "v"]
+        "core", "terms", "g_b", "u_weight", "v"]
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +473,7 @@ def test_ft_reduction_bridges_conventions(grid):
     ft = olct.ft_params()
 
     spec = olct.olct_forward(f, ft, olct.default_xi_grid(f, ft, xi_m=xi_m))
-    mu_t = moments.time_moment_2p(f, 1, t_m, w)
+    mu_t = moments.time_moment_2p(signals.abs_energy(f), 1, t_m, w)
     mu_s = moments.spectral_moment_2p(spec, 1, xi_m)
     lhs_olct = math.sqrt(mu_t) * math.sqrt(mu_s)
     rhs_olct = bounds.hpw_rhs(olct.hpw_core(f, ft, cfg).core, ft.b, 1)

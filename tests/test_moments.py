@@ -16,24 +16,33 @@ def gauss(grid):
     return olct.SampledSignal(grid, np.exp(-grid.points() ** 2))
 
 
+def abs_moment(s, p, center):
+    """:func:`moments.abs_moment_p` of the signal s about ``center``."""
+    return moments.abs_moment_p(s.grid, np.abs(s.grid.points() - center),
+                                np.abs(s.values) ** 2, p)
+
+
 # ---------------------------------------------------------------------------
 # time moments
 
 
 def test_time_moment_order_zero_is_energy(gauss):
     unit = olct.unit_weight()
-    assert moments.time_moment_2p(gauss, 0, 0.0, unit) == pytest.approx(
-        signals.energy(gauss), rel=1e-14)
+    abs_gauss = signals.abs_energy(gauss)
+    assert moments.time_moment_2p(abs_gauss, 0, 0.0, unit) == pytest.approx(
+        abs_gauss.energy, rel=1e-14)
 
 
 def test_time_moment_gaussian(gauss):
-    val = moments.time_moment_2p(gauss, 1, 0.0, olct.unit_weight())
+    val = moments.time_moment_2p(signals.abs_energy(gauss), 1, 0.0,
+                                 olct.unit_weight())
     assert val == pytest.approx(0.25 * math.sqrt(math.pi / 2.0), rel=1e-10)
 
 
 def test_time_moment_weighted_chirp(example_signal):
     # oracle: brute-force quadrature of exp(-4t) t^2 exp(-2 t^2)
-    val = moments.time_moment_2p(example_signal, 1, 0.0, olct.exp_weight(2.0))
+    val = moments.time_moment_2p(signals.abs_energy(example_signal), 1, 0.0,
+                                 olct.exp_weight(2.0))
     oracle = rquad(lambda t: t * t * np.exp(-4 * t - 2 * t * t), -30, 30)
     assert val == pytest.approx(oracle, rel=1e-10)
     assert val == pytest.approx(11.57601058775888, rel=1e-12)
@@ -43,7 +52,8 @@ def test_time_moment_weight_overflowing_where_signal_vanishes():
     # exp(-20 t) overflows at t = -40 where |f|^2 = exp(-2 t^2) underflows;
     # the integrand e^50 t^2 exp(-2 (t + 5)^2) is finite throughout
     f = olct.gaussian_chirp(2.0, 0.0).sample(olct.make_grid(-40.0, 40.0, 16385))
-    val = moments.time_moment_2p(f, 1, 0.0, olct.exp_weight(10.0))
+    val = moments.time_moment_2p(signals.abs_energy(f), 1, 0.0,
+                                 olct.exp_weight(10.0))
     exact = math.exp(50.0) * math.sqrt(math.pi / 2.0) * (25.0 + 0.25)
     assert exact == pytest.approx(1.6407613460409926e23, rel=1e-15)
     assert val == pytest.approx(exact, rel=1e-12)
@@ -51,27 +61,31 @@ def test_time_moment_weight_overflowing_where_signal_vanishes():
 
 def test_time_moment_nonnegative_and_zero_iff_zero(gauss, grid):
     unit = olct.unit_weight()
-    assert moments.time_moment_2p(gauss, 2, 0.3, unit) > 0.0
+    assert moments.time_moment_2p(signals.abs_energy(gauss), 2, 0.3,
+                                  unit) > 0.0
     zero = olct.SampledSignal(grid, np.zeros(grid.n))
-    assert moments.time_moment_2p(zero, 2, 0.3, unit) == 0.0
+    assert moments.time_moment_2p(signals.abs_energy(zero), 2, 0.3,
+                                  unit) == 0.0
 
 
 def test_time_moment_coverage_failure(grid):
     wide = olct.SampledSignal(grid, np.exp(-0.01 * grid.points() ** 2))
     with pytest.raises(NumericsError, match=DECAY_PHRASE):
-        moments.time_moment_2p(wide, 2, 0.0, olct.unit_weight())
+        moments.time_moment_2p(signals.abs_energy(wide), 2, 0.0,
+                               olct.unit_weight())
 
 
 def test_time_moment_validation(gauss):
     unit = olct.unit_weight()
+    abs_gauss = signals.abs_energy(gauss)
     with pytest.raises(ValueError):
-        moments.time_moment_2p(gauss, 5, 0.0, unit)
+        moments.time_moment_2p(abs_gauss, 5, 0.0, unit)
     with pytest.raises(ValueError):
-        moments.time_moment_2p(gauss, -1, 0.0, unit)
+        moments.time_moment_2p(abs_gauss, -1, 0.0, unit)
     with pytest.raises(ValueError):
-        moments.time_moment_2p(gauss, 1.5, 0.0, unit)
+        moments.time_moment_2p(abs_gauss, 1.5, 0.0, unit)
     with pytest.raises(ValueError):
-        moments.time_moment_2p(gauss, 1, np.inf, unit)
+        moments.time_moment_2p(abs_gauss, 1, np.inf, unit)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +95,7 @@ def test_time_moment_validation(gauss):
 def test_spectral_moment_order_zero_is_energy(example_signal, example_params):
     spec = olct.olct_forward(example_signal, example_params)
     assert moments.spectral_moment_2p(spec, 0, 0.0) == pytest.approx(
-        signals.energy(spec), rel=1e-14)
+        signals.abs_energy(spec).energy, rel=1e-14)
 
 
 def test_spectral_moment_example_value(example_signal, example_params):
@@ -124,12 +138,13 @@ def test_spectral_moment_bridges_to_cycles_convention(grid):
 
 
 def test_abs_moment_p2_equals_second_moment(gauss):
-    assert moments.abs_moment_p(gauss, 2, 0.0) == pytest.approx(
-        moments.time_moment_2p(gauss, 1, 0.0, olct.unit_weight()), rel=1e-14)
+    assert abs_moment(gauss, 2, 0.0) == pytest.approx(
+        moments.time_moment_2p(signals.abs_energy(gauss), 1, 0.0,
+                               olct.unit_weight()), rel=1e-14)
 
 
 def test_abs_moment_p3_gaussian(gauss):
-    val = moments.abs_moment_p(gauss, 3, 0.0)
+    val = abs_moment(gauss, 3, 0.0)
     oracle = rquad(lambda t: abs(t) ** 3 * np.exp(-2 * t * t))
     assert val == pytest.approx(oracle, rel=1e-10)
     assert val == pytest.approx(0.25, rel=1e-10)
@@ -137,12 +152,12 @@ def test_abs_moment_p3_gaussian(gauss):
 
 def test_abs_moment_zero_signal(grid):
     zero = olct.SampledSignal(grid, np.zeros(grid.n))
-    assert moments.abs_moment_p(zero, 3, 0.0) == 0.0
+    assert abs_moment(zero, 3, 0.0) == 0.0
 
 
 def test_abs_moment_rejects_low_order(gauss):
     with pytest.raises(ValueError, match="order 1 < 2"):
-        moments.abs_moment_p(gauss, 1, 0.0)
+        abs_moment(gauss, 1, 0.0)
 
 
 def test_abs_moment_minimized_near_centroid(grid):
@@ -151,7 +166,7 @@ def test_abs_moment_minimized_near_centroid(grid):
     f = olct.SampledSignal(grid, np.exp(-((t - 1.0) ** 2)))
     for p in (2, 3):
         centers = np.arange(0.0, 2.0, grid.dt)
-        vals = [moments.abs_moment_p(f, p, c) for c in centers]
+        vals = [abs_moment(f, p, c) for c in centers]
         best = centers[int(np.argmin(vals))]
         assert abs(best - 1.0) <= 2.0 * grid.dt
 
@@ -187,8 +202,8 @@ def test_demodulation_freq():
 def test_time_moment_chirp_invariance(example_signal, example_params):
     w = olct.exp_weight(2.0)
     g_b = moments.chirp_demodulate(example_signal, example_params, xi_m=0.5)
-    m_f = moments.time_moment_2p(example_signal, 1, 0.0, w)
-    m_g = moments.time_moment_2p(g_b, 1, 0.0, w)
+    m_f = moments.time_moment_2p(signals.abs_energy(example_signal), 1, 0.0, w)
+    m_g = moments.time_moment_2p(signals.abs_energy(g_b), 1, 0.0, w)
     assert abs(m_f - m_g) <= 1e-12 * m_f
 
 
@@ -199,7 +214,8 @@ def test_time_moment_chirp_invariance(example_signal, example_params):
 def test_ppr_order_zero_reduces_to_energy(example_signal, example_params):
     res = olct.ppr_check(example_signal, example_params, 0)
     assert res.rel_gap <= 1e-6
-    assert res.lhs == pytest.approx(signals.energy(example_signal), rel=1e-6)
+    assert res.lhs == pytest.approx(signals.abs_energy(example_signal).energy,
+                                    rel=1e-6)
 
 
 @pytest.mark.parametrize("p", [1, 2])

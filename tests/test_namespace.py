@@ -1,7 +1,9 @@
 """The ``olct`` namespace holds only what its callers use; these tests fail
 when a name that the benchmark or the README quick start reaches through
-``olct.`` goes missing."""
+``olct.`` goes missing, or when a module reaches into another's private
+names."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -32,3 +34,18 @@ def test_readme_quick_start_runs():
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     assert "import olct" in code
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # each report stage is one public function; a private twin imported
+    # across modules would bypass it, and the benchmark's tracer, which
+    # hooks public names only
+    private = []
+    for path in sorted((ROOT / "src" / "olct").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("olct")):
+                private += [f"{path.name}: {node.module}.{alias.name}"
+                            for alias in node.names
+                            if alias.name.startswith("_")]
+    assert private == []

@@ -157,6 +157,40 @@ def test_verify_shw_gram_mode(example_signal, example_params, example_cfg):
     assert report.shw_rhs >= report.hpw_rhs
 
 
+# the stages a report calls by the names that ``olct.verify`` binds, which
+# are the names the benchmark's tracer patches to time them
+REPORT_STAGES = ("time_moment_2p", "abs_moment_p", "saturating_gram_term",
+                 "gram_offset", "default_unit_gaussian")
+
+
+def test_reports_call_their_stages_through_verify_bindings(
+        monkeypatch, example_signal, example_params, example_cfg):
+    calls = []
+
+    def spy(name, fn):
+        def spied(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls.append((name, out))
+            return out
+        return spied
+
+    for name in REPORT_STAGES:
+        monkeypatch.setattr(olct.verify, name,
+                            spy(name, getattr(olct.verify, name)))
+    report = olct.verify_shw(example_signal, example_params, example_cfg,
+                             a_mode="gram")
+    assert [name for name, _ in calls] == [
+        "time_moment_2p", "saturating_gram_term", "default_unit_gaussian",
+        "gram_offset"]
+    assert report.mu_time == calls[0][1]
+    assert report.gram_term == calls[3][1]
+
+    calls.clear()
+    report = olct.verify_hw(example_signal, example_params, 3)
+    assert [name for name, _ in calls] == ["abs_moment_p"] * 4
+    assert (report.mu_time, report.mu_spec) == (calls[0][1], calls[1][1])
+
+
 def test_verify_shw_fixed_mode(example_signal, example_params, example_cfg):
     report = olct.verify_shw(example_signal, example_params, example_cfg,
                              a_mode="fixed", a_value=0.5)
