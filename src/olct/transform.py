@@ -12,6 +12,10 @@ with the unimodular-up-to-scale kernel
     K(t, xi) = (1/sqrt(j 2 pi b)) exp(j [ a/(2b) t^2 - t (xi-tau)/b
                - xi (d tau - b eta)/b + d/(2b) (xi^2 + tau^2) ]).
 
+The b = 0 branch maps the input grid onto its output grid, xi = tau + t/d,
+so each output sample is the image of one input sample; it takes no output
+grid.
+
 Square roots of complex numbers are always the principal branch, so
 sqrt(j) = exp(j pi/4) and, for b < 0, sqrt(j 2 pi b) has argument -pi/4.
 """
@@ -23,7 +27,6 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 from scipy import fft as sfft
-from scipy.interpolate import CubicSpline
 
 from .errors import NumericsError
 from .signals import (
@@ -287,12 +290,12 @@ def olct_forward(f: SampledSignal, params: OlctParams,
     ----------
     f : SampledSignal
     params : OlctParams
-        Requires ``b != 0``; b = 0 parameter sets are routed to
-        :func:`olct_forward_b0`.
+        b = 0 parameter sets are routed to :func:`olct_forward_b0`, which
+        maps the input grid and takes no ``xi_grid``.
     xi_grid : Grid, optional
         Output grid; defaults to :func:`default_xi_grid` centred at
         ``xi_m``, which spans the input's spectrum (not the input grid) with
-        its own point count.
+        its own point count.  It must be omitted for b = 0.
     path : {"chirp_fft", "direct"}
         ``chirp_fft`` factorizes the kernel into chirp multiplication, a
         Fourier-type integral at frequencies (xi - tau)/b, and an output
@@ -313,7 +316,10 @@ def olct_forward(f: SampledSignal, params: OlctParams,
         raise ValueError("xi_m centres the default output grid; it cannot "
                          "be combined with an explicit xi_grid")
     if params.is_degenerate:
-        return olct_forward_b0(f, params, xi_grid)
+        if xi_grid is not None:
+            raise ValueError("the b = 0 branch maps the input grid onto its "
+                             "output grid and takes no explicit xi_grid")
+        return olct_forward_b0(f, params)
     if path not in ("chirp_fft", "direct"):
         raise ValueError(f"unknown forward path {path!r}")
     p = params
@@ -344,12 +350,12 @@ def olct_forward(f: SampledSignal, params: OlctParams,
     return SampledSignal(xi_grid, out)
 
 
-def olct_forward_b0(f: SampledSignal, params: OlctParams,
-                    xi_grid: Grid | None = None) -> SampledSignal:
+def olct_forward_b0(f: SampledSignal, params: OlctParams) -> SampledSignal:
     """Degenerate branch (b = 0): scaled, chirped copy of the input.
 
-    Off-grid arguments d*(xi - tau) are evaluated with a cubic spline and
-    taken as zero outside the sampled interval.  Only d > 0 is supported
+    The output grid is the input grid mapped by xi = tau + t/d, which
+    carries each input sample f(t_k) to its image, so the branch reads the
+    samples and takes no output grid of its own.  Only d > 0 is supported
     because the branch prefactor sqrt(d) has no principal value for d < 0.
     """
     if not params.is_degenerate:
@@ -360,16 +366,11 @@ def olct_forward_b0(f: SampledSignal, params: OlctParams,
             "sqrt(d) prefactor is otherwise ambiguous"
         )
     p = params
-    if xi_grid is None:
-        xi_grid = make_grid(p.tau + f.grid.t_min / p.d,
-                            p.tau + f.grid.t_max / p.d, f.grid.n)
+    xi_grid = make_grid(p.tau + f.grid.t_min / p.d,
+                        p.tau + f.grid.t_max / p.d, f.grid.n)
     xi = xi_grid.points()
-    arg = p.d * (xi - p.tau)
-    spline = CubicSpline(f.grid.points(), f.values)
-    vals = np.where((arg >= f.grid.t_min) & (arg <= f.grid.t_max),
-                    spline(np.clip(arg, f.grid.t_min, f.grid.t_max)), 0.0)
     phase = p.c * p.d * (xi - p.tau) ** 2 / 2.0 + xi * p.eta
-    return SampledSignal(xi_grid, math.sqrt(p.d) * cis(phase) * vals)
+    return SampledSignal(xi_grid, math.sqrt(p.d) * cis(phase) * f.values)
 
 
 def olct_inverse(spectrum: SampledSignal, params: OlctParams, t_grid: Grid) -> SampledSignal:

@@ -274,16 +274,28 @@ def test_forward_energy_at_65537_points():
     assert olct.parseval_gap(f, olct.olct_forward(f, params)) <= 1e-12
 
 
+def loaded_after_import(module: str) -> bool:
+    """Whether ``import olct, olct.cli`` in a fresh interpreter loads
+    ``module``."""
+    src = str(Path(olct.__file__).parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import olct, olct.cli; "
+            "print(sys.argv[2] in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, src, module],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return {"True": True, "False": False}[proc.stdout.strip()]
+
+
 def test_import_leaves_scipy_signal_unloaded():
     # the package owns its chirp-z kernel; scipy.signal only adds import
     # time and memory
-    src = str(Path(olct.__file__).parents[1])
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import olct, olct.cli; "
-            "print('scipy.signal' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code, src],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert not loaded_after_import("scipy.signal")
+
+
+def test_import_leaves_scipy_interpolate_unloaded():
+    # the b = 0 branch reads its samples; scipy.interpolate would add about
+    # a quarter second to every import of the package
+    assert not loaded_after_import("scipy.interpolate")
 
 
 @pytest.mark.parametrize("params", params_matrix(taus=(0.0,), etas=(0.0, 1.0)))
@@ -403,6 +415,31 @@ def test_b0_scaling_preserves_energy(grid):
     expected = math.sqrt(0.5) * np.exp(-((0.5 * xi) ** 2))
     assert np.max(np.abs(spec.values - expected)) < 1e-4
     assert olct.parseval_gap(f, spec) <= 1e-4
+
+
+@pytest.mark.parametrize("params", [
+    olct.OlctParams(2.0, 0.0, 0.0, 0.5),  # transform_b0.cfg
+    olct.OlctParams(0.8, 0.0, 0.3, 1.25, tau=0.7, eta=-1.1),
+])
+def test_b0_branch_is_the_chirped_input_on_the_mapped_grid(grid, params):
+    # each input sample t_k lands at xi_k = tau + t_k/d, so the output is
+    # sqrt(d) cis(c d (xi - tau)^2/2 + xi eta) f(t_k), bit for bit
+    f = olct.gaussian_chirp(2.0, 0.0).sample(grid)
+    spec = olct.olct_forward(f, params)
+    p = params
+    assert spec.grid == olct.make_grid(p.tau + grid.t_min / p.d,
+                                       p.tau + grid.t_max / p.d, grid.n)
+    xi = spec.grid.points()
+    phase = p.c * p.d * (xi - p.tau) ** 2 / 2.0 + xi * p.eta
+    expected = math.sqrt(p.d) * signals.cis(phase) * f.values
+    assert spec.values.tobytes() == expected.tobytes()
+
+
+def test_b0_rejects_an_explicit_output_grid(grid):
+    f = olct.SampledSignal(grid, np.exp(-grid.points() ** 2))
+    params = olct.OlctParams(2.0, 0.0, 0.0, 0.5)
+    with pytest.raises(ValueError, match="no explicit xi_grid"):
+        olct.olct_forward(f, params, olct.make_grid(-16.0, 16.0, 4097))
 
 
 def test_b0_rejects_nonpositive_d(grid):
