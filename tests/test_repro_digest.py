@@ -90,3 +90,61 @@ def test_value_lines_list_every_report_field():
     [gram] = [rep for rep in reports if rep.a_mode == "gram"]
     assert even == [f"library negative-b p=4 n=4096 | shw gram | lhs "
                     f"{olct.verify.fmt(gram.lhs)}"]
+
+
+BEFORE_VALUES = """\
+library a p=1 | hpw | scenario a
+library a p=1 | hpw | passed_hpw true
+library a p=1 | hpw | passed_hw 
+library a p=1 | hpw | mu_spec 2
+library a p=1 | hpw | ppr_gap 1e-15
+library a p=1 | hpw | parseval_gap 0
+library a p=2 | shw gram | passed_hpw true
+library a p=2 | shw gram | mu_spec 4
+library a p=2 | shw gram | ppr_gap 3e-16
+library a p=2 | shw gram | parseval_gap 2e-16
+"""
+
+AFTER_VALUES = """\
+library a p=1 | hpw | scenario a
+library a p=1 | hpw | passed_hpw false
+library a p=1 | hpw | passed_hw 
+library a p=1 | hpw | mu_spec 2.5
+library a p=1 | hpw | ppr_gap 1e-15
+library a p=1 | hpw | parseval_gap 1e-16
+library a p=2 | shw gram | passed_hpw true
+library a p=2 | shw gram | mu_spec 3
+library a p=2 | shw gram | ppr_gap 2e-15
+library a p=2 | shw gram | parseval_gap 2e-16
+"""
+
+
+def test_compare_lists_moves_per_field_and_the_worst_gaps(tmp_path):
+    digest = load_digest()
+    before, after = tmp_path / "before.txt", tmp_path / "after.txt"
+    before.write_text(BEFORE_VALUES)
+    after.write_text(AFTER_VALUES)
+    lines, same_keys = digest.compare(digest.parse_values(BEFORE_VALUES),
+                                      digest.parse_values(AFTER_VALUES))
+    assert same_keys
+    assert lines == [
+        "mu_spec moved 2 abs 1 rel 0.25",
+        "parseval_gap moved 1 abs 1e-16 rel 1",
+        "passed_hpw moved 1 abs - rel -",
+        "ppr_gap moved 1 abs 1.7e-15 rel 0.85",
+        "worst ppr_gap before 1e-15 after 2e-15",
+        "worst parseval_gap before 2e-16 after 2e-16",
+    ]
+    assert digest.main(["--compare", str(before), str(before)]) == 0
+
+
+def test_compare_exits_1_on_different_keys(tmp_path, capsys):
+    digest = load_digest()
+    before, after = tmp_path / "before.txt", tmp_path / "after.txt"
+    before.write_text(BEFORE_VALUES)
+    after.write_text(AFTER_VALUES.replace("| mu_spec 3", "| mu_time 3"))
+    assert digest.main(["--compare", str(before), str(after)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "only in BEFORE: library a p=2 | shw gram | mu_spec",
+        "only in AFTER: library a p=2 | shw gram | mu_time",
+    ]

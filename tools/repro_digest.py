@@ -26,7 +26,14 @@ byte-identical, so a diff of two digests checks a refactor:
 
 With ``--values`` it prints instead every field of every library report,
 one line each at 17 significant digits, so the same diff lists the values
-a change moved.
+a change moved.  ``--compare BEFORE AFTER`` summarises two such outputs:
+
+    python tools/repro_digest.py --compare before_values.txt after_values.txt
+
+It prints, for each field that moved, the count of moved lines and the
+largest absolute and relative move, then the worst ``ppr_gap`` and
+``parseval_gap`` on each side.  It exits 1, listing the difference, when
+the two files do not list the same keys.
 """
 
 from __future__ import annotations
@@ -236,6 +243,77 @@ def library_lines() -> list:
             + [sweep_line(scenario) for scenario in verify.SWEEP_SCENARIOS])
 
 
-if __name__ == "__main__":
-    lines = value_lines() if sys.argv[1:] == ["--values"] else run() + library_lines()
+GAP_FIELDS = ("ppr_gap", "parseval_gap")
+
+
+def parse_values(text: str) -> dict:
+    """``<label> | <bound> | <field>`` -> value text, for every line of a
+    ``--values`` output; a field that does not apply has the empty value."""
+    return dict(line.rpartition(" ")[::2] for line in text.splitlines())
+
+
+def _number(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def compare(before: dict, after: dict) -> tuple:
+    """Summary lines of the moves from ``before`` to ``after`` (two
+    :func:`parse_values` results), and whether they list the same keys.
+
+    A move's relative size is taken against the larger of the two
+    magnitudes; a field whose moved values are not both numbers (a flipped
+    ``passed_*``) shows ``-`` for both sizes.
+    """
+    if before.keys() != after.keys():
+        return ([f"only in {side}: {key}" for side, keys in
+                 (("BEFORE", before.keys() - after.keys()),
+                  ("AFTER", after.keys() - before.keys()))
+                 for key in sorted(keys)], False)
+    moves = {}  # field -> (count, largest absolute move, largest relative)
+    for key, old in before.items():
+        new = after[key]
+        if new == old:
+            continue
+        field = key.rpartition(" | ")[2]
+        count, big_abs, big_rel = moves.get(field, (0, 0.0, 0.0))
+        x, y = _number(old), _number(new)
+        if x is None or y is None:
+            big_abs = big_rel = None
+        elif big_abs is not None:
+            big_abs = max(big_abs, abs(y - x))
+            big_rel = max(big_rel, abs(y - x) / max(abs(x), abs(y)))
+        moves[field] = (count + 1, big_abs, big_rel)
+    lines = [f"{field} moved {count} abs {_size(big_abs)} rel {_size(big_rel)}"
+             for field, (count, big_abs, big_rel) in sorted(moves.items())]
+    lines += [f"worst {field} before {_size(_worst(before, field))} "
+              f"after {_size(_worst(after, field))}" for field in GAP_FIELDS]
+    return lines, True
+
+
+def _worst(values: dict, field: str):
+    """The largest number the field takes in a :func:`parse_values` result,
+    or None."""
+    numbers = [_number(v) for k, v in values.items() if k.endswith(f" | {field}")]
+    return max((x for x in numbers if x is not None), default=None)
+
+
+def _size(value) -> str:
+    return "-" if value is None else f"{value:.3g}"
+
+
+def main(argv: list) -> int:
+    if argv[:1] == ["--compare"]:
+        before, after = (parse_values(Path(path).read_text()) for path in argv[1:])
+        lines, same_keys = compare(before, after)
+    else:
+        lines = value_lines() if argv == ["--values"] else run() + library_lines()
+        same_keys = True
     sys.stdout.write("".join(line + "\n" for line in lines))
+    return 0 if same_keys else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
