@@ -43,7 +43,7 @@ from .signals import (
     derivative,
     energy,
     guarded_integral,
-    quadrature_weights,
+    trapezoid,
     unit_weight,
 )
 from .transform import OlctParams
@@ -303,9 +303,8 @@ def gram_offset(u: AbsEnergy, v: AbsEnergy, h: AbsEnergy) -> float:
     if abs(nh - 1.0) > UNIT_NORM_TOL:
         raise NumericsError(
             f"auxiliary function must be unit norm (||h|| = {nh!r})")
-    w = quadrature_weights(u.grid.n, u.grid.dt)
-    x0 = float(np.sum(w * v.mag * h.mag))
-    y0 = float(np.sum(w * u.mag * h.mag))
+    x0 = float(trapezoid(u.grid, v.mag * h.mag))
+    y0 = float(trapezoid(u.grid, u.mag * h.mag))
     return (math.sqrt(max(u.energy, 0.0)) * x0
             - math.sqrt(max(v.energy, 0.0)) * y0)
 
@@ -313,8 +312,7 @@ def gram_offset(u: AbsEnergy, v: AbsEnergy, h: AbsEnergy) -> float:
 def saturating_gram_term(u: AbsEnergy, v: AbsEnergy) -> float:
     """Largest admissible auxiliary term, from the :class:`AbsEnergy` of u
     and v: A*^2 = ||u||^2 ||v||^2 - (integral |u||v|)^2."""
-    w = quadrature_weights(u.grid.n, u.grid.dt)
-    uv = float(np.sum(w * u.mag * v.mag))
+    uv = float(trapezoid(u.grid, u.mag * v.mag))
     return math.sqrt(max(u.energy * v.energy - uv * uv, 0.0))
 
 

@@ -34,7 +34,7 @@ from .signals import (
     exp_weight,
     gaussian_chirp,
     make_grid,
-    quadrature_weights,
+    trapezoid,
     unit_weight,
 )
 from .transform import OlctParams, ft_params, olct_forward, parseval_gap
@@ -484,10 +484,11 @@ def cmd_gap_curve(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
-def _second_central_moment(x: np.ndarray, dens: np.ndarray, w: np.ndarray) -> dict:
-    total = float(np.sum(w * dens))
-    centroid = float(np.sum(w * x * dens) / total) if total > 0 else 0.0
-    spread = (float(np.sum(w * (x - centroid) ** 2 * dens) / total)
+def _second_central_moment(grid: Grid, dens: np.ndarray) -> dict:
+    x = grid.points()
+    total = float(trapezoid(grid, dens))
+    centroid = float(trapezoid(grid, x * dens) / total) if total > 0 else 0.0
+    spread = (float(trapezoid(grid, (x - centroid) ** 2 * dens) / total)
               if total > 0 else 0.0)
     return {"energy": total, "centroid": centroid,
             "second_central_moment": spread}
@@ -517,8 +518,7 @@ def cmd_energy(args) -> int:
         x = grid.points()
         write_text(out_dir / f"energy_{view}.csv",
                    csv_text([axis, "density"], zip(x.tolist(), dens.tolist())))
-        summary[view] = _second_central_moment(
-            x, dens, quadrature_weights(grid.n, grid.dt))
+        summary[view] = _second_central_moment(grid, dens)
     write_text(out_dir / "energy_summary.json", dumps(summary) + "\n")
     _emit(args, summary,
           "\n".join(f"{k}: spread={fmt(v['second_central_moment'])}"

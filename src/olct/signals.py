@@ -27,8 +27,8 @@ __all__ = [
     "exp_quadratic",
     "exp_weight",
     "unit_weight",
-    "quadrature_weights",
-    "integrate",
+    "trapezoid",
+    "trapezoid_samples",
     "check_decay",
     "guarded_integral",
     "cis",
@@ -231,30 +231,29 @@ def unit_weight() -> WeightFunction:
     )
 
 
-@functools.lru_cache(maxsize=8)
-def quadrature_weights(n: int, dt: float) -> np.ndarray:
-    """Trapezoid weights for ``n`` uniform samples: dt at every sample and
+def trapezoid(grid: Grid, x: np.ndarray):
+    """Trapezoid-rule integral over the grid of the samples ``x``, real or
+    complex: dt (sum x - (x[0] + x[-1])/2), weight dt at every sample and
     dt/2 at both ends.
 
     Every integrand the package integrates has decayed at both grid ends
     (:func:`check_decay`), where the trapezoid rule converges exponentially
-    (Trefethen & Weideman, SIAM Review 2014).  It is also the rule the DFT
-    applies, so a Fourier sum with these weights has no spectral replica.
-    The weights of the last few (n, dt) are kept and shared, so the array
-    is read-only.
+    (Trefethen & Weideman, SIAM Review 2014).
     """
-    if n < 2:
-        raise ValueError("quadrature needs at least two samples")
-    w = np.full(n, float(dt))
-    w[0] = w[-1] = dt / 2.0
-    w.setflags(write=False)
-    return w
+    return grid.dt * (np.sum(x) - (x[0] + x[-1]) / 2.0)
 
 
-def integrate(s: SampledSignal) -> complex:
-    """Integral of the signal over its grid interval (trapezoid rule)."""
-    w = quadrature_weights(s.grid.n, s.grid.dt)
-    return complex(np.sum(w * s.values))
+def trapezoid_samples(grid: Grid, x: np.ndarray) -> np.ndarray:
+    """A new array of the samples ``x`` weighted by the trapezoid rule: dt x
+    with both end samples halved, the input of a Fourier sum.
+
+    The trapezoid rule is the rule the DFT applies, so a Fourier sum of
+    these samples has no spectral replica.
+    """
+    out = grid.dt * x
+    ends = [0, -1]
+    out[ends] = (grid.dt / 2.0) * x[ends]
+    return out
 
 
 def check_decay(values: np.ndarray, what: str,
@@ -287,8 +286,7 @@ def guarded_integral(grid: Grid, integrand: np.ndarray, what: str,
     """Trapezoid-rule integral of a real integrand over the grid, after
     :func:`check_decay` has confirmed that the truncation drops nothing."""
     check_decay(integrand, what, tol)
-    w = quadrature_weights(grid.n, grid.dt)
-    return float(np.sum(w * integrand))
+    return float(trapezoid(grid, integrand))
 
 
 def cis(phase) -> np.ndarray:
@@ -379,8 +377,7 @@ def derivative(s: SampledSignal, orders) -> dict:
 
 def energy(grid: Grid, sq: np.ndarray) -> float:
     """Integral over the grid of ``sq``, a squared magnitude |s|^2."""
-    w = quadrature_weights(grid.n, grid.dt)
-    return float(np.sum(w * sq))
+    return float(trapezoid(grid, sq))
 
 
 class AbsEnergy(NamedTuple):

@@ -39,7 +39,7 @@ from .signals import (
     check_decay,
     cis,
     make_grid,
-    quadrature_weights,
+    trapezoid_samples,
 )
 
 __all__ = [
@@ -238,21 +238,20 @@ def _forward_on_bins(f: SampledSignal, params: OlctParams, xi_m: float
     """The chirp_fft transform on the default output grid, read off the bins
     of :func:`_bin_spectrum`'s FFT.
 
-    The quadrature weights are dt except at the two end samples, so the
-    weighted sum at bin j is dt G_j plus the weight corrections at those
-    two samples.  The centre phase exp(-j u t_c), t_c the middle sample,
-    and the outer phase complete the kernel; both are taken at the grid
-    points, which sit within a few ulp of tau + b u_j, as the other paths
-    take them.
+    The trapezoid weights are dt except at the two end samples, where they
+    are dt/2, so the weighted sum at bin j is dt G_j less dt/2 times the
+    terms of those two samples.  The centre phase exp(-j u t_c), t_c the
+    middle sample, and the outer phase complete the kernel; both are taken
+    at the grid points, which sit within a few ulp of tau + b u_j, as the
+    other paths take them.
     """
     grid, bins, g, spec = _bin_spectrum(f, params, xi_m)
     n, dt = f.grid.n, f.grid.dt
     size = spec.size
     inner = dt * spec[bins % size]
     ends = np.array([0, n - 1])
-    delta = quadrature_weights(n, dt)[ends] - dt
     turns = np.outer(bins, ends - n // 2) % size
-    inner += cis((-2.0 * np.pi / size) * turns) @ (delta * g[ends])
+    inner += cis((-2.0 * np.pi / size) * turns) @ ((-dt / 2.0) * g[ends])
     xi = grid.points()
     t_c = f.grid.t_min + (n // 2) * dt
     out = (_root_factor(params.b) * cis(_outer_phase(xi, params))
@@ -324,13 +323,12 @@ def olct_forward(f: SampledSignal, params: OlctParams,
         raise ValueError(f"unknown forward path {path!r}")
     p = params
     t = f.grid.points()
-    w = quadrature_weights(f.grid.n, f.grid.dt)
 
     if path == "chirp_fft":
         check_decay(f.values, "the input of the chirp_fft path")
         if xi_grid is None:
             return _forward_on_bins(f, p, xi_m)
-        g = w * f.values * cis(p.chirp_rate * t * t)
+        g = trapezoid_samples(f.grid, f.values) * cis(p.chirp_rate * t * t)
         u0 = (xi_grid.t_min - p.tau) / p.b
         du = xi_grid.dt / p.b
         inner = _fourier_sum(g, f.grid.t_min, f.grid.dt, u0, du, xi_grid.n)
@@ -341,7 +339,7 @@ def olct_forward(f: SampledSignal, params: OlctParams,
         xi_grid = default_xi_grid(f, p, xi_m)
     xi = xi_grid.points()
     out = np.empty(xi_grid.n, dtype=np.complex128)
-    weighted = w * f.values
+    weighted = trapezoid_samples(f.grid, f.values)
     chunk = max(1, 2**22 // f.grid.n)
     for lo in range(0, xi_grid.n, chunk):
         block = xi[lo : lo + chunk, None]
@@ -385,8 +383,8 @@ def olct_inverse(spectrum: SampledSignal, params: OlctParams, t_grid: Grid) -> S
     p = params
     xi = spectrum.grid.points()
     t = t_grid.points()
-    w = quadrature_weights(spectrum.grid.n, spectrum.grid.dt)
-    h = w * spectrum.values * cis(-_outer_phase(xi, p))
+    h = (trapezoid_samples(spectrum.grid, spectrum.values)
+         * cis(-_outer_phase(xi, p)))
     # sum_m h_m exp(+j t (xi_m - tau)/b), evaluated as a conjugated Bluestein sum
     u0 = t_grid.t_min / p.b
     du = t_grid.dt / p.b

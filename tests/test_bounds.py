@@ -9,7 +9,8 @@ import olct
 from olct import bounds, moments, signals
 from olct.errors import NumericsError
 
-from conftest import DEFAULT_GRID, EXAMPLE_PARAMS, completed_params, ft_eq3, rquad
+from conftest import (DEFAULT_GRID, EXAMPLE_PARAMS, completed_params, ft_eq3,
+                      rquad, trapezoid_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +302,7 @@ def test_core_assembles_from_public_integrals(grid):
     keep = np.abs(g.values) >= 1e-13 * np.max(np.abs(g.values))
     derivs = [g.values] + [np.where(keep, signals.derivative(g, [k])[k].values, 0.0)
                            for k in (1, 2)]
-    w = signals.quadrature_weights(grid.n, grid.dt)
+    w = trapezoid_weights(grid.n, grid.dt)
     for p in (2, 3, 4):
         cfg = olct.HpwConfig(p=p, t_m=0.2, xi_m=1.5, omega=olct.exp_weight(1.0))
         breakdown = olct.hpw_core(f, params, cfg)
@@ -370,7 +371,7 @@ def test_saturating_term_definition(example_signal, example_params):
     u, v = bounds.moment_pair(example_signal, example_params, cfg)
     abs_u, abs_v = signals.abs_energy(u), signals.abs_energy(v)
     a_star = bounds.saturating_gram_term(abs_u, abs_v)
-    w = signals.quadrature_weights(u.grid.n, u.grid.dt)
+    w = trapezoid_weights(u.grid.n, u.grid.dt)
     uv = float(np.sum(w * np.abs(u.values) * np.abs(v.values)))
     assert a_star**2 + uv**2 == pytest.approx(
         abs_u.energy * abs_v.energy, rel=1e-12)
@@ -482,7 +483,7 @@ def test_ft_reduction_bridges_conventions(grid):
     sigma_m = xi_m / (2.0 * math.pi)
     sigma = np.linspace(-4.0, 4.0, 2049)
     fhat = ft_eq3(f, sigma)
-    w_s = signals.quadrature_weights(2049, sigma[1] - sigma[0])
+    w_s = trapezoid_weights(2049, sigma[1] - sigma[0])
     mu_s_ft = float(np.sum(w_s * (sigma - sigma_m) ** 2 * np.abs(fhat) ** 2))
     lhs_ft = math.sqrt(mu_t) * math.sqrt(mu_s_ft)
     core_ft = rquad(lambda t: (np.exp(-t) - (t - t_m) * np.exp(-t))

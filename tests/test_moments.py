@@ -8,7 +8,7 @@ from olct import moments, signals
 from olct.errors import NumericsError
 
 from conftest import (DECAY_PHRASE, DEFAULT_GRID, EXAMPLE_PARAMS,
-                      completed_params, ft_eq3, rquad)
+                      completed_params, ft_eq3, rquad, trapezoid_weights)
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +128,7 @@ def test_spectral_moment_bridges_to_cycles_convention(grid):
     sigma_m = xi_m / (2.0 * math.pi)
     sigma = np.linspace(-3.0, 3.0, 2049)
     fhat = ft_eq3(f, sigma)
-    w_s = signals.quadrature_weights(2049, sigma[1] - sigma[0])
+    w_s = trapezoid_weights(2049, sigma[1] - sigma[0])
     mu_ft = float(np.sum(w_s * (sigma - sigma_m) ** 4 * np.abs(fhat) ** 2))
     assert mu_olct == pytest.approx((2.0 * math.pi) ** 4 * mu_ft, rel=1e-6)
 

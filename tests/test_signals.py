@@ -10,7 +10,7 @@ import olct
 from olct import moments, signals
 from olct.errors import NumericsError
 
-from conftest import DECAY_PHRASE
+from conftest import DECAY_PHRASE, trapezoid_weights
 
 
 # ---------------------------------------------------------------------------
@@ -140,38 +140,47 @@ def test_unit_weight():
 
 def test_integrate_gaussian(grid):
     s = olct.SampledSignal(grid, np.exp(-grid.points() ** 2))
-    val = signals.integrate(s).real
+    val = signals.trapezoid(s.grid, s.values).real
     assert val == pytest.approx(math.sqrt(math.pi), rel=1e-10)
 
 
 def test_integrate_zero(grid):
     s = olct.SampledSignal(grid, np.zeros(grid.n))
-    assert signals.integrate(s) == 0.0
+    assert signals.trapezoid(s.grid, s.values) == 0.0
 
 
+def random_samples(n, dtype):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=n)
+    return x if dtype is float else x + 1j * rng.normal(size=n)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("n", [4097, 4098])
-def test_quadrature_weights_cached_bit_identical(n):
-    # one array per (n, dt), shared by every caller, equal to a fresh build
-    dt = 16.0 / (n - 1)
-    w = signals.quadrature_weights(n, dt)
-    assert signals.quadrature_weights(n, dt) is w
-    ref = np.full(n, dt)
-    ref[0] = ref[-1] = dt / 2.0
-    assert w.tobytes() == ref.tobytes()
-    assert signals.quadrature_weights.cache_info().maxsize == 8
+def test_trapezoid_samples_bit_identical_to_weighted_samples(n, dtype):
+    # dt = 16/4097 is not a power of two at n = 4098, so the scaling rounds
+    grid = olct.make_grid(-8.0, 8.0, n)
+    x = random_samples(n, dtype)
+    before = x.copy()
+    got = signals.trapezoid_samples(grid, x)
+    assert got.tobytes() == (x * trapezoid_weights(n, grid.dt)).tobytes()
+    assert x.tobytes() == before.tobytes()
 
 
-def test_quadrature_weights_reject_writes():
-    w = signals.quadrature_weights(257, 0.0625)
-    with pytest.raises(ValueError, match="read-only"):
-        w[0] = 1.0
-    assert w[0] == 0.0625 / 2.0
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [4097, 4098])
+def test_trapezoid_agrees_with_weighted_sum(n, dtype):
+    grid = olct.make_grid(-8.0, 8.0, n)
+    x = random_samples(n, dtype)
+    weighted = x * trapezoid_weights(n, grid.dt)
+    got = signals.trapezoid(grid, x)
+    assert abs(got - np.sum(weighted)) <= 1e-14 * np.sum(np.abs(weighted))
 
 
 def test_integrate_odd_integrand(grid):
     t = grid.points()
     s = olct.SampledSignal(grid, t * np.exp(-(t**2)))
-    assert abs(signals.integrate(s)) < 1e-12
+    assert abs(signals.trapezoid(s.grid, s.values)) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -189,7 +198,7 @@ def test_integrate_exact_for_linear_functions(coeffs, n, t0, width):
     lo, hi = g.t_min, g.t_max
     exact = c0 * (hi - lo) + c1 / 2.0 * (hi**2 - lo**2)
     scale = max(abs(exact), 1.0)
-    assert abs(signals.integrate(s).real - exact) <= 1e-12 * scale
+    assert abs(signals.trapezoid(s.grid, s.values).real - exact) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("n", [257, 1000, 4096, 4097, 65537])
@@ -211,7 +220,8 @@ def test_integrate_conjugate_symmetry(grid):
     vals = rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
     s = olct.SampledSignal(grid, vals)
     conj = s.with_values(np.conj(vals))
-    assert signals.integrate(conj) == np.conj(signals.integrate(s))
+    assert (signals.trapezoid(conj.grid, conj.values)
+            == np.conj(signals.trapezoid(s.grid, s.values)))
 
 
 def test_integrate_linearity(grid):
@@ -220,9 +230,10 @@ def test_integrate_linearity(grid):
     v2 = rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
     a, b = 1.7 - 0.3j, -0.8 + 2.1j
     s = olct.SampledSignal(grid, a * v1 + b * v2)
-    combined = (a * signals.integrate(olct.SampledSignal(grid, v1))
-                + b * signals.integrate(olct.SampledSignal(grid, v2)))
-    assert abs(signals.integrate(s) - combined) <= 1e-12 * max(abs(combined), 1.0)
+    combined = (a * signals.trapezoid(grid, v1)
+                + b * signals.trapezoid(grid, v2))
+    got = signals.trapezoid(s.grid, s.values)
+    assert abs(got - combined) <= 1e-12 * max(abs(combined), 1.0)
 
 
 # ---------------------------------------------------------------------------

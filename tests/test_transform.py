@@ -13,7 +13,7 @@ from olct import moments, signals, transform
 from olct.errors import NumericsError
 
 from conftest import (DEFAULT_GRID, EXAMPLE_PARAMS, completed_params, cquad,
-                      params_matrix)
+                      params_matrix, trapezoid_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +247,7 @@ def test_default_grid_transform_on_a_band_filling_spectrum():
     rows = np.linspace(0, binned.grid.n - 1, 61).astype(int)
     kernel = transform.olct_kernel(f.grid.points()[None, :],
                                    binned.grid.points()[rows, None], params)
-    w = signals.quadrature_weights(f.grid.n, f.grid.dt)
+    w = trapezoid_weights(f.grid.n, f.grid.dt)
     direct = kernel @ (w * f.values)
     scale = np.max(np.abs(direct))
     # the weights differ from dt only at the two end samples

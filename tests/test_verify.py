@@ -5,7 +5,8 @@ import pytest
 
 import olct
 
-from conftest import DEFAULT_GRID, EXAMPLE_PARAMS, completed_params
+from conftest import (DEFAULT_GRID, EXAMPLE_PARAMS, completed_params,
+                      trapezoid_weights)
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +144,7 @@ def test_verify_shw_saturating_gram_identity(example_signal, example_params,
     report = olct.verify_shw(example_signal, example_params, example_cfg,
                              a_mode="saturating")
     u, v = olct.bounds.moment_pair(example_signal, example_params, example_cfg)
-    w = olct.signals.quadrature_weights(u.grid.n, u.grid.dt)
+    w = trapezoid_weights(u.grid.n, u.grid.dt)
     uv = float(np.sum(w * np.abs(u.values) * np.abs(v.values)))
     rhs = example_params.b ** 2 * (uv**2 + report.gram_term**2)
     assert report.lhs**2 == pytest.approx(rhs, rel=1e-6)
