@@ -44,7 +44,6 @@ from .signals import (
     energy,
     guarded_integral,
     trapezoid,
-    unit_weight,
 )
 from .transform import OlctParams
 from .moments import MAX_HALF_ORDER, chirp_demodulate
@@ -104,7 +103,7 @@ class HpwConfig:
     p: int
     t_m: float = 0.0
     xi_m: float = 0.0
-    omega: WeightFunction = field(default_factory=unit_weight)
+    omega: WeightFunction = WeightFunction()
 
     def __post_init__(self):
         if not (isinstance(self.p, int) and 1 <= self.p <= MAX_HALF_ORDER):
@@ -184,17 +183,20 @@ def weight_deriv_centered(omega: WeightFunction, p: int, t_m: float, orders,
     every requested order k >= 0, by the Leibniz rule with the weight's
     exact derivatives.
 
-    t - t_m and |t - t_m| are formed once, and each omega^(j) and each
-    power (t - t_m)^e (as in :func:`centered_power`) is evaluated once.
+    t - t_m and |t - t_m| are formed once, omega once for all its
+    derivatives (:meth:`WeightFunction.derivs`), and each power
+    (t - t_m)^e (as in :func:`centered_power`) once.
     The terms of each order are summed in place in one buffer, in the
     order and with the roundings of the term-by-term sum
     0 + T_0 + T_1 + ..., T_m = binom(k, m) p!/(p-m)! (t - t_m)^(p-m)
     omega^(k-m).
     """
     t = np.asarray(t, dtype=float)
+    orders = list(orders)
     d = t - t_m
     mag = np.abs(d)
-    weight = functools.cache(lambda j: omega.deriv(j)(t))
+    weight = omega.derivs(t, {k - m for k in orders
+                              for m in range(min(k, p) + 1)})
     power = functools.cache(lambda e: centered_power(d, mag, e))
     term = np.empty_like(t)
     out = {}
@@ -203,7 +205,7 @@ def weight_deriv_centered(omega: WeightFunction, p: int, t_m: float, orders,
         for m in range(min(k, p) + 1):
             np.multiply(math.comb(k, m) * math.perm(p, m), power(p - m),
                         out=term)
-            term *= weight(k - m)
+            term *= weight[k - m]
             acc += term
         out[k] = acc
     return out

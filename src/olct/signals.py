@@ -1,15 +1,17 @@
 """Uniform grids, sampled complex signals, analytic signal families,
 quadrature, differentiation, magnitudes and energies.
 
-Everything here is a pure function over immutable value objects; results
-only depend on the arguments, so signals and grids can be shared freely
-across threads.
+Everything here is a pure function over immutable value objects: the
+analytic signal and the weight are frozen records of their closed-form
+parameters, with no stored callables or caches of derivatives.  Results
+only depend on the arguments, so signals, weights and grids can be shared
+freely across threads.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -24,7 +26,6 @@ __all__ = [
     "WeightFunction",
     "make_grid",
     "gaussian_chirp",
-    "exp_quadratic",
     "exp_weight",
     "unit_weight",
     "trapezoid",
@@ -127,58 +128,38 @@ class SampledSignal:
         return type(self)(self.grid, values)
 
 
+@dataclass(frozen=True)
 class AnalyticSignal:
-    """A signal given by closed-form callables with exact derivatives.
-
-    ``eval_fn`` maps an array of sample times to complex values, and
-    ``deriv_fn(k)`` returns the callable for the exact k-th derivative.
-    """
-
-    def __init__(self, eval_fn: Callable, deriv_fn: Callable, label: str):
-        self.eval_fn = eval_fn
-        self.deriv_fn = deriv_fn
-        self.label = label
-
-    def __call__(self, t) -> np.ndarray:
-        return np.asarray(self.eval_fn(np.asarray(t, dtype=float)),
-                          dtype=np.complex128)
-
-    def deriv(self, k: int) -> Callable:
-        if k == 0:
-            return self.eval_fn
-        return self.deriv_fn(int(k))
-
-    def sample(self, grid: Grid) -> SampledSignal:
-        return SampledSignal(grid, self(grid.points()))
-
-    def __repr__(self):
-        return f"AnalyticSignal({self.label!r})"
-
-
-def exp_quadratic(c0: complex, q2: complex, q1: complex = 0.0,
-                  q0: complex = 0.0, label: str = "") -> AnalyticSignal:
     """Signal c0 * exp(q2*t^2 + q1*t + q0) with exact derivatives of any order.
 
     The k-th derivative is P_k(t) * f(t) where P_0 = 1 and
     P_{k+1} = P_k' + (2*q2*t + q1) * P_k; the polynomial recursion is exact,
     so derivatives carry no discretization error.
     """
-    c0 = complex(c0)
-    lead = np.polynomial.Polynomial([complex(q1), 2.0 * complex(q2)])
-    polys = [np.polynomial.Polynomial([1.0 + 0.0j])]
 
-    def base(t):
+    c0: complex
+    q2: complex
+    q1: complex = 0.0
+    q0: complex = 0.0
+    label: str = ""
+
+    def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        return c0 * np.exp(q2 * t * t + q1 * t + q0)
+        return complex(self.c0) * np.exp(self.q2 * t * t + self.q1 * t + self.q0)
 
-    def deriv(k: int) -> Callable:
-        while len(polys) <= k:
-            p = polys[-1]
-            polys.append(p.deriv() + lead * p)
-        pk = polys[k]
-        return lambda t: pk(np.asarray(t, dtype=float)) * base(t)
+    def deriv(self, k: int) -> Callable:
+        """The exact k-th derivative as a callable of the sample times; P_k
+        is rebuilt on every call, so the signal holds no state."""
+        if k == 0:
+            return self
+        lead = np.polynomial.Polynomial([complex(self.q1), 2.0 * complex(self.q2)])
+        pk = np.polynomial.Polynomial([1.0 + 0.0j])
+        for _ in range(int(k)):
+            pk = pk.deriv() + lead * pk
+        return lambda t: pk(np.asarray(t, dtype=float)) * self(t)
 
-    return AnalyticSignal(base, deriv, label=label)
+    def sample(self, grid: Grid) -> SampledSignal:
+        return SampledSignal(grid, self(grid.points()))
 
 
 def gaussian_chirp(r: float, chirp: float) -> AnalyticSignal:
@@ -188,47 +169,38 @@ def gaussian_chirp(r: float, chirp: float) -> AnalyticSignal:
     """
     if not r > 0:
         raise ValueError(f"gaussian width parameter must be positive, got r={r}")
-    return exp_quadratic(1.0, -(r / 2.0) - 1j * float(chirp),
-                         label=f"gaussian_chirp(r={r}, chirp={chirp})")
+    return AnalyticSignal(1.0, -(r / 2.0) - 1j * float(chirp),
+                          label=f"gaussian_chirp(r={r}, chirp={chirp})")
 
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Real weight with exact derivatives of every order."""
+    """The weight w(t) = exp(-rate t), whose k-th derivative is
+    (-rate)^k w(t); rate 0 is the unit weight w = 1."""
 
-    eval_fn: Callable = field(repr=False)
-    deriv_factory: Callable = field(repr=False)
-    label: str = ""
+    rate: float = 0.0
 
     def __call__(self, t) -> np.ndarray:
-        return np.asarray(self.eval_fn(np.asarray(t, dtype=float)), dtype=float)
+        t = np.asarray(t, dtype=float)
+        return np.exp(-self.rate * t) if self.rate else np.ones_like(t)
 
-    def deriv(self, k: int) -> Callable:
-        k = int(k)
-        if k == 0:
-            return self.eval_fn
-        return self.deriv_factory(k)
+    def derivs(self, t, orders) -> dict:
+        """``{k: k-th derivative of w at t}`` for every requested order
+        k >= 0, all from one evaluation of w (0 for k >= 1 at rate 0)."""
+        w = self(t)
+        return {k: (-self.rate) ** k * w if k else w for k in orders}
 
 
 def exp_weight(r: float) -> WeightFunction:
     """Exponential weight w(t) = exp(-r t); d^k/dt^k w = (-r)^k exp(-r t)."""
     if not r > 0:
         raise ValueError(f"exponential weight rate must be positive, got r={r}")
-    r = float(r)
-    return WeightFunction(
-        eval_fn=lambda t: np.exp(-r * t),
-        deriv_factory=lambda k: (lambda t: (-r) ** k * np.exp(-r * t)),
-        label=f"exp_weight({r})",
-    )
+    return WeightFunction(float(r))
 
 
 def unit_weight() -> WeightFunction:
     """Constant weight w(t) = 1."""
-    return WeightFunction(
-        eval_fn=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        deriv_factory=lambda k: (lambda t: np.zeros_like(np.asarray(t, dtype=float))),
-        label="unit_weight",
-    )
+    return WeightFunction()
 
 
 def trapezoid(grid: Grid, x: np.ndarray):

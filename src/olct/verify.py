@@ -20,7 +20,6 @@ from .signals import (
     SampledSignal,
     abs_energy,
     energy,
-    exp_quadratic,
     exp_weight,
     gaussian_chirp,
     make_grid,
@@ -322,8 +321,8 @@ def minimizer_signal(c0: float, c_p: float, t_m: float, xi_m: float,
     q2 = -c_p - 1j * params.chirp_rate
     q1 = 2.0 * c_p * t_m + 1j * xi_m / params.b
     q0 = -c_p * t_m * t_m
-    return exp_quadratic(c0, q2, q1, q0,
-                         label=f"minimizer(c0={c0}, c_p={c_p}, t_m={t_m})")
+    return AnalyticSignal(c0, q2, q1, q0,
+                          label=f"minimizer(c0={c0}, c_p={c_p}, t_m={t_m})")
 
 
 def family_grid(r: float) -> Grid:

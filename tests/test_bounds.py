@@ -60,18 +60,16 @@ def test_weighted_square_integral_p1(grid):
     assert val == pytest.approx(-signals.abs_energy(g).energy, rel=1e-12)
 
 
-def test_weighted_square_integral_odd_weight_vanishes(grid):
-    # odd weight derivative against an even |g|^2
-    ramp = signals.WeightFunction(
-        eval_fn=lambda t: np.asarray(t, dtype=float),
-        deriv_factory=lambda k: (
-            (lambda t: np.ones_like(np.asarray(t, dtype=float))) if k == 1
-            else (lambda t: np.zeros_like(np.asarray(t, dtype=float)))),
-        label="ramp")
+def test_weighted_square_integral_p1_exp_weight_closed_form(grid):
+    # p = 1, omega = exp(-r t), g = exp(-t^2): the core is minus the
+    # integral of d/dt[t exp(-r t)] exp(-2 t^2), which is
+    # -sqrt(pi/2) exp(r^2/8) (1 + r^2/4)
     g = olct.SampledSignal(grid, np.exp(-grid.points() ** 2))
-    cfg = olct.HpwConfig(p=1, omega=ramp)
-    # (t * t)' = 2t is odd
-    assert abs(olct.hpw_core(g, olct.ft_params(), cfg).core) <= 1e-10
+    for r in (0.5, 2.0, 5.0):
+        cfg = olct.HpwConfig(p=1, omega=olct.exp_weight(r))
+        expected = -math.sqrt(math.pi / 2) * math.exp(r * r / 8) * (1 + r * r / 4)
+        assert olct.hpw_core(g, olct.ft_params(), cfg).core == pytest.approx(
+            expected, rel=1e-12), r
 
 
 def _spy(monkeypatch, fn, calls):
@@ -92,20 +90,19 @@ def _spy(monkeypatch, fn, calls):
 def test_report_differentiates_only_the_demodulated_signal(grid):
     # the bound functional and the sharpening pair read one signal, g_b:
     # one demodulation and one derivative call give orders 1..p/2 for the
-    # F_q terms and order p for (u, v), and the weight's derivatives are
-    # each evaluated once
+    # F_q terms and order p for (u, v), and the weight is evaluated once
+    # for all its derivatives
     params = completed_params(0.6, 0.5, tau=1.0)
     f = olct.gaussian_chirp(2.0, 1.5).sample(grid)
     g_b = moments.chirp_demodulate(f, params, 1.5).values
     evals = []
-    exp = olct.exp_weight(1.0)
+    omega = olct.exp_weight(1.0)
+    weight_call = signals.WeightFunction.__call__
 
-    def counted(j, fn):
-        return lambda t: (evals.append(j), fn(t))[1]
+    def counted(self, t):
+        evals.append(self)
+        return weight_call(self, t)
 
-    omega = signals.WeightFunction(
-        eval_fn=counted(0, exp.eval_fn),
-        deriv_factory=lambda j: counted(j, exp.deriv(j)))
     for bound in ("hpw", "shw-gram"):
         for p in (1, 2, 3, 4):
             cfg = olct.HpwConfig(p=p, xi_m=1.5, omega=omega)
@@ -114,13 +111,15 @@ def test_report_differentiates_only_the_demodulated_signal(grid):
             def core(*args):
                 evals.clear()
                 out = bounds.hpw_core(*args)
-                per_core.append(sorted(evals))
+                per_core.append(list(evals))
                 return out
 
             with pytest.MonkeyPatch.context() as monkeypatch:
                 _spy(monkeypatch, moments.chirp_demodulate, demods)
                 _spy(monkeypatch, signals.derivative, derivs)
                 monkeypatch.setattr(olct.verify, "hpw_core", core)
+                monkeypatch.setattr(signals.WeightFunction, "__call__",
+                                    counted)
                 if bound == "hpw":
                     olct.verify_hpw(f, params, cfg)
                 else:
@@ -131,7 +130,7 @@ def test_report_differentiates_only_the_demodulated_signal(grid):
             (s, orders), _ = derivs[0]
             assert sorted(orders) == sorted({*range(1, p // 2 + 1), p})
             assert np.array_equal(s.values, g_b)
-            assert per_core == [list(range(p + 1))], (bound, p)
+            assert per_core == [[omega]], (bound, p)
 
 
 def test_weight_deriv_centered_leibniz():
@@ -155,7 +154,8 @@ def _term_sum_weight_deriv(omega, p, t_m, k, t):
         return np.copysign(out, d) if e % 2 else out
 
     return sum(math.comb(k, m) * math.perm(p, m) * power(p - m)
-               * omega.deriv(k - m)(t) for m in range(min(k, p) + 1))
+               * omega.derivs(t, [k - m])[k - m]
+               for m in range(min(k, p) + 1))
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])

@@ -110,14 +110,28 @@ def test_analytic_derivatives_match_finite_differences(k):
     assert np.max(np.abs(approx - exact)) < 1e-4 * scale
 
 
+def test_analytic_signal_is_a_value():
+    # deriv(k) rebuilds P_k on every call, so a higher order asked for in
+    # between changes nothing; equal parameters give equal signals
+    f = olct.gaussian_chirp(2.0, 1.5)
+    t = np.linspace(-2.0, 2.0, 9)
+    before = f.deriv(2)(t)
+    f.deriv(8)(t)
+    assert np.array_equal(f.deriv(2)(t).view(np.uint64), before.view(np.uint64))
+    assert f == olct.gaussian_chirp(2.0, 1.5)
+    assert f != olct.gaussian_chirp(2.0, 1.0)
+
+
 def test_exp_weight_values():
     w = olct.exp_weight(2.0)
+    assert w == signals.WeightFunction(2.0)
     assert w(0.0) == pytest.approx(1.0)
-    assert w.deriv(1)(0.0) == pytest.approx(-2.0)
+    assert w.derivs(0.0, [1])[1] == pytest.approx(-2.0)
     assert olct.exp_weight(10.0)(0.1) == pytest.approx(math.exp(-1.0), rel=1e-14)
     t = np.linspace(-1, 1, 7)
+    derivs = w.derivs(t, range(5))
     for k in range(5):
-        assert np.allclose(w.deriv(k)(t), (-2.0) ** k * np.exp(-2.0 * t), rtol=1e-14)
+        assert np.allclose(derivs[k], (-2.0) ** k * np.exp(-2.0 * t), rtol=1e-14)
 
 
 def test_exp_weight_rejects_nonpositive_rate():
@@ -129,9 +143,12 @@ def test_exp_weight_rejects_nonpositive_rate():
 
 def test_unit_weight():
     w = olct.unit_weight()
+    assert w == signals.WeightFunction()
     t = np.linspace(-4, 4, 11)
     assert np.all(w(t) == 1.0)
-    assert np.all(w.deriv(3)(t) == 0.0)
+    derivs = w.derivs(t, [0, 1, 3])
+    assert np.all(derivs[0] == 1.0)
+    assert np.all(derivs[1] == 0.0) and np.all(derivs[3] == 0.0)
 
 
 # ---------------------------------------------------------------------------
