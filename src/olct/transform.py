@@ -290,7 +290,7 @@ def olct_forward(f: SampledSignal, params: OlctParams,
     f : SampledSignal
     params : OlctParams
         b = 0 parameter sets are routed to :func:`olct_forward_b0`, which
-        maps the input grid and takes no ``xi_grid``.
+        maps the input grid and takes no ``xi_grid`` and no ``xi_m``.
     xi_grid : Grid, optional
         Output grid; defaults to :func:`default_xi_grid` centred at
         ``xi_m``, which spans the input's spectrum (not the input grid) with
@@ -305,8 +305,8 @@ def olct_forward(f: SampledSignal, params: OlctParams,
         quadrature densely and serves as the correctness reference.
     xi_m : float
         Centre of the default grid's moment integrands, as in
-        :func:`default_xi_grid`; only meaningful without ``xi_grid`` (a
-        nonzero value with one is an error), and unused for b = 0.
+        :func:`default_xi_grid`; only meaningful without ``xi_grid`` and
+        with b != 0 (a nonzero value is an error otherwise).
 
     Both paths apply the same trapezoid quadrature weights, so they agree
     to rounding error for decaying inputs.
@@ -314,13 +314,14 @@ def olct_forward(f: SampledSignal, params: OlctParams,
     if xi_grid is not None and xi_m != 0.0:
         raise ValueError("xi_m centres the default output grid; it cannot "
                          "be combined with an explicit xi_grid")
-    if params.is_degenerate:
-        if xi_grid is not None:
-            raise ValueError("the b = 0 branch maps the input grid onto its "
-                             "output grid and takes no explicit xi_grid")
-        return olct_forward_b0(f, params)
     if path not in ("chirp_fft", "direct"):
         raise ValueError(f"unknown forward path {path!r}")
+    if params.is_degenerate:
+        if xi_grid is not None or xi_m != 0.0:
+            raise ValueError("the b = 0 branch maps the input grid onto its "
+                             "output grid and takes no explicit xi_grid "
+                             "or xi_m")
+        return olct_forward_b0(f, params)
     p = params
     t = f.grid.points()
 

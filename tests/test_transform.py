@@ -332,6 +332,19 @@ def test_forward_routes_degenerate_params(grid):
     assert isinstance(spec, olct.SampledSignal)
 
 
+def test_forward_b0_rejects_a_bad_path_and_a_centre(grid):
+    # the b = 0 branch takes no xi_m, and an unknown path is an error on
+    # every branch
+    f = olct.SampledSignal(grid, np.exp(-grid.points() ** 2))
+    params = olct.OlctParams(2.0, 0.0, 0.0, 0.5)
+    with pytest.raises(ValueError, match="unknown forward path"):
+        olct.olct_forward(f, params, path="bogus")
+    with pytest.raises(ValueError, match="xi_m"):
+        olct.olct_forward(f, params, xi_m=3.0)
+    assert isinstance(olct.olct_forward(f, params, path="direct"),
+                      olct.SampledSignal)
+
+
 # ---------------------------------------------------------------------------
 # default output grid
 
