@@ -53,3 +53,29 @@ def test_summary_counts_wins_in_each_metric_direction(tool):
         [{"base": p["change"], "change": p["base"]} for p in pairs],
         {"op_p50_ms": "lower", "ops_per_s": "higher"})}
     assert rows["op_p50_ms"][3] == 1 and not rows["op_p50_ms"][4]
+
+
+def test_bounds_come_from_the_benchmark_spec(tool):
+    limits = tool.end_to_end_bounds(TOOL_PATH.parents[1])
+    assert limits["setup_s"] == 0.25 and limits["peak_rss_mb"] == 0.05
+    assert "signals.derivative_ms" not in limits  # per-layer: no bound
+
+
+def test_a_median_worse_by_more_than_its_bound_is_flagged(tool):
+    # a 33 % rise of a lower-is-better metric against a 25 % bound
+    base = [(0.30, 10.0), (0.31, 10.0), (0.29, 10.0), (0.30, 10.0)]
+    change = [(0.40, 7.4), (0.41, 7.6), (0.39, 7.5), (0.40, 7.5)]
+    pairs = [{"base": result(*b), "change": result(*c)}
+             for b, c in zip(base, change)]
+    better = {"op_p50_ms": "lower", "ops_per_s": "higher"}
+    rows = {row[0]: row[1:3] for row in tool.summarize(pairs, better)}
+    assert tool.past_bound(*rows["op_p50_ms"], "lower", 0.25)
+    assert not tool.past_bound(*rows["op_p50_ms"], "lower", 0.40)
+    # a higher-is-better metric that fell 25 %: past a 20 % bound only
+    assert tool.past_bound(*rows["ops_per_s"], "higher", 0.20)
+    assert not tool.past_bound(*rows["ops_per_s"], "higher", 0.30)
+    # a gain is never past its bound, however large
+    swapped = {row[0]: row[1:3] for row in tool.summarize(
+        [{"base": p["change"], "change": p["base"]} for p in pairs], better)}
+    assert not tool.past_bound(*swapped["op_p50_ms"], "lower", 0.0)
+    assert not tool.past_bound(*swapped["ops_per_s"], "higher", 0.0)

@@ -16,8 +16,11 @@ result.  Nothing under ``bench/`` is changed.
 For every metric it prints the base and the change median with their
 quartiles, the relative change of the medians, the number of pairs in
 which the change was better (the direction comes from ``BENCHMARK.json``
-of the change tree), and whether the gap of the medians exceeds the
-interquartile range of the base runs.
+of the change tree), whether the gap of the medians exceeds the
+interquartile range of the base runs, and, for each end-to-end metric,
+whether the change's median is worse than the base median by more than
+that metric's ``bound`` in ``BENCHMARK.json`` (a fraction of the base
+median), the rule by which a change that slows the benchmark is refused.
 
     python3 tools/bench_pairs.py ../base . --workload reports-64k --seed 43 --pairs 10
 """
@@ -69,6 +72,19 @@ def directions(tree: Path) -> dict:
     spec = bench_spec(tree)
     return {m["name"]: m["better"]
             for key in ("end_to_end", "per_layer") for m in spec.get(key, [])}
+
+
+def end_to_end_bounds(tree: Path) -> dict:
+    """end-to-end metric name -> its bound, from the tree's BENCHMARK.json."""
+    return {m["name"]: m["bound"] for m in bench_spec(tree).get("end_to_end", [])}
+
+
+def past_bound(qb: tuple, qc: tuple, better: str, bound: float) -> bool:
+    """Whether the change's median ``qc[1]`` is worse than the base median
+    ``qb[1]`` by more than ``bound`` times the base median, in the
+    metric's direction ``better``."""
+    sign = 1.0 if better == "lower" else -1.0
+    return sign * (qc[1] - qb[1]) > bound * abs(qb[1])
 
 
 def quartiles(values: list) -> tuple:
@@ -133,12 +149,15 @@ def main(argv=None) -> int:
         print(f"{side}: {good}/{n} runs correct with 0 failed")
     print(f"{'metric':<14} {'base median [q1, q3]':>30} "
           f"{'change median [q1, q3]':>30} {'change':>8} {'won':>6}  "
-          "gap > base IQR")
-    for name, qb, qc, rel, won, resolved in summarize(
-            pairs, directions(trees["change"])):
+          "gap > base IQR  worse > bound")
+    better = directions(trees["change"])
+    limits = end_to_end_bounds(trees["change"])
+    for name, qb, qc, rel, won, resolved in summarize(pairs, better):
+        flag = ("" if name not in limits else "yes" if past_bound(
+            qb, qc, better[name], limits[name]) else "no")
         print(f"{name:<14} {_cell(qb):>30} {_cell(qc):>30} "
               f"{100.0 * rel:>+7.1f}% {f'{won}/{n}':>6}  "
-              f"{'yes' if resolved else 'no'}")
+              f"{'yes' if resolved else 'no':<14}  {flag}")
     return 0
 
 
