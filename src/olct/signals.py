@@ -34,6 +34,7 @@ __all__ = [
     "guarded_integral",
     "cis",
     "centered_power",
+    "kept_bins",
     "derivative",
     "energy",
     "AbsEnergy",
@@ -52,7 +53,8 @@ EDGE_DECAY_TOL = 1e-8
 
 # Spectrum bins below this fraction of the peak are rounding noise; the
 # frequency-domain derivative multiplier would amplify them by omega^k, so
-# they are zeroed first.
+# they are zeroed first, and the default output grid is sized to the bins
+# above it.  kept_bins applies it for both.
 SPECTRAL_NOISE_FLOOR = 1e-12
 
 
@@ -291,6 +293,17 @@ def centered_power(d: np.ndarray, mag: np.ndarray, e: int) -> np.ndarray:
     return out
 
 
+def kept_bins(spec: np.ndarray) -> tuple:
+    """The bins of an FFT ``spec`` above the noise floor, ``(kept, signed)``:
+    the indices whose amplitude is not below ``SPECTRAL_NOISE_FLOOR`` of the
+    peak (a NaN bin is kept), and their signed indices, the values of
+    ``fftfreq(size) * size`` there."""
+    mag = np.abs(spec)
+    kept = np.flatnonzero(~(mag < SPECTRAL_NOISE_FLOOR * np.max(mag)))
+    signed = np.where(kept < (spec.size + 1) // 2, kept, kept - spec.size)
+    return kept, signed
+
+
 def derivative(s: SampledSignal, orders) -> dict:
     """Derivatives of a sampled signal by spectral differentiation:
     ``{k: k-th derivative}`` for every requested order ``k >= 1``.
@@ -299,17 +312,11 @@ def derivative(s: SampledSignal, orders) -> dict:
     The samples are zero-padded to the fast FFT length ``next_fast_len(n)``,
     which that decay makes harmless, and transformed once; each order is one
     (j omega)^k multiplier and one inverse FFT, truncated back to n.
-    Spectrum bins below ``SPECTRAL_NOISE_FLOOR`` of the peak are zeroed
-    before the multipliers, and for an even padded length the unmatched
-    Nyquist bin is dropped at odd k.
-
-    A decaying signal keeps few bins (39 to 128 of the 65610 on the
-    benchmark's 65537-point reports, at most 40 % on its other workloads),
-    so when at most half the bins are kept the multipliers and products are
-    formed on those alone and scattered into one zeroed buffer per order;
-    a band-filling spectrum takes the full-length products, which need no
-    scatter.  Either way the inverse FFT overwrites its input, and the
-    values are those of the full-length products bit for bit.
+    Only the bins that :func:`kept_bins` keeps get the multiplier, and for
+    an even padded length the unmatched Nyquist bin is dropped at odd k.
+    Their products are scattered into one zeroed buffer per order, which
+    the inverse FFT overwrites; the values are those of the full-length
+    products with the dropped bins zeroed, bit for bit.
     """
     orders = [int(k) for k in orders]
     if orders and min(orders) < 1:
@@ -318,19 +325,9 @@ def derivative(s: SampledSignal, orders) -> dict:
     n = s.grid.n
     nfft = sfft.next_fast_len(n)
     spec = sfft.fft(s.values, nfft)
-    mag = np.abs(spec)
-    # the bins below the floor (a NaN bin is kept, as before)
-    drop = mag < SPECTRAL_NOISE_FLOOR * np.max(mag)
-    del mag
-    if 2 * np.count_nonzero(drop) >= nfft:
-        kept = np.flatnonzero(~drop)
-        spec = spec[kept]
-    else:
-        kept = np.arange(nfft)
-        spec[drop] = 0.0
-    del drop
+    kept, signed = kept_bins(spec)
+    spec = spec[kept]
     # fftfreq's values at the kept bins: signed bin index / (nfft dt)
-    signed = np.where(kept < (nfft + 1) // 2, kept, kept - nfft)
     omega = 2.0j * np.pi * (signed * (1.0 / (nfft * s.grid.dt)))
     nyquist = np.flatnonzero(kept == nfft // 2) if nfft % 2 == 0 else kept[:0]
     out = {}
@@ -338,12 +335,9 @@ def derivative(s: SampledSignal, orders) -> dict:
         mult = omega**k
         if k % 2 == 1:
             mult[nyquist] = 0.0  # unmatched Nyquist bin
-        prod = spec * mult
-        if spec.size < nfft:
-            full = np.zeros(nfft, dtype=np.complex128)
-            full[kept] = prod
-            prod = full
-        out[k] = s.with_values(sfft.ifft(prod, overwrite_x=True)[:n])
+        full = np.zeros(nfft, dtype=np.complex128)
+        full[kept] = spec * mult
+        out[k] = s.with_values(sfft.ifft(full, overwrite_x=True)[:n])
     return out
 
 

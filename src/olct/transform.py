@@ -32,12 +32,12 @@ from .errors import NumericsError
 from .signals import (
     MAX_HALF_ORDER,
     MIN_GRID_POINTS,
-    SPECTRAL_NOISE_FLOOR,
     Grid,
     SampledSignal,
     abs_energy,
     check_decay,
     cis,
+    kept_bins,
     make_grid,
     trapezoid_samples,
 )
@@ -187,8 +187,8 @@ def _bin_spectrum(f: SampledSignal, params: OlctParams, xi_m: float):
     M = 2 next_fast_len(n - 1) points, so bin j of its FFT is
     G_j = sum_k g_k exp(-j u_j k' dt) at u_j = j du, du = 2 pi/(M dt) <= pi/L
     (exactly pi/L on a 2^k + 1 grid), L the length of the input grid.
-    Bins below ``SPECTRAL_NOISE_FLOOR`` of the peak amplitude are rounding
-    noise and are dropped.  The grid spans the outermost bins where
+    Only the bins that :func:`~olct.signals.kept_bins` keeps above the
+    rounding-noise floor are read.  The grid spans the outermost bins where
     |G|^2 |u - u_m|^(2k), u_m = (xi_m - tau)/b, reaches ``SPAN_TOL`` of its
     own maximum for some k = 0..``MAX_HALF_ORDER``, so every moment
     integrand has decayed at its edges and the span stays inside the band
@@ -207,10 +207,8 @@ def _bin_spectrum(f: SampledSignal, params: OlctParams, xi_m: float):
     padded[size - n // 2 :] = g[: n // 2]
     spec = sfft.fft(padded, overwrite_x=True)
     du = 2.0 * np.pi / (size * dt)
-    power = np.abs(spec) ** 2
-    kept = np.flatnonzero(power >= SPECTRAL_NOISE_FLOOR**2 * np.max(power))
-    power = power[kept]
-    bins = np.where(kept < size // 2, kept, kept - size)  # signed bin index
+    kept, bins = kept_bins(spec)
+    power = np.abs(spec[kept]) ** 2
     dist2 = (bins * du - (xi_m - params.tau) / params.b) ** 2
     covered = np.zeros(bins.size, dtype=bool)
     for _ in range(MAX_HALF_ORDER + 1):
