@@ -7,6 +7,8 @@ import re
 from importlib.resources import files
 from pathlib import Path
 
+import pytest
+
 import olct
 
 DIGEST_PATH = Path(__file__).resolve().parents[1] / "tools" / "repro_digest.py"
@@ -148,3 +150,17 @@ def test_compare_exits_1_on_different_keys(tmp_path, capsys):
         "only in BEFORE: library a p=2 | shw gram | mu_spec",
         "only in AFTER: library a p=2 | shw gram | mu_time",
     ]
+
+
+@pytest.mark.parametrize("argv", [["--value"], ["--compare", "before.txt"]])
+def test_bad_arguments_exit_2_before_any_run(argv, monkeypatch, capsys):
+    digest = load_digest()
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a digest ran")
+
+    for name in ("run", "library_lines", "value_lines", "parse_values"):
+        monkeypatch.setattr(digest, name, no_run)
+    assert digest.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == digest.USAGE + "\n"

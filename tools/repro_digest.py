@@ -33,7 +33,8 @@ a change moved.  ``--compare BEFORE AFTER`` summarises two such outputs:
 It prints, for each field that moved, the count of moved lines and the
 largest absolute and relative move, then the worst ``ppr_gap`` and
 ``parseval_gap`` on each side.  It exits 1, listing the difference, when
-the two files do not list the same keys.
+the two files do not list the same keys.  Any other arguments print a usage
+line and exit 2 before anything runs.
 """
 
 from __future__ import annotations
@@ -304,13 +305,19 @@ def _size(value) -> str:
     return "-" if value is None else f"{value:.3g}"
 
 
+USAGE = "usage: repro_digest.py [--values | --compare BEFORE AFTER]"
+
+
 def main(argv: list) -> int:
-    if argv[:1] == ["--compare"]:
+    if argv[:1] == ["--compare"] and len(argv) == 3:
         before, after = (parse_values(Path(path).read_text()) for path in argv[1:])
         lines, same_keys = compare(before, after)
-    else:
-        lines = value_lines() if argv == ["--values"] else run() + library_lines()
+    elif argv in ([], ["--values"]):
+        lines = value_lines() if argv else run() + library_lines()
         same_keys = True
+    else:
+        print(USAGE, file=sys.stderr)
+        return 2
     sys.stdout.write("".join(line + "\n" for line in lines))
     return 0 if same_keys else 1
 
