@@ -79,3 +79,23 @@ def test_a_median_worse_by_more_than_its_bound_is_flagged(tool):
         [{"base": p["change"], "change": p["base"]} for p in pairs], better)}
     assert not tool.past_bound(*swapped["op_p50_ms"], "lower", 0.0)
     assert not tool.past_bound(*swapped["ops_per_s"], "higher", 0.0)
+
+
+def test_verdict_reads_worse_unresolved_or_ok(tool):
+    # base runs whose interquartile range is 40 % of their median, against
+    # a 25 % bound
+    base = [0.8, 0.8, 1.2, 1.2, 1.0]
+    assert tool.quartiles(base) == (0.8, 1.0, 1.2)
+    mixed = [1.0, 1.2, 0.8, 1.0, 0.9]
+    assert tool.verdict(base, mixed, "lower", 0.25) == "unresolved"
+    better = [0.7, 0.75, 0.6, 0.65, 0.7]  # every run beats every base run
+    assert tool.verdict(base, better, "lower", 0.25) == "ok"
+    # the same, for a higher-is-better metric
+    assert tool.verdict([-x for x in base], [-x for x in mixed],
+                        "higher", 0.25) == "unresolved"
+    assert tool.verdict([2.0 - x for x in base], [2.0 - x for x in better],
+                        "higher", 0.25) == "ok"
+    # the past-bound case of the test above, and a tight base spread
+    past_base, past_change = [0.30, 0.31, 0.29, 0.30], [0.40, 0.41, 0.39, 0.40]
+    assert tool.verdict(past_base, past_change, "lower", 0.25) == "worse"
+    assert tool.verdict(past_base, past_base, "lower", 0.25) == "ok"

@@ -17,10 +17,13 @@ For every metric it prints the base and the change median with their
 quartiles, the relative change of the medians, the number of pairs in
 which the change was better (the direction comes from ``BENCHMARK.json``
 of the change tree), whether the gap of the medians exceeds the
-interquartile range of the base runs, and, for each end-to-end metric,
-whether the change's median is worse than the base median by more than
-that metric's ``bound`` in ``BENCHMARK.json`` (a fraction of the base
-median), the rule by which a change that slows the benchmark is refused.
+interquartile range of the base runs, and, for each end-to-end metric, a
+verdict against that metric's ``bound`` in ``BENCHMARK.json`` (a fraction
+of the base median): ``worse`` when the change's median is worse than the
+base median by more than the bound, the rule by which a change that slows
+the benchmark is refused; otherwise ``unresolved`` when the base runs
+spread wider than the bound and the change runs do not all beat every
+base run, so the runs cannot tell; otherwise ``ok``.
 
     python3 tools/bench_pairs.py ../base . --workload reports-64k --seed 43 --pairs 10
 """
@@ -87,6 +90,24 @@ def past_bound(qb: tuple, qc: tuple, better: str, bound: float) -> bool:
     return sign * (qc[1] - qb[1]) > bound * abs(qb[1])
 
 
+def verdict(base: list, change: list, better: str, bound: float) -> str:
+    """``worse``, ``unresolved`` or ``ok``: the end-to-end verdict on the
+    base and change runs of one metric against its ``bound``."""
+    qb = quartiles(base)
+    if past_bound(qb, quartiles(change), better, bound):
+        return "worse"
+    sign = 1.0 if better == "lower" else -1.0
+    separated = max(sign * c for c in change) < min(sign * b for b in base)
+    if qb[2] - qb[0] > bound * abs(qb[1]) and not separated:
+        return "unresolved"
+    return "ok"
+
+
+def side_values(pairs: list, name: str, side: str) -> list:
+    """The values of one metric in the runs of one side."""
+    return [p[side]["metrics"][name]["value"] for p in pairs]
+
+
 def quartiles(values: list) -> tuple:
     """(first quartile, median, third quartile)."""
     if len(values) == 1:
@@ -106,8 +127,8 @@ def summarize(pairs: list, better: dict) -> list:
     rows = []
     for name in names:
         sign = 1.0 if better.get(name, "lower") == "lower" else -1.0
-        base = [p["base"]["metrics"][name]["value"] for p in pairs]
-        change = [p["change"]["metrics"][name]["value"] for p in pairs]
+        base = side_values(pairs, name, "base")
+        change = side_values(pairs, name, "change")
         won = sum(sign * (c - b) < 0 for b, c in zip(base, change))
         qb, qc = quartiles(base), quartiles(change)
         rel = (qc[1] - qb[1]) / qb[1] if qb[1] else float("nan")
@@ -149,12 +170,13 @@ def main(argv=None) -> int:
         print(f"{side}: {good}/{n} runs correct with 0 failed")
     print(f"{'metric':<14} {'base median [q1, q3]':>30} "
           f"{'change median [q1, q3]':>30} {'change':>8} {'won':>6}  "
-          "gap > base IQR  worse > bound")
+          "gap > base IQR  verdict")
     better = directions(trees["change"])
     limits = end_to_end_bounds(trees["change"])
     for name, qb, qc, rel, won, resolved in summarize(pairs, better):
-        flag = ("" if name not in limits else "yes" if past_bound(
-            qb, qc, better[name], limits[name]) else "no")
+        flag = ("" if name not in limits else verdict(
+            side_values(pairs, name, "base"), side_values(pairs, name, "change"),
+            better[name], limits[name]))
         print(f"{name:<14} {_cell(qb):>30} {_cell(qc):>30} "
               f"{100.0 * rel:>+7.1f}% {f'{won}/{n}':>6}  "
               f"{'yes' if resolved else 'no':<14}  {flag}")
