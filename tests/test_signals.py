@@ -345,19 +345,19 @@ def test_kept_bin_derivative_is_bit_identical_to_full_length(n, shape):
 
 @pytest.mark.parametrize("size", [16, 17])
 def test_kept_bins_applies_the_floor_and_signs_the_indices(size):
+    # bin size // 2 is +8 of 17 bins and -8 of 16
     spec = np.zeros(size, dtype=np.complex128)
-    spec[[0, 1, 5, size - 3]] = [1.0, -2.0, 0.5j, 1.0 + 1.0j]
+    spec[[0, 1, 5, size // 2, size - 3]] = [1.0, -2.0, 0.5j, 0.25, 1.0 + 1.0j]
     spec[2] = 3.0  # the peak
     thr = signals.SPECTRAL_NOISE_FLOOR * 3.0
     spec[size - 1] = 1j * thr  # exactly at the floor: kept
-    spec[size // 2] = np.nextafter(thr, 0)  # one float below: dropped
+    spec[3] = np.nextafter(thr, 0)  # one float below: dropped
     spec[7] = 1e-300
     kept, signed = signals.kept_bins(spec)
-    assert kept.tolist() == [0, 1, 2, 5, size - 3, size - 1]
+    assert kept.tolist() == [0, 1, 2, 5, size // 2, size - 3, size - 1]
     # fftfreq(size) * size, with d = 1/size so that the odd size gives
     # exact integers too
     assert np.array_equal(signed, np.fft.fftfreq(size, 1.0 / size)[kept])
-    assert signed.tolist() == [0, 1, 2, 5, -3, -1]
 
 
 def test_derivative_orders_share_one_spectrum(grid):
