@@ -5,7 +5,8 @@ evaluated here:
 
 * the 2p-order bound  (|b| / 2^(1/p)) * |E|^(1/p), where E is a signed
   functional assembled from weighted integrals of the squared derivatives
-  of the demodulated signal g_b = exp(-j beta t) exp(j a/(2b) t^2) f;
+  of the demodulated signal g_b = exp(-j beta t) exp(j a/(2b) t^2) f,
+  read off the bins of :func:`~olct.transform.bin_spectrum`;
 * its sharpened form with E replaced by sqrt(E^2 + 4*A^2), where A comes
   from a Gram-determinant construction with an auxiliary unit-norm function
   applied to the pair (u, v) that :func:`hpw_core` forms with E;
@@ -45,8 +46,8 @@ from .signals import (
     guarded_integral,
     trapezoid,
 )
-from .transform import OlctParams
-from .moments import MAX_HALF_ORDER, chirp_demodulate
+from .transform import BinSpectrum, OlctParams, bin_spectrum
+from .moments import MAX_HALF_ORDER
 
 __all__ = [
     "HpwConfig",
@@ -125,16 +126,23 @@ class OrderTerm:
 @dataclass(frozen=True)
 class BoundBreakdown:
     """The bound functional, its per-order terms and what the sharpening
-    pair (u, v) is formed from."""
+    pair (u, v) is formed from.
+
+    g_b and v carry the unimodular factor exp(j beta t) that the bins give
+    every derivative (:meth:`~olct.transform.BinSpectrum.derivatives`), so
+    u and v share it: their magnitudes, energies and inner product are
+    those of the pair itself."""
 
     core: float            # signed functional E
     terms: tuple           # OrderTerm per q
-    g_b: SampledSignal = field(repr=False, compare=False)  # demodulated f
+    # exp(j beta t) g_b = exp(j a/(2b) t^2) f
+    g_b: SampledSignal = field(repr=False, compare=False)
     u_weight: np.ndarray = field(repr=False, compare=False)  # omega (t-t_m)^p
-    v: SampledSignal = field(repr=False, compare=False)  # g_b^(p)
+    # exp(j beta t) g_b^(p)
+    v: SampledSignal = field(repr=False, compare=False)
 
     def u(self) -> SampledSignal:
-        """The pair's u = omega(t) (t - t_m)^p g_b(t)."""
+        """The pair's u = omega(t) (t - t_m)^p g_b(t), times exp(j beta t)."""
         return self.g_b.with_values(self.u_weight * self.g_b.values)
 
 
@@ -211,27 +219,33 @@ def weight_deriv_centered(omega: WeightFunction, p: int, t_m: float, orders,
     return out
 
 
-def hpw_core(f: SampledSignal, params: OlctParams, cfg: HpwConfig) -> BoundBreakdown:
+def hpw_core(f: SampledSignal, params: OlctParams, cfg: HpwConfig,
+             bins: BinSpectrum | None = None) -> BoundBreakdown:
     """Evaluate the bound functional E = sum_q D_q F_q, q = 0..p/2, where
     F_q integrates the (p-2q)-th derivative of (t - t_m)^p omega(t) against
     |g_b^(q)|^2, with g_b = exp(-j beta t) exp(j a/(2b) t^2) f the
     demodulated signal, beta = (xi_m - tau)/b.  F_q carries the
     integration-by-parts sign (-1)^(p-2q), which equals (-1)^p for every q.
 
-    One :func:`derivative` call on g_b gives the orders q = 1..p/2 of the
-    F_q and the order p of the sharpening pair (u, v).  The breakdown
-    carries v, g_b and the weight omega (t - t_m)^p, from which
+    The orders q = 1..p/2 of the F_q and the order p of the sharpening
+    pair (u, v) are read off the bins of ``bin_spectrum(f, params,
+    cfg.xi_m)``, one inverse FFT each; ``bins`` passes those bins in when
+    the caller has them, with the same values.  |g_b| is |f|.  The
+    breakdown carries v, g_b and the weight omega (t - t_m)^p, from which
     :meth:`BoundBreakdown.u` forms u for a caller that needs it.
     """
     if params.is_degenerate:
         raise ValueError("the bound functional requires b != 0")
+    if bins is None:
+        bins = bin_spectrum(f, params, cfg.xi_m)
+    else:
+        bins.check_source(f, params, cfg.xi_m)
     p = cfg.p
-    g_b = chirp_demodulate(f, params, cfg.xi_m)
-    derivs = derivative(g_b, [*range(1, p // 2 + 1), p])
+    derivs = bins.derivatives([*range(1, p // 2 + 1), p])
     wd = weight_deriv_centered(cfg.omega, p, cfg.t_m,
                                {p - 2 * q for q in range(p // 2 + 1)} | {0},
                                f.grid.points())
-    mag = np.abs(g_b.values)
+    mag = np.abs(f.values)
     underflow = mag < DERIV_UNDERFLOW_MASK * np.max(mag)
     sign = (-1) ** p
 
@@ -241,7 +255,7 @@ def hpw_core(f: SampledSignal, params: OlctParams, cfg: HpwConfig) -> BoundBreak
         # |g_b^(q)|^2 times the weight derivative, built in one buffer; for
         # q >= 1 it is zero where g_b has underflowed
         if q:
-            integrand = np.abs(derivs.pop(q).values)
+            integrand = np.abs(derivs.pop(q))
             integrand[underflow] = 0.0
         else:
             integrand = mag
@@ -253,8 +267,8 @@ def hpw_core(f: SampledSignal, params: OlctParams, cfg: HpwConfig) -> BoundBreak
         terms.append(OrderTerm(q=q, coeff=d_q, value=f_q))
         core += d_q * f_q
 
-    return BoundBreakdown(core=core, terms=tuple(terms), g_b=g_b,
-                          u_weight=wd[0], v=derivs[p])
+    return BoundBreakdown(core=core, terms=tuple(terms), g_b=bins.g,
+                          u_weight=wd[0], v=f.with_values(derivs[p]))
 
 
 def second_order_core_closed_form(f: SampledSignal, omega: WeightFunction,

@@ -7,9 +7,10 @@ demodulation,
 
     g_b(t) = exp(-j beta t) exp(j a/(2b) t^2) f(t),   beta = (xi_m - tau)/b.
 
-``ppr_check`` evaluates both sides of that identity by independent routes
-(direct output-domain quadrature vs. spectral differentiation) and reports
-the relative gap.
+``ppr_check`` evaluates both sides of that identity off one FFT, as the
+verify reports do: the left side by quadrature of the transform on the
+default output grid, the right side by spectral differentiation on the same
+bins, and reports the relative gap.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ from .signals import (
     abs_energy,
     centered_power,
     cis,
-    derivative,
     guarded_integral,
 )
-from .transform import OlctParams, olct_forward
+from .transform import OlctParams, bin_spectrum, olct_forward
 
 __all__ = [
     "PprResult",
@@ -141,18 +141,19 @@ def ppr_check(f: SampledSignal, params: OlctParams, p: int,
               xi_m: float = 0.0) -> PprResult:
     """Check integral (xi-xi_m)^(2p) |O|^2 dxi == b^(2p) ||g_b^(p)||^2.
 
-    The left side is direct quadrature of the fast-path transform on the
-    default output grid; the right side differentiates the demodulated
-    signal spectrally.  The gap is :func:`relative_gap`, the same rule the
-    verify reports use for their ``ppr_gap``.
+    Both sides are read off one :func:`~olct.transform.bin_spectrum`, as
+    the verify reports read them: the left side is direct quadrature of the
+    transform on the default output grid, the right side the energy of the
+    p-th derivative of the demodulated signal on the same bins.  The gap is
+    :func:`relative_gap`, the same rule the verify reports use for their
+    ``ppr_gap``.
     """
     p = _half_order(p)
     if params.is_degenerate:
         raise ValueError("the moment identity requires b != 0")
-    spectrum = olct_forward(f, params, xi_m=xi_m)
+    bins = bin_spectrum(f, params, xi_m)
+    spectrum = olct_forward(f, params, xi_m=xi_m, bins=bins)
     lhs = spectral_moment_2p(spectrum, p, xi_m)
-
-    g_b = chirp_demodulate(f, params, xi_m)
-    g_b_p = derivative(g_b, [p])[p] if p >= 1 else g_b
-    rhs = params.b ** (2 * p) * abs_energy(g_b_p).energy
+    v = bins.derivatives([p])[p] if p >= 1 else bins.g.values
+    rhs = params.b ** (2 * p) * abs_energy(f.with_values(v)).energy
     return PprResult(lhs=lhs, rhs=rhs, rel_gap=relative_gap(lhs, rhs))

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import fft as sfft
 
 from .errors import NumericsError
 
@@ -35,6 +34,8 @@ __all__ = [
     "cis",
     "centered_power",
     "kept_bins",
+    "next_fast_len",
+    "fourier_derivatives",
     "derivative",
     "energy",
     "AbsEnergy",
@@ -304,6 +305,66 @@ def kept_bins(spec: np.ndarray) -> tuple:
     return kept, signed
 
 
+@functools.cache
+def next_fast_len(target: int) -> int:
+    """The smallest 11-smooth integer (2^a 3^b 5^c 7^d 11^e) >= ``target``,
+    a length pocketfft transforms fast; scipy's ``next_fast_len`` gives the
+    same for complex input.  Its few distinct arguments are cached."""
+    target = int(target)
+    if target < 1:
+        raise ValueError(f"FFT length target must be >= 1, got {target}")
+    best = 1 << (target - 1).bit_length()
+    p11 = 1
+    while p11 < best:
+        p7 = p11
+        while p7 < best:
+            p5 = p7
+            while p5 < best:
+                p3 = p5
+                while p3 < best:
+                    # p3 times the smallest power of two reaching target
+                    best = min(best, p3 << (-(-target // p3) - 1).bit_length())
+                    p3 *= 3
+                p5 *= 5
+            p7 *= 7
+        p11 *= 11
+    return best
+
+
+def fourier_derivatives(spec: np.ndarray, kept: np.ndarray, signed: np.ndarray,
+                        dt: float, n: int, orders, beta: float = 0.0,
+                        centre: int = 0) -> dict:
+    """``{k: (d/dt - j beta)^k s}`` for every order k >= 1, at the n samples
+    (spacing dt) of a signal s, read off ``spec``, the FFT of those samples
+    zero-padded to spec.size points with sample ``centre`` at index 0 and
+    the samples before it wrapped round to the end.  ``kept, signed`` is
+    :func:`kept_bins` of ``spec``.
+
+    (d/dt - j beta)^k s is exp(j beta t) times the k-th derivative of the
+    demodulated exp(-j beta t) s, so the two have the same magnitude.  Only
+    the kept bins get the multiplier (j (omega - beta))^k, and for an even
+    length the unmatched Nyquist bin is dropped at odd k.  Their products
+    are scattered into one zeroed buffer per order, which the inverse FFT
+    overwrites; at beta = 0 the values are those of the full-length
+    products with the dropped bins zeroed, bit for bit.
+    """
+    size = spec.size
+    spec = spec[kept]
+    # fftfreq's values at the kept bins: signed bin index / (size dt)
+    omega = 2.0j * np.pi * (signed * (1.0 / (size * dt))) - 1j * beta
+    nyquist = np.flatnonzero(kept == size // 2) if size % 2 == 0 else kept[:0]
+    out = {}
+    for k in orders:
+        mult = omega**k
+        if k % 2 == 1:
+            mult[nyquist] = 0.0  # unmatched Nyquist bin
+        full = np.zeros(size, dtype=np.complex128)
+        full[kept] = spec * mult
+        np.fft.ifft(full, out=full)
+        out[k] = np.concatenate((full[size - centre :], full[: n - centre]))
+    return out
+
+
 def derivative(s: SampledSignal, orders) -> dict:
     """Derivatives of a sampled signal by spectral differentiation:
     ``{k: k-th derivative}`` for every requested order ``k >= 1``.
@@ -311,34 +372,17 @@ def derivative(s: SampledSignal, orders) -> dict:
     The signal must be negligible at the grid edges (:func:`check_decay`).
     The samples are zero-padded to the fast FFT length ``next_fast_len(n)``,
     which that decay makes harmless, and transformed once; each order is one
-    (j omega)^k multiplier and one inverse FFT, truncated back to n.
-    Only the bins that :func:`kept_bins` keeps get the multiplier, and for
-    an even padded length the unmatched Nyquist bin is dropped at odd k.
-    Their products are scattered into one zeroed buffer per order, which
-    the inverse FFT overwrites; the values are those of the full-length
-    products with the dropped bins zeroed, bit for bit.
+    (j omega)^k multiplier and one inverse FFT, truncated back to n
+    (:func:`fourier_derivatives` at beta = 0).
     """
     orders = [int(k) for k in orders]
     if orders and min(orders) < 1:
         raise ValueError(f"derivative order must be >= 1, got {min(orders)}")
     check_decay(s.values, "the signal to differentiate spectrally")
     n = s.grid.n
-    nfft = sfft.next_fast_len(n)
-    spec = sfft.fft(s.values, nfft)
-    kept, signed = kept_bins(spec)
-    spec = spec[kept]
-    # fftfreq's values at the kept bins: signed bin index / (nfft dt)
-    omega = 2.0j * np.pi * (signed * (1.0 / (nfft * s.grid.dt)))
-    nyquist = np.flatnonzero(kept == nfft // 2) if nfft % 2 == 0 else kept[:0]
-    out = {}
-    for k in orders:
-        mult = omega**k
-        if k % 2 == 1:
-            mult[nyquist] = 0.0  # unmatched Nyquist bin
-        full = np.zeros(nfft, dtype=np.complex128)
-        full[kept] = spec * mult
-        out[k] = s.with_values(sfft.ifft(full, overwrite_x=True)[:n])
-    return out
+    spec = np.fft.fft(s.values, next_fast_len(n))
+    derivs = fourier_derivatives(spec, *kept_bins(spec), s.grid.dt, n, orders)
+    return {k: s.with_values(values) for k, values in derivs.items()}
 
 
 def energy(grid: Grid, sq: np.ndarray) -> float:

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy import fft as sfft
 
 from .errors import NumericsError
 from .signals import (
@@ -37,8 +37,10 @@ from .signals import (
     abs_energy,
     check_decay,
     cis,
+    fourier_derivatives,
     kept_bins,
     make_grid,
+    next_fast_len,
     trapezoid_samples,
 )
 
@@ -46,6 +48,8 @@ __all__ = [
     "OlctParams",
     "ft_params",
     "olct_kernel",
+    "BinSpectrum",
+    "bin_spectrum",
     "olct_forward",
     "olct_forward_b0",
     "olct_inverse",
@@ -150,7 +154,7 @@ def _fourier_sum(x: np.ndarray, x0: float, dx: float,
                  u0: float, du: float, m: int) -> np.ndarray:
     """sum_k x[k] * exp(-j u_j x_k) for x_k = x0 + k*dx, u_j = u0 + j*du.
 
-    It serves the grids the bins of :func:`_bin_spectrum` do not: explicit
+    It serves the grids the bins of :func:`bin_spectrum` do not: explicit
     output grids of :func:`olct_forward` and every :func:`olct_inverse`.
     Bluestein's chirp convolution on centered indices k' = k - n//2 and
     j' = j - m//2, with j'k' = (j'^2 + k'^2 - (j'-k')^2)/2.  Each chirp phase
@@ -171,41 +175,86 @@ def _fourier_sum(x: np.ndarray, x0: float, dx: float,
     # y * h holds output j at index j + n - 1
     shift = n // 2 - m // 2
     h = np.conj(_mirrored(chirp, shift - (n - 1), shift + m))
-    nfft = sfft.next_fast_len(n + m - 1)
-    conv = sfft.ifft(sfft.fft(y, nfft) * sfft.fft(h, nfft))[n - 1 : n - 1 + m]
+    nfft = next_fast_len(n + m - 1)
+    spec = np.fft.fft(y, nfft)
+    spec *= np.fft.fft(h, nfft)
+    conv = np.fft.ifft(spec, out=spec)[n - 1 : n - 1 + m]
     u = u0 + du * np.arange(m)
     return (cis(-u * (x0 + (n // 2) * dx)) * _mirrored(chirp, -(m // 2), m - m // 2)
             * conv)
 
 
-def _bin_spectrum(f: SampledSignal, params: OlctParams, xi_m: float):
-    """The one FFT behind the default output grid and the transform on it.
+class BinSpectrum(NamedTuple):
+    """The one FFT of a report, from :func:`bin_spectrum`: its bins give the
+    default output grid, the transform on that grid and every derivative of
+    the demodulated input that the report reads.
 
     The output is O(xi) ~ G(u) at u = (xi - tau)/b, where G is the Fourier
     transform of the chirp-multiplied input g = exp(j a/(2b) t^2) f.  g sits
     on the centered indices k' = k - n//2 of an array of
-    M = 2 next_fast_len(n - 1) points, so bin j of its FFT is
-    G_j = sum_k g_k exp(-j u_j k' dt) at u_j = j du, du = 2 pi/(M dt) <= pi/L
-    (exactly pi/L on a 2^k + 1 grid), L the length of the input grid.
-    Only the bins that :func:`~olct.signals.kept_bins` keeps above the
-    rounding-noise floor are read.  The grid spans the outermost bins where
+    M = ``next_fast_len(n)`` points, so bin j of its FFT ``spec`` is
+    G_j = sum_k g_k exp(-j u_j k' dt) at u_j = j du, du = 2 pi/(M dt).
+    """
+
+    f: SampledSignal      # the input
+    params: OlctParams
+    xi_m: float           # centre of the moment integrands
+    g: SampledSignal      # exp(j a/(2b) t^2) f
+    spec: np.ndarray      # the M-point FFT of the centred g
+    kept: np.ndarray      # kept_bins(spec): the bins read
+    signed: np.ndarray    # and their signed indices
+    grid: Grid            # the default output grid
+    order: np.ndarray     # its bins j in grid order (descending for b < 0)
+
+    def derivatives(self, orders) -> dict:
+        """``{k: (d/dt - j beta)^k g}`` at the input samples for every order
+        k >= 1, beta = (xi_m - tau)/b, read off the bins
+        (:func:`~olct.signals.fourier_derivatives`).
+
+        exp(-j beta t) g is the demodulated input g_b, so each is
+        exp(j beta t) g_b^(k), with the magnitude of g_b^(k).
+        """
+        beta = (self.xi_m - self.params.tau) / self.params.b
+        n = self.f.grid.n
+        return fourier_derivatives(self.spec, self.kept, self.signed,
+                                   self.f.grid.dt, n, orders, beta, n // 2)
+
+    def check_source(self, f: SampledSignal, params: OlctParams,
+                     xi_m: float) -> None:
+        """Raise ``ValueError`` unless these are the bins of f under params
+        centred at xi_m."""
+        if self.f is not f or self.params != params or self.xi_m != xi_m:
+            raise ValueError("the bins belong to another input, parameter "
+                             "set or moment centre")
+
+
+def bin_spectrum(f: SampledSignal, params: OlctParams,
+                 xi_m: float = 0.0) -> BinSpectrum:
+    """The :class:`BinSpectrum` of f under params: one FFT of the
+    chirp-multiplied input, and the default output grid read off its bins.
+
+    The input must decay at the grid edges (:func:`check_decay`).  Only the
+    bins that :func:`~olct.signals.kept_bins` keeps above the rounding-noise
+    floor are read.  The grid spans the outermost bins where
     |G|^2 |u - u_m|^(2k), u_m = (xi_m - tau)/b, reaches ``SPAN_TOL`` of its
     own maximum for some k = 0..``MAX_HALF_ORDER``, so every moment
     integrand has decayed at its edges and the span stays inside the band
     |u| <= pi/dt; it is widened to an odd count of at least
-    ``MIN_GRID_POINTS`` + 1 bins.
-
-    Returns the grid, its bins j in grid order (descending for b < 0), g
-    and the M-point FFT.
+    ``MIN_GRID_POINTS`` + 1 bins.  Its spacing is du = 2 pi/(M dt), less
+    than 2 pi/L for L = (n - 1) dt the length of the input grid, since
+    M >= n; :func:`default_xi_grid` gives the reason it suffices.
     """
+    if params.is_degenerate:
+        raise ValueError("default output grid is only defined for b != 0")
+    check_decay(f.values, "the input of the chirp_fft path")
     n, dt = f.grid.n, f.grid.dt
     t = f.grid.points()
     g = f.values * cis(params.chirp_rate * t * t)
-    size = 2 * sfft.next_fast_len(n - 1)
-    padded = np.zeros(size, dtype=np.complex128)
-    padded[: n - n // 2] = g[n // 2 :]
-    padded[size - n // 2 :] = g[: n // 2]
-    spec = sfft.fft(padded, overwrite_x=True)
+    size = next_fast_len(n)
+    spec = np.zeros(size, dtype=np.complex128)
+    spec[: n - n // 2] = g[n // 2 :]
+    spec[size - n // 2 :] = g[: n // 2]
+    np.fft.fft(spec, out=spec)
     du = 2.0 * np.pi / (size * dt)
     kept, bins = kept_bins(spec)
     power = np.abs(spec[kept]) ** 2
@@ -218,23 +267,17 @@ def _bin_spectrum(f: SampledSignal, params: OlctParams, xi_m: float):
     hi += (hi - lo) % 2
     pad = max(0, MIN_GRID_POINTS // 2 - (hi - lo) // 2)
     lo, hi = lo - pad, hi + pad
-    ends = sorted((params.tau + params.b * (lo * du),
-                   params.tau + params.b * (hi * du)))
-    # |b| du meets |b| pi/L exactly on a 2^k + 1 grid, and the float spacing
-    # may round an ulp above it; moving the ends inward by an ulp keeps it
-    # within, the points staying a few ulp from the bins
-    cap = abs(params.b) * np.pi / f.grid.length
-    while (ends[1] - ends[0]) / (hi - lo) > cap:
-        ends = [np.nextafter(ends[0], ends[1]), np.nextafter(ends[1], ends[0])]
-    grid = make_grid(*ends, hi - lo + 1)
+    grid = make_grid(*sorted((params.tau + params.b * (lo * du),
+                              params.tau + params.b * (hi * du))),
+                     hi - lo + 1)
     order = np.arange(lo, hi + 1) if params.b > 0 else np.arange(hi, lo - 1, -1)
-    return grid, order, g, spec
+    return BinSpectrum(f, params, xi_m, f.with_values(g), spec, kept, bins,
+                       grid, order)
 
 
-def _forward_on_bins(f: SampledSignal, params: OlctParams, xi_m: float
-                     ) -> SampledSignal:
+def _forward_on_bins(bins: BinSpectrum) -> SampledSignal:
     """The chirp_fft transform on the default output grid, read off the bins
-    of :func:`_bin_spectrum`'s FFT.
+    of the :class:`BinSpectrum`.
 
     The trapezoid weights are dt except at the two end samples, where they
     are dt/2, so the weighted sum at bin j is dt G_j less dt/2 times the
@@ -243,44 +286,45 @@ def _forward_on_bins(f: SampledSignal, params: OlctParams, xi_m: float
     at the grid points, which sit within a few ulp of tau + b u_j, as the
     other paths take them.
     """
-    grid, bins, g, spec = _bin_spectrum(f, params, xi_m)
+    params, f, g, spec = bins.params, bins.f, bins.g.values, bins.spec
     n, dt = f.grid.n, f.grid.dt
     size = spec.size
-    inner = dt * spec[bins % size]
+    inner = dt * spec[bins.order % size]
     ends = np.array([0, n - 1])
-    turns = np.outer(bins, ends - n // 2) % size
+    turns = np.outer(bins.order, ends - n // 2) % size
     inner += cis((-2.0 * np.pi / size) * turns) @ ((-dt / 2.0) * g[ends])
-    xi = grid.points()
+    xi = bins.grid.points()
     t_c = f.grid.t_min + (n // 2) * dt
     out = (_root_factor(params.b) * cis(_outer_phase(xi, params))
            * cis(-((xi - params.tau) / params.b) * t_c) * inner)
-    return SampledSignal(grid, out)
+    return SampledSignal(bins.grid, out)
 
 
 def default_xi_grid(f: SampledSignal, params: OlctParams, xi_m: float = 0.0,
                     n: int | None = None) -> Grid:
     """Output grid that covers the spectrum's moment integrands and samples
     them finely enough for the quadrature: the bins of one zero-padded FFT
-    of the chirp-multiplied input, spaced du <= pi/L in u = (xi - tau)/b
-    (d xi <= |b| pi/L), as :func:`_bin_spectrum` describes.  It is the grid
-    :func:`olct_forward` uses when given no grid.
+    of the chirp-multiplied input, spaced du = 2 pi/(M dt) < 2 pi/L in
+    u = (xi - tau)/b (d xi < 2 |b| pi/L), as :func:`bin_spectrum`
+    describes.  It is the grid :func:`olct_forward` uses when given no grid.
 
     By Poisson summation, a trapezoid sum over such a grid of |G|^2 times a
     polynomial differs from the integral by aliases of the autocorrelation
-    of g, which vanishes beyond lags of L; the spacing du puts those aliases
-    at 2 pi/du >= 2L, whatever the spectrum's shape.  The same limit keeps
-    the inverse transform alias-free.  ``n`` overrides the count on the
-    same span; a transform on that grid runs the Bluestein sum.
+    of g at lags that are multiples of 2 pi/du = M dt > L.  That
+    autocorrelation vanishes beyond lags of L, so every alias vanishes,
+    whatever the spectrum's shape.  For the same reason the images of the
+    inverse transform, M dt apart, stay off the input grid.  ``n``
+    overrides the count on the same span; a transform on that grid runs the
+    Bluestein sum.
     """
-    if params.is_degenerate:
-        raise ValueError("default output grid is only defined for b != 0")
-    grid = _bin_spectrum(f, params, xi_m)[0]
+    grid = bin_spectrum(f, params, xi_m).grid
     return grid if n is None else make_grid(grid.t_min, grid.t_max, n)
 
 
 def olct_forward(f: SampledSignal, params: OlctParams,
                  xi_grid: Grid | None = None, path: str = "chirp_fft",
-                 xi_m: float = 0.0) -> SampledSignal:
+                 xi_m: float = 0.0,
+                 bins: BinSpectrum | None = None) -> SampledSignal:
     """Forward transform of a sampled signal onto a uniform output grid.
 
     Parameters
@@ -305,6 +349,10 @@ def olct_forward(f: SampledSignal, params: OlctParams,
         Centre of the default grid's moment integrands, as in
         :func:`default_xi_grid`; only meaningful without ``xi_grid`` and
         with b != 0 (a nonzero value is an error otherwise).
+    bins : BinSpectrum, optional
+        ``bin_spectrum(f, params, xi_m)``, for a caller that reads more
+        off the same FFT: the chirp_fft transform on the default grid is
+        read off these bins instead of a new FFT, with the same values.
 
     Both paths apply the same trapezoid quadrature weights, so they agree
     to rounding error for decaying inputs.
@@ -314,6 +362,11 @@ def olct_forward(f: SampledSignal, params: OlctParams,
                          "be combined with an explicit xi_grid")
     if path not in ("chirp_fft", "direct"):
         raise ValueError(f"unknown forward path {path!r}")
+    if bins is not None:
+        if xi_grid is not None or path != "chirp_fft":
+            raise ValueError("bins serve only the chirp_fft path on the "
+                             "default output grid")
+        bins.check_source(f, params, xi_m)
     if params.is_degenerate:
         if xi_grid is not None or xi_m != 0.0:
             raise ValueError("the b = 0 branch maps the input grid onto its "
@@ -324,9 +377,10 @@ def olct_forward(f: SampledSignal, params: OlctParams,
     t = f.grid.points()
 
     if path == "chirp_fft":
-        check_decay(f.values, "the input of the chirp_fft path")
         if xi_grid is None:
-            return _forward_on_bins(f, p, xi_m)
+            return _forward_on_bins(
+                bin_spectrum(f, p, xi_m) if bins is None else bins)
+        check_decay(f.values, "the input of the chirp_fft path")
         g = trapezoid_samples(f.grid, f.values) * cis(p.chirp_rate * t * t)
         u0 = (xi_grid.t_min - p.tau) / p.b
         du = xi_grid.dt / p.b

@@ -26,6 +26,7 @@ from .signals import (
 )
 from .transform import (
     OlctParams,
+    bin_spectrum,
     default_xi_grid,
     energy_gap,
     olct_forward,
@@ -155,11 +156,12 @@ def _report(f: SampledSignal, params: OlctParams, cfg: HpwConfig, tol: float,
     """Shared body of the 2p-order reports: the plain bound when ``a_mode``
     is None, else the sharpened bound with that auxiliary-term mode.
 
-    One transform onto the default output grid (one FFT, see
-    :func:`olct_forward`) feeds the output-domain moment, and the pair
-    (u, v) formed from :func:`hpw_core`'s breakdown feeds both the Gram
-    term and the moment-identity gap: mu_spec against b^(2p) ||v||^2, with
-    v = g_b^(p) differentiated in the time domain.
+    One FFT (:func:`~olct.transform.bin_spectrum`) serves the report: the
+    transform onto the default output grid is read off its bins and feeds
+    the output-domain moment, and :func:`hpw_core` reads the derivatives of
+    g_b off the same bins.  The pair (u, v) formed from its breakdown feeds
+    both the Gram term and the moment-identity gap: mu_spec against
+    b^(2p) ||v||^2, with |v| = |g_b^(p)|.
     Both right sides are assembled here from E and the auxiliary term A,
     which is 0 for the plain bound.  The :class:`~olct.signals.AbsEnergy`
     of f, u and v, and the energy of the spectrum, are each formed once and
@@ -167,7 +169,8 @@ def _report(f: SampledSignal, params: OlctParams, cfg: HpwConfig, tol: float,
     terms; u is formed only for the sharpened bound.
     """
     with _scenario_context(scenario):
-        spectrum = olct_forward(f, params, xi_m=cfg.xi_m)
+        bins = bin_spectrum(f, params, cfg.xi_m)
+        spectrum = olct_forward(f, params, xi_m=cfg.xi_m, bins=bins)
         # |f| serves the energy and the time moment, and is freed after them
         abs_f = abs_energy(f)
         e_f = abs_f.energy
@@ -175,7 +178,8 @@ def _report(f: SampledSignal, params: OlctParams, cfg: HpwConfig, tol: float,
         del abs_f
         mu_s = spectral_moment_2p(spectrum, cfg.p, cfg.xi_m)
         lhs = (mu_t * mu_s) ** (1.0 / (2.0 * cfg.p))
-        breakdown = hpw_core(f, params, cfg)
+        breakdown = hpw_core(f, params, cfg, bins=bins)
+        del bins  # nothing reads the M-point spectrum again
         core = breakdown.core
         # the gap and the Gram terms read only |u|, |v| and their
         # energies; u and v themselves are freed before the Gram terms run
@@ -227,7 +231,7 @@ def verify_hpw(f: SampledSignal, params: OlctParams, cfg: HpwConfig,
     report also carries two numerical health checks from the same single
     transform: the relative gap of the spectral-moment identity (the
     output-domain moment against b^(2p) ||g_b^(p)||^2, the latter by
-    spectral differentiation in the time domain) and the
+    spectral differentiation on the transform's bins) and the
     energy-conservation gap.
     """
     return _report(f, params, cfg, tol, scenario)

@@ -87,16 +87,23 @@ def _spy(monkeypatch, fn, calls):
                     monkeypatch.setattr(module, attr, spied)
 
 
-def test_report_differentiates_only_the_demodulated_signal(grid):
-    # the bound functional and the sharpening pair read one signal, g_b:
-    # one demodulation and one derivative call give orders 1..p/2 for the
-    # F_q terms and order p for (u, v), and the weight is evaluated once
-    # for all its derivatives
+def test_report_derivatives_match_the_demodulated_route(grid):
+    # the report reads every derivative off the bins of its one FFT; each
+    # F_q, b^(2p) ||v||^2 and |v| must match the unshared route, spectral
+    # differentiation of the demodulated signal on its own FFT, with
+    # xi_m != tau so that the demodulation shift beta = 1 is not 0.  The
+    # report makes no demodulation and no derivative call of its own, and
+    # evaluates the weight once for all its derivatives
     params = completed_params(0.6, 0.5, tau=1.0)
     f = olct.gaussian_chirp(2.0, 1.5).sample(grid)
-    g_b = moments.chirp_demodulate(f, params, 1.5).values
-    evals = []
     omega = olct.exp_weight(1.0)
+    t = grid.points()
+    w = trapezoid_weights(grid.n, grid.dt)
+    g_b = moments.chirp_demodulate(f, params, 1.5)
+    reference = signals.derivative(g_b, range(1, 5))
+    mag = np.abs(g_b.values)
+    underflow = mag < bounds.DERIV_UNDERFLOW_MASK * np.max(mag)
+    evals = []
     weight_call = signals.WeightFunction.__call__
 
     def counted(self, t):
@@ -108,10 +115,10 @@ def test_report_differentiates_only_the_demodulated_signal(grid):
             cfg = olct.HpwConfig(p=p, xi_m=1.5, omega=omega)
             demods, derivs, per_core = [], [], []
 
-            def core(*args):
+            def core(*args, **kwargs):
                 evals.clear()
-                out = bounds.hpw_core(*args)
-                per_core.append(list(evals))
+                out = bounds.hpw_core(*args, **kwargs)
+                per_core.append((list(evals), out))
                 return out
 
             with pytest.MonkeyPatch.context() as monkeypatch:
@@ -124,13 +131,22 @@ def test_report_differentiates_only_the_demodulated_signal(grid):
                     olct.verify_hpw(f, params, cfg)
                 else:
                     olct.verify_shw(f, params, cfg, a_mode="gram")
-            assert len(demods) == 1, (bound, p)
-            assert np.array_equal(demods[0][1].values, g_b)
-            assert len(derivs) == 1, (bound, p)
-            (s, orders), _ = derivs[0]
-            assert sorted(orders) == sorted({*range(1, p // 2 + 1), p})
-            assert np.array_equal(s.values, g_b)
-            assert per_core == [[omega]], (bound, p)
+            assert demods == [] and derivs == [], (bound, p)
+            [(weights, breakdown)] = per_core
+            assert weights == [omega], (bound, p)
+            for term in breakdown.terms:
+                q = term.q
+                sq = (np.where(underflow, 0.0, np.abs(reference[q].values))
+                      if q else mag) ** 2
+                wd = bounds.weight_deriv_centered(omega, p, cfg.t_m,
+                                                  [p - 2 * q], t)[p - 2 * q]
+                f_q = (-1) ** p * float(np.sum(w * wd * sq))
+                assert term.value == pytest.approx(f_q, rel=1e-12), (bound, p, q)
+            v, v_ref = np.abs(breakdown.v.values), np.abs(reference[p].values)
+            b2p = params.b ** (2 * p)
+            assert b2p * float(np.sum(w * v * v)) == pytest.approx(
+                b2p * float(np.sum(w * v_ref * v_ref)), rel=1e-12), (bound, p)
+            assert np.max(np.abs(v - v_ref)) <= 1e-10 * np.max(v_ref), (bound, p)
 
 
 def test_weight_deriv_centered_leibniz():

@@ -101,14 +101,14 @@ def test_transform_example_config(tmp_path, capsys):
     lines = (tmp_path / "spectrum.csv").read_text().splitlines()
     assert lines[0] == "xi,real,imag"
     # one row per point of the default output grid, which is sized to the
-    # spectrum: an odd count, spacing within |b| pi/L, decayed ends
+    # spectrum: an odd count, spacing under 2 |b| pi/L, decayed ends
     cfg = cli.load_config(repro_path("verify_saturating.cfg"), None, None)
     params = cfg.params_obj()
     f = cfg.sampled_signal(params)
     xi_grid = olct.default_xi_grid(f, params)
     rows = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",", skiprows=1)
     assert len(rows) == xi_grid.n and xi_grid.n % 2 == 1
-    assert np.ptp(rows[:, 0]) / (len(rows) - 1) <= abs(params.b) * np.pi / f.grid.length
+    assert np.ptp(rows[:, 0]) / (len(rows) - 1) < 2.0 * abs(params.b) * np.pi / f.grid.length
     density = np.hypot(rows[:, 1], rows[:, 2]) ** 2
     assert max(density[0], density[-1]) <= 1e-10 * np.max(density)
 

@@ -164,3 +164,27 @@ def test_bad_arguments_exit_2_before_any_run(argv, monkeypatch, capsys):
     assert digest.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == digest.USAGE + "\n"
+
+
+@pytest.mark.parametrize("which", ["missing", "directory", "binary"])
+def test_compare_exits_2_on_an_unreadable_file(which, tmp_path, monkeypatch,
+                                               capsys):
+    digest = load_digest()
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a digest ran")
+
+    for name in ("run", "library_lines", "value_lines"):
+        monkeypatch.setattr(digest, name, no_run)
+    good = tmp_path / "good.txt"
+    good.write_text(BEFORE_VALUES)
+    bad = tmp_path / which
+    if which == "directory":
+        bad.mkdir()
+    elif which == "binary":
+        bad.write_bytes(b"\xff\xfe\x00")
+    assert digest.main(["--compare", str(good), str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"repro_digest.py: cannot read {bad}: ")

@@ -283,6 +283,18 @@ def test_spectral_derivative_matches_analytic(k, family, grid):
     assert np.max(np.abs(numeric - exact)) <= 1e-6 * scale
 
 
+def test_next_fast_len_matches_scipy():
+    # the package's FFT lengths are scipy's for complex input, with scipy
+    # imported only here
+    from scipy import fft as sfft
+
+    targets = [*range(1, 20001), 4097, 16385, 65537, 131073]
+    assert ([signals.next_fast_len(t) for t in targets]
+            == [sfft.next_fast_len(t) for t in targets])
+    with pytest.raises(ValueError):
+        signals.next_fast_len(0)
+
+
 @pytest.mark.parametrize("k, tol", [(1, 4e-12), (2, 3e-11), (4, 5e-10)])
 def test_spectral_derivative_digits_at_fast_length(k, tol):
     # 65537 is prime; the derivative runs at next_fast_len(65537) = 65610

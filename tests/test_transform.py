@@ -298,6 +298,12 @@ def test_import_leaves_scipy_interpolate_unloaded():
     assert not loaded_after_import("scipy.interpolate")
 
 
+def test_import_leaves_scipy_unloaded():
+    # every FFT of the package is numpy's; importing scipy.fft alone took
+    # about 0.3 s, paid by every run of the command-line tool
+    assert not loaded_after_import("scipy")
+
+
 @pytest.mark.parametrize("params", params_matrix(taus=(0.0,), etas=(0.0, 1.0)))
 def test_forward_unitarity_matrix(params):
     f = olct.gaussian_chirp(2.0, params.chirp_rate).sample(DEFAULT_GRID)
@@ -323,6 +329,30 @@ def test_forward_fast_path_rejects_nondecaying(grid):
     xi = olct.make_grid(-4, 4, 257)
     with pytest.raises(NumericsError, match="decay"):
         olct.olct_forward(f, olct.ft_params(), xi, path="chirp_fft")
+
+
+def test_forward_reads_only_the_bins_of_its_own_input(grid):
+    # bins passed in serve the default grid of the same input, parameters
+    # and centre, and give the values of a fresh FFT
+    params = completed_params(0.6, 0.5, tau=1.0)
+    f = olct.gaussian_chirp(2.0, 1.5).sample(grid)
+    bins = transform.bin_spectrum(f, params, 1.5)
+    spec = olct.olct_forward(f, params, xi_m=1.5, bins=bins)
+    fresh = olct.olct_forward(f, params, xi_m=1.5)
+    assert spec.grid == fresh.grid
+    assert np.array_equal(spec.values, fresh.values)
+    for g, other_params, xi_m in [(f.with_values(f.values.copy()), params, 1.5),
+                                  (f, olct.ft_params(), 1.5),
+                                  (f, params, 0.0)]:
+        with pytest.raises(ValueError, match="bins belong"):
+            olct.olct_forward(g, other_params, xi_m=xi_m, bins=bins)
+        with pytest.raises(ValueError, match="bins belong"):
+            olct.hpw_core(g, other_params, olct.HpwConfig(p=1, xi_m=xi_m),
+                          bins=bins)
+    with pytest.raises(ValueError, match="default output grid"):
+        olct.olct_forward(f, params, spec.grid, bins=bins)
+    with pytest.raises(ValueError, match="default output grid"):
+        olct.olct_forward(f, params, path="direct", xi_m=1.5, bins=bins)
 
 
 def test_forward_routes_degenerate_params(grid):
@@ -388,7 +418,9 @@ def test_default_grid_matches_gaussian_chirp_closed_forms(a, b, tau, r, offset,
     spec = olct.olct_forward(f, params, xi_m=xi_m)
     xi_grid = spec.grid
     assert xi_grid.n % 2 == 1 and xi_grid.n <= 2 * DEFAULT_GRID.n - 1
-    assert xi_grid.dt <= abs(b) * math.pi / DEFAULT_GRID.length
+    # du < 2 pi/L keeps the Poisson aliases of the moment integrands and the
+    # images of the inverse off the input's length L (default_xi_grid)
+    assert xi_grid.dt < 2.0 * abs(b) * math.pi / DEFAULT_GRID.length
     for p in range(moments.MAX_HALF_ORDER + 1):
         exact = gaussian_chirp_moment(params, r, chirp, xi_m, p)
         got = moments.spectral_moment_2p(spec, p, xi_m)

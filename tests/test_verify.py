@@ -51,22 +51,25 @@ def test_one_transform_per_report(verify, p, example_signal, example_params,
     assert report.mu_spec == ppr.lhs
 
 
-def test_report_reads_its_spectrum_off_one_fft(example_signal, example_params,
-                                               monkeypatch):
-    # a p = 4 sharpened report: one FFT for the transform on the default
-    # grid, then one forward and three inverse FFTs for the derivative
-    # orders {1, 2, 4}; a bandwidth FFT plus a three-FFT chirp-z sum made 8
-    from scipy import fft as sfft
-
+def test_report_reads_its_spectrum_off_one_fft(example_params, monkeypatch):
+    # a p = 4 sharpened report on -8:8:65537: one FFT of the chirp-multiplied
+    # input at next_fast_len(65537) = 65610 points chooses the default grid
+    # and gives the transform on it, then one inverse FFT on the same bins
+    # per derivative order {1, 2, 4}; a 131072-point bin FFT plus a separate
+    # 65610-point derivative FFT made 2 forward FFTs
+    grid = olct.make_grid(-8.0, 8.0, 65537)
+    f = olct.gaussian_chirp(2.0, example_params.chirp_rate).sample(grid)
     calls = []
     for name in ("fft", "ifft"):
-        def counted(*args, _name=name, _fn=getattr(sfft, name), **kwargs):
-            calls.append(_name)
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(sfft, name, counted)
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            out = _fn(*args, **kwargs)
+            calls.append((_name, out.size))
+            return out
+        monkeypatch.setattr(np.fft, name, counted)
     cfg = olct.HpwConfig(p=4, xi_m=0.3, omega=olct.exp_weight(2.0))
-    olct.verify_shw(example_signal, example_params, cfg, a_mode="gram")
-    assert sorted(calls) == ["fft", "fft", "ifft", "ifft", "ifft"]
+    report = olct.verify_shw(f, example_params, cfg, a_mode="gram")
+    assert report.passed
+    assert calls == [("fft", 65610)] + [("ifft", 65610)] * 3
 
 
 def test_report_evaluates_each_grid_once(example_params, monkeypatch):

@@ -33,8 +33,9 @@ a change moved.  ``--compare BEFORE AFTER`` summarises two such outputs:
 It prints, for each field that moved, the count of moved lines and the
 largest absolute and relative move, then the worst ``ppr_gap`` and
 ``parseval_gap`` on each side.  It exits 1, listing the difference, when
-the two files do not list the same keys.  Any other arguments print a usage
-line and exit 2 before anything runs.
+the two files do not list the same keys, and 2, with one line on stderr,
+when it cannot read one of them.  Any other arguments print a usage line
+and exit 2 before anything runs.
 """
 
 from __future__ import annotations
@@ -310,8 +311,15 @@ USAGE = "usage: repro_digest.py [--values | --compare BEFORE AFTER]"
 
 def main(argv: list) -> int:
     if argv[:1] == ["--compare"] and len(argv) == 3:
-        before, after = (parse_values(Path(path).read_text()) for path in argv[1:])
-        lines, same_keys = compare(before, after)
+        texts = []
+        for path in argv[1:]:
+            try:
+                texts.append(Path(path).read_text())
+            except (OSError, UnicodeDecodeError) as exc:
+                print(f"repro_digest.py: cannot read {path}: {exc}",
+                      file=sys.stderr)
+                return 2
+        lines, same_keys = compare(*map(parse_values, texts))
     elif argv in ([], ["--values"]):
         lines = value_lines() if argv else run() + library_lines()
         same_keys = True
