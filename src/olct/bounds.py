@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Mapping
@@ -367,19 +368,35 @@ def _check_family(r: float, b: float) -> None:
         raise ValueError("bound is undefined for b = 0")
 
 
+def _float64_closed_form(r: float, evaluate) -> float:
+    """``evaluate()``, with an overflow past the largest float64 raised as
+    :class:`NumericsError` naming the family parameter r."""
+    try:
+        value = evaluate()
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise NumericsError(
+            f"closed-form bound at r={r!r} overflows float64 (largest "
+            f"finite value {sys.float_info.max!r})")
+    return value
+
+
 def sharpened_bound_closed_form(r: float, b: float) -> float:
     """Closed-form sharpened lower bound (b^2/2) pi e^r (1/(2r) + 1) on the
     squared moment product, for the chirped-Gaussian family with weight
     exp(-r t), p = 1 and centered moments."""
     _check_family(r, b)
-    return (b * b / 2.0) * math.pi * math.exp(r) * (1.0 / (2.0 * r) + 1.0)
+    return _float64_closed_form(r, lambda: (b * b / 2.0) * math.pi
+                                * math.exp(r) * (1.0 / (2.0 * r) + 1.0))
 
 
 def reference_bound_closed_form(r: float, b: float) -> float:
     """Second-order reference bound (b^2/4) (pi/r) e^(r/2) (1 + r/2)^2 for
     the same family."""
     _check_family(r, b)
-    return (b * b / 4.0) * (math.pi / r) * math.exp(r / 2.0) * (1.0 + r / 2.0) ** 2
+    return _float64_closed_form(r, lambda: (b * b / 4.0) * (math.pi / r)
+                                * math.exp(r / 2.0) * (1.0 + r / 2.0) ** 2)
 
 
 def bound_gap_factor(r: float) -> float:
@@ -388,8 +405,9 @@ def bound_gap_factor(r: float) -> float:
     sharpened - reference = (b^2/2) pi e^(r/2) G(r)."""
     if not r > 0:
         raise ValueError(f"family parameter must be positive, got r={r}")
-    return (math.exp(r / 2.0) * (1.0 / (2.0 * r) + 1.0)
-            - (1.0 / (2.0 * r)) * (1.0 + r / 2.0) ** 2)
+    return _float64_closed_form(r, lambda: (
+        math.exp(r / 2.0) * (1.0 / (2.0 * r) + 1.0)
+        - (1.0 / (2.0 * r)) * (1.0 + r / 2.0) ** 2))
 
 
 def _interior(n: int) -> slice:

@@ -7,15 +7,19 @@ the family sweeps, ``bound-table`` and ``gap-curve`` evaluate the closed-form
 bound comparison, and ``energy`` emits the four energy densities.
 
 Exit codes: 0 all requested checks passed, 1 an inequality or check failed,
-2 configuration error, 3 a numerical precondition failed.  All floats in
-CSV/JSON output are printed with 17 significant digits so repeated runs are
-byte-identical.
+2 configuration error, 3 a numerical precondition failed (a closed-form
+bound that overflows float64 included).  All floats in CSV/JSON output are
+printed with 17 significant digits so repeated runs are byte-identical.
+Each command hands its table to ``csv_text`` as the columns it already
+holds, so a table is formatted in one pass, and ``main`` parses with the
+one parser ``build_parser`` builds on its first call.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -346,10 +350,10 @@ def cmd_transform(args) -> int:
     spectrum = olct_forward(f, params)
     gap = parseval_gap(f, spectrum)
     out_dir = Path(args.out or ".")
-    xi = spectrum.grid.points()
-    rows = list(zip(xi.tolist(), spectrum.values.real.tolist(),
-                    spectrum.values.imag.tolist()))
-    write_text(out_dir / "spectrum.csv", csv_text(["xi", "real", "imag"], rows))
+    write_text(out_dir / "spectrum.csv",
+               csv_text(["xi", "real", "imag"],
+                        [spectrum.grid.points(), spectrum.values.real,
+                         spectrum.values.imag]))
     ok = gap <= cfg.tol
     _emit(args, {"scenario": cfg.name, "parseval_gap": gap, "tol": cfg.tol,
                  "passed": ok, "spectrum_csv": str(out_dir / "spectrum.csv")},
@@ -432,7 +436,8 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out or ".")
     path = out_dir / f"sweep_{scenario}.csv"
     write_text(path, csv_text(["r", "lhs", "rhs"],
-                              [(row.r, row.lhs, row.rhs) for row in rows]))
+                              list(zip(*((row.r, row.lhs, row.rhs)
+                                         for row in rows)))))
     bad = [row for row in rows if row.lhs < row.rhs - cfg.tol * abs(row.lhs)]
     ok = not bad
     _emit(args, {"scenario": scenario, "rows": len(rows), "passed": ok,
@@ -454,7 +459,8 @@ def cmd_bound_table(args) -> int:
         rows.append((r, sharp, ref))
     out_dir = Path(args.out or ".")
     path = out_dir / "bound_table.csv"
-    write_text(path, csv_text(["r", "sharpened", "reference"], rows))
+    write_text(path, csv_text(["r", "sharpened", "reference"],
+                              list(zip(*rows))))
     lines = [f"r={fmt(r)}: sharpened={fmt(s)} reference={fmt(ref)}"
              for r, s, ref in rows]
     _emit(args, {"b": cfg.b, "rows": [{"r": r, "sharpened": s, "reference": ref}
@@ -474,7 +480,7 @@ def cmd_gap_curve(args) -> int:
     rows = [(float(r), bound_gap_factor(float(r))) for r in rs]
     out_dir = Path(args.out or ".")
     path = out_dir / "gap_curve.csv"
-    write_text(path, csv_text(["r", "gap"], rows))
+    write_text(path, csv_text(["r", "gap"], list(zip(*rows))))
     ok = all(gap > 0 for _, gap in rows)
     _emit(args, {"rows": len(rows), "min_gap": min(g for _, g in rows),
                  "passed": ok, "csv": str(path)},
@@ -515,9 +521,8 @@ def cmd_energy(args) -> int:
     out_dir = Path(args.out or ".")
     summary = {"scenario": cfg.name}
     for view, (axis, grid, dens) in views.items():
-        x = grid.points()
         write_text(out_dir / f"energy_{view}.csv",
-                   csv_text([axis, "density"], zip(x.tolist(), dens.tolist())))
+                   csv_text([axis, "density"], [grid.points(), dens]))
         summary[view] = _second_central_moment(grid, dens)
     write_text(out_dir / "energy_summary.json", dumps(summary) + "\n")
     _emit(args, summary,
@@ -541,7 +546,11 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="machine-readable JSON to stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``olct`` argument parser, built on the first call and shared by
+    every later one: ``parse_args`` returns a fresh namespace each time and
+    leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="olct",
         description="Offset linear canonical transform and "

@@ -9,6 +9,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -399,13 +400,34 @@ def fmt(value) -> str:
     return str(value)
 
 
-def csv_text(header: list, rows) -> str:
-    """CSV text: the header line, then one line of :func:`fmt` fields per
-    row."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
+def csv_text(header: Sequence[str], columns: Sequence) -> str:
+    """CSV text: the header line, then one line per row of the equal-length
+    ``columns``, every field as :func:`fmt` writes it.
+
+    A float64 column (an ndarray or a list of floats) takes the ``%.17g``
+    spec, which gives the bytes of :func:`fmt`; every other column is
+    :func:`fmt`-ed value by value and takes ``%s``.  The body is then one
+    ``%`` pass over a row template, so a ``%`` in the header or in a string
+    value is never read as a directive."""
+    specs, cells = [], []
+    for column in columns:
+        if isinstance(column, np.ndarray) and column.dtype == np.float64:
+            values = column.tolist()
+        else:
+            values = list(column)
+        if set(map(type, values)) <= {float}:
+            specs.append("%.17g")
+        else:
+            specs.append("%s")
+            values = [fmt(x) for x in values]
+        cells.append(values)
+    rows = len(cells[0]) if cells else 0
+    if len(cells) != len(header) or any(len(c) != rows for c in cells):
+        raise ValueError(
+            "csv_text needs one column per header field, all of one length")
+    template = (",".join(specs) + "\n") * rows
+    return ",".join(header) + "\n" + template % tuple(chain.from_iterable(
+        zip(*cells)))
 
 
 def dumps(obj, indent: int = 0) -> str:
@@ -448,5 +470,6 @@ def report_to_json(report: UncertaintyReport) -> str:
 def reports_to_csv(reports: Iterable[UncertaintyReport]) -> str:
     """CSV with one report per row and the fixed :data:`REPORT_COLUMNS`
     order; floats carry 17 significant digits."""
-    return csv_text(REPORT_COLUMNS,
-                    (report_to_dict(rep).values() for rep in reports))
+    rows = [report_to_dict(rep).values() for rep in reports]
+    columns = list(zip(*rows)) if rows else [()] * len(REPORT_COLUMNS)
+    return csv_text(REPORT_COLUMNS, columns)

@@ -476,6 +476,22 @@ def test_closed_forms_reject_nonpositive_r():
         olct.bound_gap_factor(-1.0)
 
 
+@pytest.mark.parametrize("fn, r_ok, r_over", [
+    (lambda r: olct.sharpened_bound_closed_form(r, 1.0), 700.0, 709.5),
+    (lambda r: olct.reference_bound_closed_form(r, 1.0), 1400.0, 1450.0),
+    (olct.bound_gap_factor, 1400.0, 1450.0),
+    (lambda r: olct.sharpened_bound_closed_form(r, 1e160), None, 2.0),
+], ids=["sharpened", "reference", "gap", "sharpened-large-b"])
+def test_closed_forms_raise_numerics_error_past_float64(fn, r_ok, r_over):
+    # math.exp raises OverflowError past e^709.78; a finite exponential can
+    # still overflow in the product, which would return inf
+    if r_ok is not None:
+        assert math.isfinite(fn(r_ok))
+    with pytest.raises(NumericsError,
+                       match=rf"at r={r_over!r} overflows float64"):
+        fn(r_over)
+
+
 # ---------------------------------------------------------------------------
 # reduction to the plain Fourier convention
 

@@ -454,6 +454,28 @@ def test_bound_table_b0_exits_2(tmp_path, capsys, json_flag):
 
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
+@pytest.mark.parametrize("command, body, csv, r", [
+    ("bound-table", "r_values = 0.5,800", "bound_table.csv", "800.0"),
+    ("gap-curve", "r_range = 1400:1500:50", "gap_curve.csv", "1450.0"),
+])
+def test_closed_form_overflow_exits_3(tmp_path, capsys, json_flag, command,
+                                      body, csv, r):
+    cfg = write_cfg(tmp_path, f"[big-r]\n{body}\n")
+    code = run_main(command, "--config", cfg, "--out", str(tmp_path),
+                    *json_flag)
+    assert code == 3
+    captured = capsys.readouterr()
+    message = (f"closed-form bound at r={r} overflows float64 (largest "
+               f"finite value 1.7976931348623157e+308)")
+    if json_flag:
+        payload = json.loads(captured.out)
+        assert payload["error"] == {"type": "numerics", "message": message}
+    else:
+        assert captured.err == f"numerical precondition failed: {message}\n"
+    assert not (tmp_path / csv).exists()
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
 def test_unwritable_out_exits_2(tmp_path, capsys, json_flag):
     # --out names an existing file, so no directory can be made there
     blocker = tmp_path / "taken"
@@ -484,3 +506,27 @@ def test_grid_and_tol_overrides(tmp_path):
     assert code == 0
     payload = json.loads((tmp_path / "verify_shw.json").read_text())
     assert payload["grid"] == {"t_min": -32.0, "t_max": 32.0, "n": 8193}
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(
+        tmp_path, capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    cfg = write_cfg(tmp_path, "[first]\n\n[second]\nsignal_r = 3\n")
+    seen = []
+    load = cli.load_config
+
+    def spy(path, scenario, overrides):
+        seen.append((scenario, overrides.grid, overrides.tol, overrides.json))
+        return load(path, scenario, overrides)
+
+    monkeypatch.setattr(cli, "load_config", spy)
+    assert run_main("ppr", "--config", cfg, "--scenario", "second",
+                    "--grid=-10:10:2049", "--tol", "0.5", "--json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["scenario"], payload["tol"]) == ("second", 0.5)
+    assert run_main("ppr", "--config", cfg) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("moment identity p=1: lhs=")
+    assert out.endswith(" (tol 9.9999999999999995e-07): PASS\n")
+    assert seen == [("second", "-10:10:2049", 0.5, True),
+                    (None, None, None, False)]

@@ -12,6 +12,14 @@ import pytest
 import olct
 
 DIGEST_PATH = Path(__file__).resolve().parents[1] / "tools" / "repro_digest.py"
+# The committed outputs of ``repro_digest.py`` and ``repro_digest.py
+# --values``.  A change that moves an output byte or a report value
+# regenerates both files in the same commit:
+#     PYTHONPATH=src python tools/repro_digest.py > tests/data/repro_digest.txt
+#     PYTHONPATH=src python tools/repro_digest.py --values \
+#         > tests/data/repro_digest_values.txt
+PINNED_DIGEST = Path(__file__).resolve().parent / "data" / "repro_digest.txt"
+PINNED_VALUES = PINNED_DIGEST.with_name("repro_digest_values.txt")
 
 
 def load_digest():
@@ -92,6 +100,24 @@ def test_value_lines_list_every_report_field():
     [gram] = [rep for rep in reports if rep.a_mode == "gram"]
     assert even == [f"library negative-b p=4 n=4096 | shw gram | lhs "
                     f"{olct.verify.fmt(gram.lhs)}"]
+
+
+def test_cli_and_library_lines_match_the_pinned_digest():
+    digest = load_digest()
+    pinned = PINNED_DIGEST.read_text().splitlines()
+    lines = digest.run() + digest.library_lines()
+    for number, (line, want) in enumerate(zip(lines, pinned), start=1):
+        assert line == want, f"line {number} of {PINNED_DIGEST.name}"
+    assert len(lines) == len(pinned)
+
+
+def test_value_lines_match_the_pinned_values():
+    digest = load_digest()
+    pinned = PINNED_VALUES.read_text().splitlines()
+    lines = digest.value_lines()
+    for number, (line, want) in enumerate(zip(lines, pinned), start=1):
+        assert line == want, f"line {number} of {PINNED_VALUES.name}"
+    assert len(lines) == len(pinned)
 
 
 BEFORE_VALUES = """\

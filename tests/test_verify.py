@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import olct
+
+from olct.verify import csv_text, fmt
 
 from conftest import (DEFAULT_GRID, EXAMPLE_PARAMS, completed_params,
                       trapezoid_weights)
@@ -502,3 +506,58 @@ def test_report_serialization_deterministic(example_signal, example_params,
     rep2 = olct.verify_shw(example_signal, example_params, example_cfg)
     assert olct.reports_to_csv([rep1]) == olct.reports_to_csv([rep2])
     assert olct.report_to_json(rep1) == olct.report_to_json(rep2)
+
+
+def reference_csv(header, columns) -> str:
+    """The CSV writer :func:`csv_text` must match byte for byte: one
+    ``fmt`` call per value, one joined line per row."""
+    lines = [",".join(header)]
+    lines += [",".join(fmt(x) for x in row) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                  2.2250738585072014e-308 / 3, 1e300, 0.1, 3.0]
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+# text that holds format directives, so a value read as a template shows
+TEXT = st.text(alphabet="%sdg.17,ab ", max_size=6)
+MIXED = st.one_of(st.none(), st.booleans(), st.integers(), TEXT, FLOATS,
+                  FLOATS.map(np.float64))
+
+
+@st.composite
+def csv_tables(draw):
+    rows = draw(st.integers(0, 6))
+    header, columns = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        header.append(draw(TEXT))
+        kind = draw(st.sampled_from(["floats", "array", "mixed"]))
+        values = draw(st.lists(MIXED if kind == "mixed" else FLOATS,
+                               min_size=rows, max_size=rows))
+        columns.append(np.array(values) if kind == "array" else values)
+    return header, columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_tables())
+def test_csv_text_matches_the_per_value_reference(table):
+    header, columns = table
+    assert csv_text(header, columns) == reference_csv(header, columns)
+
+
+def test_csv_text_zero_rows_and_one_column():
+    assert csv_text(["x", "y"], [np.empty(0), []]) == "x,y\n"
+    assert csv_text(["x"], [[0.1, None, True, "a%s"]]) == (
+        "x\n0.10000000000000001\n\ntrue\na%s\n")
+    assert csv_text(["x"], [np.array([-0.0, math.nan])]) == "x\n-0\nnan\n"
+
+
+@pytest.mark.parametrize("columns", [[[1.0, 2.0], [3.0]], [[1.0]]],
+                         ids=["ragged", "missing-column"])
+def test_csv_text_rejects_columns_that_do_not_fit_the_header(columns):
+    with pytest.raises(ValueError, match="one column per header field"):
+        csv_text(["a", "b"], columns)
+
+
+def test_reports_to_csv_without_reports_is_the_header_line():
+    assert olct.reports_to_csv([]) == ",".join(olct.REPORT_COLUMNS) + "\n"
