@@ -25,8 +25,8 @@ in the verification scenarios.
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from itertools import product
@@ -94,7 +94,8 @@ class HpwConfig:
     Parameters
     ----------
     p : int
-        Moment half-order, 1..``MAX_HALF_ORDER``.
+        Moment half-order, 1..``MAX_HALF_ORDER``: any integer, a numpy
+        integer too (not a bool), stored as a Python ``int``.
     t_m, xi_m : float
         Time and output-domain moment centers.
     omega : WeightFunction
@@ -108,9 +109,14 @@ class HpwConfig:
     omega: WeightFunction = WeightFunction()
 
     def __post_init__(self):
-        if not (isinstance(self.p, int) and 1 <= self.p <= MAX_HALF_ORDER):
+        try:
+            p = None if isinstance(self.p, bool) else operator.index(self.p)
+        except TypeError:
+            p = None
+        if p is None or not 1 <= p <= MAX_HALF_ORDER:
             raise ValueError(
                 f"half-order p must be an integer in [1, {MAX_HALF_ORDER}]")
+        object.__setattr__(self, "p", p)
         if not (np.isfinite(self.t_m) and np.isfinite(self.xi_m)):
             raise ValueError("moment centers must be finite")
 
@@ -187,41 +193,51 @@ def modulation_cross_coeff(q: int, i: int, z: int, alpha: float) -> float:
 
 
 def weight_deriv_centered(omega: WeightFunction, p: int, t_m: float, orders,
-                          t: np.ndarray) -> dict:
+                          t: np.ndarray,
+                          weight: np.ndarray | None = None) -> dict:
     """Derivatives of (t - t_m)^p * omega(t): ``{k: k-th derivative}`` for
     every requested order k >= 0, by the Leibniz rule with the weight's
     exact derivatives.
 
-    t - t_m and |t - t_m| are formed once, omega once for all its
-    derivatives (:meth:`WeightFunction.derivs`), and each power
-    (t - t_m)^e (as in :func:`centered_power`) once.
-    The terms of each order are summed in place in one buffer, in the
-    order and with the roundings of the term-by-term sum
-    0 + T_0 + T_1 + ..., T_m = binom(k, m) p!/(p-m)! (t - t_m)^(p-m)
-    omega^(k-m).
+    The weight w = omega(t) is evaluated once, or taken from ``weight``, its
+    samples on t, for a caller that has them.  Three n-point scratch
+    buffers serve every term: each power (t - t_m)^e (as in
+    :func:`centered_power`) is written once into one and serves every order
+    that reads it, each weight derivative (-rate)^j w (as
+    :meth:`WeightFunction.derivs` forms it) into another, and each term
+    into the third.  t - t_m is formed anew in the term buffer for each
+    power: the p + 1 subtractions take no measurable time, and a fourth
+    buffer would lift a report's peak by half a megabyte.  The orders are
+    summed in place, each in the order and with the roundings of the
+    term-by-term sum 0 + T_0 + T_1 + ..., T_m = binom(k, m) p!/(p-m)!
+    (t - t_m)^(p-m) omega^(k-m), so the results are bit for bit those of a
+    new array per term.  The scratch buffers are
+    allocated before the results, which outlive them, so that a caller's
+    next arrays reuse their memory rather than fresh pages.
     """
     t = np.asarray(t, dtype=float)
-    orders = list(orders)
-    d = t - t_m
-    mag = np.abs(d)
-    weight = omega.derivs(t, {k - m for k in orders
-                              for m in range(min(k, p) + 1)})
-    power = functools.cache(lambda e: centered_power(d, mag, e))
-    term = np.empty_like(t)
-    out = {}
-    for k in orders:
-        acc = np.zeros_like(t)
-        for m in range(min(k, p) + 1):
-            np.multiply(math.comb(k, m) * math.perm(p, m), power(p - m),
-                        out=term)
-            term *= weight[k - m]
-            acc += term
-        out[k] = acc
+    w = omega(t) if weight is None else weight
+    power, term, scaled = (np.empty_like(t) for _ in range(3))
+    out = {k: np.zeros_like(t) for k in orders}
+    for m in range(p + 1):
+        # (t - t_m)^(p-m) from t - t_m, formed in term
+        np.subtract(t, t_m, out=term)
+        centered_power(term, np.abs(term, out=power), p - m, out=power)
+        for k in out:
+            if k < m:
+                continue
+            np.multiply(math.comb(k, m) * math.perm(p, m), power, out=term)
+            if k > m:  # the (k - m)-th derivative (-rate)^(k-m) w
+                term *= np.multiply((-omega.rate) ** (k - m), w, out=scaled)
+            else:
+                term *= w
+            out[k] += term
     return out
 
 
 def hpw_core(f: SampledSignal, params: OlctParams, cfg: HpwConfig,
-             bins: BinSpectrum | None = None) -> BoundBreakdown:
+             bins: BinSpectrum | None = None,
+             weight: np.ndarray | None = None) -> BoundBreakdown:
     """Evaluate the bound functional E = sum_q D_q F_q, q = 0..p/2, where
     F_q integrates the (p-2q)-th derivative of (t - t_m)^p omega(t) against
     |g_b^(q)|^2, with g_b = exp(-j beta t) exp(j a/(2b) t^2) f the
@@ -230,10 +246,14 @@ def hpw_core(f: SampledSignal, params: OlctParams, cfg: HpwConfig,
 
     The orders q = 1..p/2 of the F_q and the order p of the sharpening
     pair (u, v) are read off the bins of ``bin_spectrum(f, params,
-    cfg.xi_m)``, one inverse FFT each; ``bins`` passes those bins in when
-    the caller has them, with the same values.  |g_b| is |f|.  The
-    breakdown carries v, g_b and the weight omega (t - t_m)^p, from which
-    :meth:`BoundBreakdown.u` forms u for a caller that needs it.
+    cfg.xi_m)``, one inverse FFT each, one order at a time; ``bins``
+    passes those bins in when the caller has them, with the same values,
+    and ``weight`` the samples of cfg.omega on f's grid
+    (:func:`weight_deriv_centered`).  |g_b| is |f|.  Every F_q is formed in
+    one n-point buffer, and each weight derivative and each derivative of
+    g_b is dropped after its F_q.  The breakdown carries v, g_b and the
+    weight omega (t - t_m)^p, from which :meth:`BoundBreakdown.u` forms u
+    for a caller that needs it.
     """
     if params.is_degenerate:
         raise ValueError("the bound functional requires b != 0")
@@ -242,34 +262,45 @@ def hpw_core(f: SampledSignal, params: OlctParams, cfg: HpwConfig,
     else:
         bins.check_source(f, params, cfg.xi_m)
     p = cfg.p
-    derivs = bins.derivatives([*range(1, p // 2 + 1), p])
+    # |g_b| = |f| (the q = 0 integrand) and the inverse-FFT buffer come
+    # before the weight derivatives, so that those free their scratch
+    # buffers under live arrays, where the inverse FFTs reuse the memory
+    integrand = np.abs(f.values)
+    underflow = integrand < DERIV_UNDERFLOW_MASK * np.max(integrand)
+    derivs = bins.derivatives([*range(1, p // 2 + 1), p],
+                              np.empty(bins.size, dtype=np.complex128))
     wd = weight_deriv_centered(cfg.omega, p, cfg.t_m,
                                {p - 2 * q for q in range(p // 2 + 1)} | {0},
-                               f.grid.points())
-    mag = np.abs(f.values)
-    underflow = mag < DERIV_UNDERFLOW_MASK * np.max(mag)
+                               f.grid.points(), weight)
     sign = (-1) ** p
-
     terms = []
     core = 0.0
-    for q in range(p // 2 + 1):
-        # |g_b^(q)|^2 times the weight derivative, built in one buffer; for
-        # q >= 1 it is zero where g_b has underflowed
-        if q:
-            integrand = np.abs(derivs.pop(q))
-            integrand[underflow] = 0.0
-        else:
-            integrand = mag
+
+    def add_term(q: int, integrand: np.ndarray) -> None:
+        # |g_b^(q)|^2 times the weight derivative, in place
+        nonlocal core
         np.square(integrand, out=integrand)
         integrand *= wd[p - 2 * q]
+        if p - 2 * q:  # its last read; wd[0] is u's weight
+            del wd[p - 2 * q]
         f_q = sign * guarded_integral(
             f.grid, integrand, "the weighted derivative-square integrand")
         d_q = derivative_product_coeff(p, q)
         terms.append(OrderTerm(q=q, coeff=d_q, value=f_q))
         core += d_q * f_q
 
+    add_term(0, integrand)
+    for k, values in derivs:
+        if k == p:
+            v = values
+        else:
+            np.abs(values, out=integrand)
+            del values  # freed before the next order is formed
+            integrand[underflow] = 0.0  # where g_b has underflowed
+            add_term(k, integrand)
+
     return BoundBreakdown(core=core, terms=tuple(terms), g_b=bins.g,
-                          u_weight=wd[0], v=f.with_values(derivs[p]))
+                          u_weight=wd[0], v=f.with_values(v))
 
 
 def second_order_core_closed_form(f: SampledSignal, omega: WeightFunction,

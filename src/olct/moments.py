@@ -55,19 +55,26 @@ def _half_order(p) -> int:
 
 
 def time_moment_2p(f: AbsEnergy, p: int, t_m: float,
-                   omega: WeightFunction) -> float:
+                   omega: WeightFunction,
+                   weight: np.ndarray | None = None) -> float:
     """Weighted time moment: integral of w(t)^2 (t - t_m)^(2p) |f(t)|^2,
-    from the :class:`AbsEnergy` of f.
+    from the :class:`AbsEnergy` of f; ``weight`` passes the samples of
+    omega on f's grid for a caller that has them.
 
     The weight multiplies |f| before squaring, so a weight that overflows
     where the signal has decayed gives a finite product, not inf * 0.
+    The integrand and the power are each formed in one n-point buffer.
     """
     p = _half_order(p)
     if not np.isfinite(t_m):
         raise ValueError("moment center t_m must be finite")
     t = f.grid.points()
-    d = t - t_m
-    integrand = (omega(t) * f.mag) ** 2 * centered_power(d, np.abs(d), 2 * p)
+    integrand = np.multiply(omega(t) if weight is None else weight, f.mag)
+    np.square(integrand, out=integrand)
+    # an even power takes no sign, so |t - t_m| and its power share a buffer
+    power = np.subtract(t, t_m)
+    integrand *= centered_power(power, np.abs(power, out=power), 2 * p,
+                                out=power)
     return guarded_integral(f.grid, integrand,
                             "the weighted time-moment integrand", COVERAGE_TOL)
 
@@ -154,6 +161,9 @@ def ppr_check(f: SampledSignal, params: OlctParams, p: int,
     bins = bin_spectrum(f, params, xi_m)
     spectrum = olct_forward(f, params, xi_m=xi_m, bins=bins)
     lhs = spectral_moment_2p(spectrum, p, xi_m)
-    v = bins.derivatives([p])[p] if p >= 1 else bins.g.values
+    if p >= 1:
+        v = dict(bins.derivatives([p], np.empty(bins.size, np.complex128)))[p]
+    else:
+        v = bins.g.values
     rhs = params.b ** (2 * p) * abs_energy(f.with_values(v)).energy
     return PprResult(lhs=lhs, rhs=rhs, rel_gap=relative_gap(lhs, rhs))

@@ -278,15 +278,18 @@ def cis(phase) -> np.ndarray:
     return out
 
 
-def centered_power(d: np.ndarray, mag: np.ndarray, e: int) -> np.ndarray:
+def centered_power(d: np.ndarray, mag: np.ndarray, e: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """(x - center)^e for an integer e >= 0, from d = x - center and
     mag = |d|: mag^e with the sign of d restored for odd e.
 
     numpy raises a negative base to a power far more slowly than a
     non-negative one; the result is within 1 ulp of ``(x - center) ** e``.
-    A caller that takes several powers of one d forms d and |d| once.
+    A caller that takes several powers of one d forms d and |d| once, and
+    passes ``out`` to write each into one buffer; ``np.power(mag, e, out=)``
+    rounds as ``mag ** e`` does.
     """
-    out = mag ** e
+    out = mag ** e if out is None else np.power(mag, e, out=out)
     if e % 2:
         # in place, unless a scalar d made out a numpy scalar
         out = np.copysign(out, d,
@@ -331,38 +334,39 @@ def next_fast_len(target: int) -> int:
     return best
 
 
-def fourier_derivatives(spec: np.ndarray, kept: np.ndarray, signed: np.ndarray,
-                        dt: float, n: int, orders, beta: float = 0.0,
-                        centre: int = 0) -> dict:
-    """``{k: (d/dt - j beta)^k s}`` for every order k >= 1, at the n samples
-    (spacing dt) of a signal s, read off ``spec``, the FFT of those samples
-    zero-padded to spec.size points with sample ``centre`` at index 0 and
-    the samples before it wrapped round to the end.  ``kept, signed`` is
-    :func:`kept_bins` of ``spec``.
+def fourier_derivatives(binned: np.ndarray, kept: np.ndarray,
+                        signed: np.ndarray, work: np.ndarray, dt: float,
+                        n: int, orders, beta: float = 0.0, centre: int = 0):
+    """Yield ``(k, (d/dt - j beta)^k s)`` for every order k >= 1 in turn,
+    at the n samples (spacing dt) of a signal s, read off the kept bins of
+    ``spec``, the FFT of those samples zero-padded to ``work.size`` points
+    with sample ``centre`` at index 0 and the samples before it wrapped
+    round to the end.  ``kept, signed`` is :func:`kept_bins` of ``spec``
+    and ``binned`` is ``spec[kept]``.
 
     (d/dt - j beta)^k s is exp(j beta t) times the k-th derivative of the
     demodulated exp(-j beta t) s, so the two have the same magnitude.  Only
     the kept bins get the multiplier (j (omega - beta))^k, and for an even
     length the unmatched Nyquist bin is dropped at odd k.  Their products
-    are scattered into one zeroed buffer per order, which the inverse FFT
-    overwrites; at beta = 0 the values are those of the full-length
-    products with the dropped bins zeroed, bit for bit.
+    are scattered into ``work``, a complex buffer zeroed anew for every
+    order, which the inverse FFT overwrites.  Each order is transformed
+    when the caller asks for it, into a new n-point array, so a caller that
+    drops each order before it takes the next holds one at a time.  At
+    beta = 0 the values are those of the full-length products with the
+    dropped bins zeroed, bit for bit.
     """
-    size = spec.size
-    spec = spec[kept]
+    size = work.size
     # fftfreq's values at the kept bins: signed bin index / (size dt)
     omega = 2.0j * np.pi * (signed * (1.0 / (size * dt))) - 1j * beta
     nyquist = np.flatnonzero(kept == size // 2) if size % 2 == 0 else kept[:0]
-    out = {}
     for k in orders:
         mult = omega**k
         if k % 2 == 1:
             mult[nyquist] = 0.0  # unmatched Nyquist bin
-        full = np.zeros(size, dtype=np.complex128)
-        full[kept] = spec * mult
-        np.fft.ifft(full, out=full)
-        out[k] = np.concatenate((full[size - centre :], full[: n - centre]))
-    return out
+        work.fill(0.0)
+        work[kept] = binned * mult
+        np.fft.ifft(work, out=work)
+        yield k, np.concatenate((work[size - centre :], work[: n - centre]))
 
 
 def derivative(s: SampledSignal, orders) -> dict:
@@ -373,7 +377,8 @@ def derivative(s: SampledSignal, orders) -> dict:
     The samples are zero-padded to the fast FFT length ``next_fast_len(n)``,
     which that decay makes harmless, and transformed once; each order is one
     (j omega)^k multiplier and one inverse FFT, truncated back to n
-    (:func:`fourier_derivatives` at beta = 0).
+    (:func:`fourier_derivatives` at beta = 0), run in the memory of the
+    spectrum once its kept bins are copied out.
     """
     orders = [int(k) for k in orders]
     if orders and min(orders) < 1:
@@ -381,8 +386,9 @@ def derivative(s: SampledSignal, orders) -> dict:
     check_decay(s.values, "the signal to differentiate spectrally")
     n = s.grid.n
     spec = np.fft.fft(s.values, next_fast_len(n))
-    derivs = fourier_derivatives(spec, *kept_bins(spec), s.grid.dt, n, orders)
-    return {k: s.with_values(values) for k, values in derivs.items()}
+    kept, signed = kept_bins(spec)
+    return {k: s.with_values(values) for k, values in fourier_derivatives(
+        spec[kept], kept, signed, spec, s.grid.dt, n, orders)}
 
 
 def energy(grid: Grid, sq: np.ndarray) -> float:

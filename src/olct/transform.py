@@ -194,21 +194,26 @@ class BinSpectrum(NamedTuple):
     on the centered indices k' = k - n//2 of an array of
     M = ``next_fast_len(n)`` points, so bin j of its FFT ``spec`` is
     G_j = sum_k g_k exp(-j u_j k' dt) at u_j = j du, du = 2 pi/(M dt).
+    Only the bins that are read are kept, so the M-point spectrum is freed
+    when :func:`bin_spectrum` returns.
     """
 
     f: SampledSignal      # the input
     params: OlctParams
     xi_m: float           # centre of the moment integrands
     g: SampledSignal      # exp(j a/(2b) t^2) f
-    spec: np.ndarray      # the M-point FFT of the centred g
-    kept: np.ndarray      # kept_bins(spec): the bins read
+    size: int             # M, the length of the FFT
+    kept: np.ndarray      # kept_bins(spec): the bins the derivatives read
     signed: np.ndarray    # and their signed indices
+    binned: np.ndarray    # spec[kept]
     grid: Grid            # the default output grid
     order: np.ndarray     # its bins j in grid order (descending for b < 0)
+    on_grid: np.ndarray   # spec[order % M]
 
-    def derivatives(self, orders) -> dict:
-        """``{k: (d/dt - j beta)^k g}`` at the input samples for every order
-        k >= 1, beta = (xi_m - tau)/b, read off the bins
+    def derivatives(self, orders, work: np.ndarray):
+        """Yield ``(k, (d/dt - j beta)^k g)`` at the input samples for every
+        order k >= 1 in turn, beta = (xi_m - tau)/b, read off the bins; each
+        inverse FFT runs in ``work``, an M-point complex buffer
         (:func:`~olct.signals.fourier_derivatives`).
 
         exp(-j beta t) g is the demodulated input g_b, so each is
@@ -216,7 +221,7 @@ class BinSpectrum(NamedTuple):
         """
         beta = (self.xi_m - self.params.tau) / self.params.b
         n = self.f.grid.n
-        return fourier_derivatives(self.spec, self.kept, self.signed,
+        return fourier_derivatives(self.binned, self.kept, self.signed, work,
                                    self.f.grid.dt, n, orders, beta, n // 2)
 
     def check_source(self, f: SampledSignal, params: OlctParams,
@@ -271,8 +276,8 @@ def bin_spectrum(f: SampledSignal, params: OlctParams,
                               params.tau + params.b * (hi * du))),
                      hi - lo + 1)
     order = np.arange(lo, hi + 1) if params.b > 0 else np.arange(hi, lo - 1, -1)
-    return BinSpectrum(f, params, xi_m, f.with_values(g), spec, kept, bins,
-                       grid, order)
+    return BinSpectrum(f, params, xi_m, f.with_values(g), size, kept, bins,
+                       spec[kept], grid, order, spec[order % size])
 
 
 def _forward_on_bins(bins: BinSpectrum) -> SampledSignal:
@@ -286,10 +291,9 @@ def _forward_on_bins(bins: BinSpectrum) -> SampledSignal:
     at the grid points, which sit within a few ulp of tau + b u_j, as the
     other paths take them.
     """
-    params, f, g, spec = bins.params, bins.f, bins.g.values, bins.spec
+    params, f, g, size = bins.params, bins.f, bins.g.values, bins.size
     n, dt = f.grid.n, f.grid.dt
-    size = spec.size
-    inner = dt * spec[bins.order % size]
+    inner = dt * bins.on_grid
     ends = np.array([0, n - 1])
     turns = np.outer(bins.order, ends - n // 2) % size
     inner += cis((-2.0 * np.pi / size) * turns) @ ((-dt / 2.0) * g[ends])

@@ -167,20 +167,23 @@ def _report(f: SampledSignal, params: OlctParams, cfg: HpwConfig, tol: float,
     which is 0 for the plain bound.  The :class:`~olct.signals.AbsEnergy`
     of f, u and v, and the energy of the spectrum, are each formed once and
     shared by the moments, the gaps, the ``energy`` field and the Gram
-    terms; u is formed only for the sharpened bound.
+    terms; u is formed only for the sharpened bound.  The weight is
+    evaluated once, for the time moment and the weight derivatives of
+    :func:`hpw_core`, and each full-length array is freed after its last
+    read.
     """
     with _scenario_context(scenario):
         bins = bin_spectrum(f, params, cfg.xi_m)
         spectrum = olct_forward(f, params, xi_m=cfg.xi_m, bins=bins)
-        # |f| serves the energy and the time moment, and is freed after them
+        weight = cfg.omega(f.grid.points())
         abs_f = abs_energy(f)
         e_f = abs_f.energy
-        mu_t = time_moment_2p(abs_f, cfg.p, cfg.t_m, cfg.omega)
+        mu_t = time_moment_2p(abs_f, cfg.p, cfg.t_m, cfg.omega, weight)
         del abs_f
         mu_s = spectral_moment_2p(spectrum, cfg.p, cfg.xi_m)
         lhs = (mu_t * mu_s) ** (1.0 / (2.0 * cfg.p))
-        breakdown = hpw_core(f, params, cfg, bins=bins)
-        del bins  # nothing reads the M-point spectrum again
+        breakdown = hpw_core(f, params, cfg, bins=bins, weight=weight)
+        del bins, weight  # the breakdown holds what is read next
         core = breakdown.core
         # the gap and the Gram terms read only |u|, |v| and their
         # energies; u and v themselves are freed before the Gram terms run

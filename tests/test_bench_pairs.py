@@ -99,3 +99,15 @@ def test_verdict_reads_worse_unresolved_or_ok(tool):
     past_base, past_change = [0.30, 0.31, 0.29, 0.30], [0.40, 0.41, 0.39, 0.40]
     assert tool.verdict(past_base, past_change, "lower", 0.25) == "worse"
     assert tool.verdict(past_base, past_base, "lower", 0.25) == "ok"
+
+
+def test_seconds_override_the_benchmark_spec_only_when_given(tool):
+    root = TOOL_PATH.parents[1]
+    base = ["../base", ".", "--workload", "sweep", "--seed", "11",
+            "--pairs", "15"]
+    args = tool.parse_args(base)
+    assert args.seconds is None
+    assert tool.run_seconds(args.seconds, root) == tool.bench_spec(
+        root)["run_seconds"]
+    args = tool.parse_args(base + ["--seconds", "0.1"])
+    assert tool.run_seconds(args.seconds, root) == 0.1

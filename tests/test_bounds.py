@@ -93,7 +93,7 @@ def test_report_derivatives_match_the_demodulated_route(grid):
     # differentiation of the demodulated signal on its own FFT, with
     # xi_m != tau so that the demodulation shift beta = 1 is not 0.  The
     # report makes no demodulation and no derivative call of its own, and
-    # evaluates the weight once for all its derivatives
+    # evaluates the weight once for the time moment and all its derivatives
     params = completed_params(0.6, 0.5, tau=1.0)
     f = olct.gaussian_chirp(2.0, 1.5).sample(grid)
     omega = olct.exp_weight(1.0)
@@ -116,11 +116,11 @@ def test_report_derivatives_match_the_demodulated_route(grid):
             demods, derivs, per_core = [], [], []
 
             def core(*args, **kwargs):
-                evals.clear()
                 out = bounds.hpw_core(*args, **kwargs)
-                per_core.append((list(evals), out))
+                per_core.append(out)
                 return out
 
+            evals.clear()
             with pytest.MonkeyPatch.context() as monkeypatch:
                 _spy(monkeypatch, moments.chirp_demodulate, demods)
                 _spy(monkeypatch, signals.derivative, derivs)
@@ -132,8 +132,8 @@ def test_report_derivatives_match_the_demodulated_route(grid):
                 else:
                     olct.verify_shw(f, params, cfg, a_mode="gram")
             assert demods == [] and derivs == [], (bound, p)
-            [(weights, breakdown)] = per_core
-            assert weights == [omega], (bound, p)
+            [breakdown] = per_core
+            assert evals == [omega], (bound, p)
             for term in breakdown.terms:
                 q = term.q
                 sq = (np.where(underflow, 0.0, np.abs(reference[q].values))
@@ -352,6 +352,20 @@ def test_hpw_config_validation():
         olct.HpwConfig(p=0)
     with pytest.raises(ValueError):
         olct.HpwConfig(p=5)
+
+
+@pytest.mark.parametrize("p", [np.int64(2), np.int32(2), 2])
+def test_hpw_config_takes_any_integer_order_as_int(p):
+    # the order verify_hw and time_moment_2p accept, stored as a Python int
+    cfg = olct.HpwConfig(p=p)
+    assert cfg.p == 2 and type(cfg.p) is int
+    assert cfg == olct.HpwConfig(p=2)
+
+
+@pytest.mark.parametrize("p", [True, np.True_, 2.0, "2", None])
+def test_hpw_config_refuses_a_non_integer_order(p):
+    with pytest.raises(ValueError, match="half-order p must be an integer"):
+        olct.HpwConfig(p=p)
 
 
 # ---------------------------------------------------------------------------

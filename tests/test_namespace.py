@@ -5,6 +5,8 @@ names."""
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import olct
@@ -49,3 +51,24 @@ def test_no_module_imports_a_private_name_of_another():
                             for alias in node.names
                             if alias.name.startswith("_")]
     assert private == []
+
+
+# The top-level modules that ``import olct, olct.cli`` loads once numpy is
+# loaded.  The benchmark's setup time is that import in a fresh
+# interpreter, so a module added here (resource, tracemalloc, ctypes,
+# scipy, ...) is paid by every run.
+PACKAGE_IMPORTS = {"__future__", "_json", "argparse", "configparser", "copy",
+                   "dataclasses", "gettext", "json", "olct"}
+IMPORT_PROBE = ("import sys; sys.path.insert(0, sys.argv[1]); import numpy; "
+                "before = set(sys.modules); import olct, olct.cli; "
+                "print(*sorted({name.partition('.')[0] "
+                "for name in set(sys.modules) - before}))")
+
+
+def test_package_import_adds_only_its_known_modules():
+    probe = subprocess.run([sys.executable, "-c", IMPORT_PROBE,
+                            str(ROOT / "src")],
+                           check=True, capture_output=True, text=True)
+    added = set(probe.stdout.split())
+    assert "olct" in added
+    assert added <= PACKAGE_IMPORTS, sorted(added - PACKAGE_IMPORTS)

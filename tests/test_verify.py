@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,35 @@ def example_cfg():
 
 # ---------------------------------------------------------------------------
 # 2p-order verification
+
+
+# The tracemalloc peaks of one report on the benchmark's grid -8:8:65537,
+# above what was allocated before it, with numpy 2.4.6: 6.07 MiB for the
+# gram verify_shw at p = 4 and 5.57 MiB for verify_hpw at p = 1 (13.0 and
+# 7.5 MiB when each stage held all its arrays at once).  numpy reports its
+# array buffers to tracemalloc, so for one numpy build the peak is the same
+# on every run; each limit is that peak plus 1 MiB.
+WORKING_SET_MIB = {(olct.verify_shw, 4): 6.07 + 1.0,
+                   (olct.verify_hpw, 1): 5.57 + 1.0}
+
+
+@pytest.mark.parametrize("verify, p", list(WORKING_SET_MIB),
+                         ids=["shw-gram-p4", "hpw-p1"])
+def test_report_working_set_on_the_benchmark_grid(verify, p):
+    grid = olct.make_grid(-8.0, 8.0, 65537)
+    params = completed_params(0.6, 0.5, tau=1.0)
+    f = olct.gaussian_chirp(2.0, params.chirp_rate + 0.5).sample(grid)
+    cfg = olct.HpwConfig(p=p, t_m=0.3, xi_m=params.tau + 0.5,
+                         omega=olct.exp_weight(2.0))
+    kwargs = {"a_mode": "gram"} if verify is olct.verify_shw else {}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        verify(f, params, cfg, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= WORKING_SET_MIB[verify, p] * 2**20
 
 
 def test_verify_hpw_example_scenario(example_signal, example_params, example_cfg):

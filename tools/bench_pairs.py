@@ -9,9 +9,9 @@ own ``bench/run.py`` from its own root, exactly as
 
     python3 bench/run.py --workload W --seed S --seconds T --trace 0
 
-with T the ``run_seconds`` that ``BENCHMARK.json`` fixes for every run,
-and the last line of its standard output is parsed as the run's JSON
-result.  Nothing under ``bench/`` is changed.
+with T the ``run_seconds`` that ``BENCHMARK.json`` fixes for every run
+(``--seconds`` overrides it), and the last line of its standard output is
+parsed as the run's JSON result.  Nothing under ``bench/`` is changed.
 
 For every metric it prints the base and the change median with their
 quartiles, the relative change of the medians, the number of pairs in
@@ -26,6 +26,12 @@ spread wider than the bound and the change runs do not all beat every
 base run, so the runs cannot tell; otherwise ``ok``.
 
     python3 tools/bench_pairs.py ../base . --workload reports-64k --seed 43 --pairs 10
+
+A short ``--seconds`` turns the pairs into an alternation of the setup
+alone: ``setup_s`` (the package import and the workload's build) does not
+depend on the run length, and each run still takes its minimum samples.
+
+    python3 tools/bench_pairs.py ../base . --workload sweep --seed 11 --seconds 0.1 --pairs 15
 """
 
 from __future__ import annotations
@@ -45,6 +51,9 @@ def parse_args(argv=None) -> argparse.Namespace:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seconds", type=float, default=None,
+                    help="seconds per run (default: run_seconds of "
+                         "BENCHMARK.json)")
     return ap.parse_args(argv)
 
 
@@ -68,6 +77,12 @@ def pair_order(i: int) -> tuple:
 
 def bench_spec(tree: Path) -> dict:
     return json.loads((tree / "BENCHMARK.json").read_text())
+
+
+def run_seconds(override, tree: Path) -> float:
+    """The length of every run: ``override`` when given, else the
+    ``run_seconds`` of the tree's BENCHMARK.json."""
+    return bench_spec(tree)["run_seconds"] if override is None else override
 
 
 def directions(tree: Path) -> dict:
@@ -148,7 +163,7 @@ def main(argv=None) -> int:
     for tree in trees.values():
         if not (tree / "bench" / "run.py").is_file():
             sys.exit(f"bench_pairs: no bench/run.py under {tree}")
-    seconds = bench_spec(trees["change"])["run_seconds"]
+    seconds = run_seconds(args.seconds, trees["change"])
     pairs = []
     for i in range(args.pairs):
         pair = {}
