@@ -12,8 +12,9 @@ evaluated here:
   applied to the pair (u, v) that :func:`hpw_core` forms with E;
 * the absolute-moment bound (|b|/2) * (energy^2)^(1/p) for p >= 2.
 
-:func:`hpw_core` evaluates E, its per-order terms, v and what u is formed
-from.  The auxiliary terms, which read the :class:`AbsEnergy` of u, v and
+:func:`hpw_core` evaluates E, its per-order terms and ||v||^2 on the
+subgrid of the bins, and its breakdown forms u and v on demand.  The
+auxiliary terms, which read the :class:`AbsEnergy` of u, v and
 h, and the right-hand sides are separate functions, which the reports of
 :mod:`olct.verify` assemble.  The module also provides numerical
 validators for the two differential identities the functional is built on
@@ -40,8 +41,10 @@ from .signals import (
     AnalyticSignal,
     Grid,
     SampledSignal,
+    Subgrid,
     WeightFunction,
     centered_power,
+    check_decay,
     derivative,
     energy,
     guarded_integral,
@@ -132,8 +135,11 @@ class OrderTerm:
 
 @dataclass(frozen=True)
 class BoundBreakdown:
-    """The bound functional, its per-order terms and what the sharpening
-    pair (u, v) is formed from.
+    """The bound functional, its per-order terms and the energy of v, all
+    summed on the subgrid of the bins (:class:`~olct.signals.Subgrid`),
+    and what the sharpening pair (u, v) is formed from over the whole grid
+    on demand: the Gram terms read |u| and |v|, whose kinks a subgrid
+    resolves less well.
 
     g_b and v carry the unimodular factor exp(j beta t) that the bins give
     every derivative (:meth:`~olct.transform.BinSpectrum.derivatives`), so
@@ -142,15 +148,30 @@ class BoundBreakdown:
 
     core: float            # signed functional E
     terms: tuple           # OrderTerm per q
-    # exp(j beta t) g_b = exp(j a/(2b) t^2) f
-    g_b: SampledSignal = field(repr=False, compare=False)
-    u_weight: np.ndarray = field(repr=False, compare=False)  # omega (t-t_m)^p
-    # exp(j beta t) g_b^(p)
-    v: SampledSignal = field(repr=False, compare=False)
+    v_energy: float        # ||g_b^(p)||^2
+    # omega at the subgrid's points, which the report's time moment reads
+    sub_weight: np.ndarray = field(repr=False, compare=False)
+    bins: BinSpectrum = field(repr=False, compare=False)
+    cfg: HpwConfig = field(repr=False, compare=False)
 
-    def u(self) -> SampledSignal:
-        """The pair's u = omega(t) (t - t_m)^p g_b(t), times exp(j beta t)."""
-        return self.g_b.with_values(self.u_weight * self.g_b.values)
+    def u(self, weight: np.ndarray | None = None) -> SampledSignal:
+        """The pair's u = omega(t) (t - t_m)^p g_b(t), times exp(j beta t),
+        on the whole grid; ``weight`` passes the samples of omega there for
+        a caller that has them."""
+        g, cfg = self.bins.g, self.cfg
+        t = g.grid.points()
+        d = t - cfg.t_m
+        mag = np.abs(d)
+        u_weight = centered_power(d, mag, cfg.p, out=mag)
+        u_weight *= cfg.omega(t) if weight is None else weight
+        return g.with_values(u_weight * g.values)
+
+    def v(self) -> SampledSignal:
+        """The pair's v = g_b^(p), times exp(j beta t), on the whole grid:
+        one inverse FFT of M points."""
+        f = self.bins.f
+        [(_, values)] = self.bins.derivatives([self.cfg.p], Subgrid(f.grid, 1))
+        return f.with_values(values)
 
 
 def half_power(x: float) -> complex:
@@ -200,37 +221,24 @@ def weight_deriv_centered(omega: WeightFunction, p: int, t_m: float, orders,
     exact derivatives.
 
     The weight w = omega(t) is evaluated once, or taken from ``weight``, its
-    samples on t, for a caller that has them.  Three n-point scratch
-    buffers serve every term: each power (t - t_m)^e (as in
-    :func:`centered_power`) is written once into one and serves every order
-    that reads it, each weight derivative (-rate)^j w (as
-    :meth:`WeightFunction.derivs` forms it) into another, and each term
-    into the third.  t - t_m is formed anew in the term buffer for each
-    power: the p + 1 subtractions take no measurable time, and a fourth
-    buffer would lift a report's peak by half a megabyte.  The orders are
-    summed in place, each in the order and with the roundings of the
+    samples on t, for a caller that has them.  Each order is the
     term-by-term sum 0 + T_0 + T_1 + ..., T_m = binom(k, m) p!/(p-m)!
-    (t - t_m)^(p-m) omega^(k-m), so the results are bit for bit those of a
-    new array per term.  The scratch buffers are
-    allocated before the results, which outlive them, so that a caller's
-    next arrays reuse their memory rather than fresh pages.
+    (t - t_m)^(p-m) omega^(k-m), with each power as
+    :func:`centered_power` forms it and each weight derivative (-rate)^j w
+    as :meth:`WeightFunction.derivs` forms it.
     """
     t = np.asarray(t, dtype=float)
     w = omega(t) if weight is None else weight
-    power, term, scaled = (np.empty_like(t) for _ in range(3))
-    out = {k: np.zeros_like(t) for k in orders}
-    for m in range(p + 1):
-        # (t - t_m)^(p-m) from t - t_m, formed in term
-        np.subtract(t, t_m, out=term)
-        centered_power(term, np.abs(term, out=power), p - m, out=power)
-        for k in out:
-            if k < m:
-                continue
-            np.multiply(math.comb(k, m) * math.perm(p, m), power, out=term)
-            if k > m:  # the (k - m)-th derivative (-rate)^(k-m) w
-                term *= np.multiply((-omega.rate) ** (k - m), w, out=scaled)
-            else:
-                term *= w
+    d = t - t_m
+    mag = np.abs(d)
+    out = {}
+    for k in orders:
+        out[k] = np.zeros_like(t)
+        for m in range(min(k, p) + 1):
+            term = (math.comb(k, m) * math.perm(p, m)) * centered_power(
+                d, mag, p - m)
+            # the (k - m)-th derivative of the weight, (-rate)^(k-m) w
+            term *= (-omega.rate) ** (k - m) * w if k > m else w
             out[k] += term
     return out
 
@@ -244,16 +252,17 @@ def hpw_core(f: SampledSignal, params: OlctParams, cfg: HpwConfig,
     demodulated signal, beta = (xi_m - tau)/b.  F_q carries the
     integration-by-parts sign (-1)^(p-2q), which equals (-1)^p for every q.
 
-    The orders q = 1..p/2 of the F_q and the order p of the sharpening
-    pair (u, v) are read off the bins of ``bin_spectrum(f, params,
-    cfg.xi_m)``, one inverse FFT each, one order at a time; ``bins``
-    passes those bins in when the caller has them, with the same values,
-    and ``weight`` the samples of cfg.omega on f's grid
-    (:func:`weight_deriv_centered`).  |g_b| is |f|.  Every F_q is formed in
-    one n-point buffer, and each weight derivative and each derivative of
-    g_b is dropped after its F_q.  The breakdown carries v, g_b and the
-    weight omega (t - t_m)^p, from which :meth:`BoundBreakdown.u` forms u
-    for a caller that needs it.
+    The orders q = 1..p/2 of the F_q and the order p of v are read off the
+    bins of ``bin_spectrum(f, params, cfg.xi_m)`` at the points of their
+    subgrid, one small inverse FFT each; ``bins`` passes those bins in when
+    the caller has them, with the same values.  |g_b| is |f|.  Every F_q
+    and ||v||^2 is a sum over the subgrid (:class:`~olct.signals.Subgrid`):
+    each F_q's integrand passes :func:`~olct.signals.check_decay`, and the
+    coset gap of E, against sum_q |D_q F_q| since the terms cancel, and
+    that of ||v||^2 pass :meth:`~olct.signals.Subgrid.check_alias`.  The
+    weight is evaluated at the subgrid's points, or read there off
+    ``weight``, the samples of cfg.omega on f's grid, for a caller that has
+    them.
     """
     if params.is_degenerate:
         raise ValueError("the bound functional requires b != 0")
@@ -262,45 +271,43 @@ def hpw_core(f: SampledSignal, params: OlctParams, cfg: HpwConfig,
     else:
         bins.check_source(f, params, cfg.xi_m)
     p = cfg.p
-    # |g_b| = |f| (the q = 0 integrand) and the inverse-FFT buffer come
-    # before the weight derivatives, so that those free their scratch
-    # buffers under live arrays, where the inverse FFTs reuse the memory
-    integrand = np.abs(f.values)
+    sub = bins.subgrid
+    t = sub.points()
+    sub_weight = cfg.omega(t) if weight is None else weight[sub.index]
+    integrand = np.abs(f.values[sub.index])  # |g_b|, the q = 0 integrand
     underflow = integrand < DERIV_UNDERFLOW_MASK * np.max(integrand)
-    derivs = bins.derivatives([*range(1, p // 2 + 1), p],
-                              np.empty(bins.size, dtype=np.complex128))
     wd = weight_deriv_centered(cfg.omega, p, cfg.t_m,
-                               {p - 2 * q for q in range(p // 2 + 1)} | {0},
-                               f.grid.points(), weight)
+                               {p - 2 * q for q in range(p // 2 + 1)}, t,
+                               sub_weight)
     sign = (-1) ** p
     terms = []
-    core = 0.0
+    core = gap = scale = 0.0
 
     def add_term(q: int, integrand: np.ndarray) -> None:
         # |g_b^(q)|^2 times the weight derivative, in place
-        nonlocal core
+        nonlocal core, gap, scale
         np.square(integrand, out=integrand)
         integrand *= wd[p - 2 * q]
-        if p - 2 * q:  # its last read; wd[0] is u's weight
-            del wd[p - 2 * q]
-        f_q = sign * guarded_integral(
-            f.grid, integrand, "the weighted derivative-square integrand")
+        check_decay(integrand, "the weighted derivative-square integrand")
+        value, diff = sub.cosets(integrand)
+        f_q = sign * value
         d_q = derivative_product_coeff(p, q)
         terms.append(OrderTerm(q=q, coeff=d_q, value=f_q))
         core += d_q * f_q
+        gap += d_q * sign * diff
+        scale += abs(d_q * f_q)
 
     add_term(0, integrand)
-    for k, values in derivs:
+    for k, values in bins.derivatives([*range(1, p // 2 + 1), p], sub):
+        integrand = np.abs(values)
         if k == p:
-            v = values
+            v_energy = energy(sub, integrand ** 2)
         else:
-            np.abs(values, out=integrand)
-            del values  # freed before the next order is formed
             integrand[underflow] = 0.0  # where g_b has underflowed
             add_term(k, integrand)
-
-    return BoundBreakdown(core=core, terms=tuple(terms), g_b=bins.g,
-                          u_weight=wd[0], v=f.with_values(v))
+    sub.check_alias(gap, scale, "the bound functional")
+    return BoundBreakdown(core=core, terms=tuple(terms), v_energy=v_energy,
+                          sub_weight=sub_weight, bins=bins, cfg=cfg)
 
 
 def second_order_core_closed_form(f: SampledSignal, omega: WeightFunction,
@@ -323,7 +330,7 @@ def moment_pair(f: SampledSignal, params: OlctParams,
     and v = g_b^(p)(t), with g_b the demodulated signal, from
     :func:`hpw_core`'s breakdown."""
     breakdown = hpw_core(f, params, cfg)
-    return breakdown.u(), breakdown.v
+    return breakdown.u(), breakdown.v()
 
 
 def default_unit_gaussian(grid: Grid, t_m: float = 0.0) -> AbsEnergy:

@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import NumericsError
 from .signals import (
+    MAX_HALF_ORDER,
     AnalyticSignal,
     Grid,
     SampledSignal,
@@ -71,6 +72,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
+EXIT_INTERNAL = 4
 
 
 class ConfigError(ValueError):
@@ -253,31 +255,61 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(f"params: {exc}")
 
+    def bound_params(self, what: str) -> OlctParams:
+        """:meth:`params_obj` for a subcommand whose ``what`` is undefined
+        for b = 0."""
+        params = self.params_obj()
+        if params.is_degenerate:
+            raise ConfigError(f"{what} requires b != 0")
+        return params
+
+    def half_order(self) -> int:
+        """p for a subcommand that runs only the 2p-order machinery."""
+        if self.p > MAX_HALF_ORDER:
+            raise ConfigError(f"p must be <= {MAX_HALF_ORDER}, got {self.p}")
+        return self.p
+
+    def family_r_values(self) -> tuple:
+        """``r_values`` for a subcommand that runs the chirped-Gaussian
+        family, whose parameter r must be positive."""
+        if not all(r > 0 for r in self.r_values):
+            raise ConfigError(f"r_values must be positive, got "
+                              f"{', '.join(map(fmt, self.r_values))}")
+        return self.r_values
+
     def weight_obj(self) -> WeightFunction:
         if self.weight == "unit":
             return unit_weight()
         r = self.signal_r if self.weight_r is None else self.weight_r
-        return exp_weight(r)
+        try:
+            return exp_weight(r)
+        except ValueError as exc:
+            raise ConfigError(f"weight: {exc}")
 
     def signal_obj(self, params: OlctParams) -> AnalyticSignal:
-        if self.signal == "minimizer":
-            return minimizer_signal(self.c0, self.c_p, self.t_m, self.xi_m,
-                                    params)
-        if self.signal_chirp is None:
-            if params.is_degenerate:
-                raise ConfigError(
-                    "signal_chirp = auto needs b != 0; set an explicit value")
-            chirp = params.chirp_rate
-        else:
-            chirp = self.signal_chirp
-        return gaussian_chirp(self.signal_r, chirp)
+        auto_chirp = self.signal != "minimizer" and self.signal_chirp is None
+        if auto_chirp and params.is_degenerate:
+            raise ConfigError(
+                "signal_chirp = auto needs b != 0; set an explicit value")
+        try:
+            if self.signal == "minimizer":
+                return minimizer_signal(self.c0, self.c_p, self.t_m,
+                                        self.xi_m, params)
+            return gaussian_chirp(self.signal_r, params.chirp_rate
+                                  if auto_chirp else self.signal_chirp)
+        except ValueError as exc:
+            raise ConfigError(f"signal: {exc}")
 
     def sampled_signal(self, params: OlctParams) -> SampledSignal:
         return self.signal_obj(params).sample(self.grid_obj())
 
     def hpw_config(self) -> HpwConfig:
-        return HpwConfig(p=self.p, t_m=self.t_m, xi_m=self.xi_m,
-                         omega=self.weight_obj())
+        omega = self.weight_obj()
+        try:
+            return HpwConfig(p=self.p, t_m=self.t_m, xi_m=self.xi_m,
+                             omega=omega)
+        except ValueError as exc:
+            raise ConfigError(f"bound: {exc}")
 
 
 def load_config(path: Optional[str], scenario: Optional[str],
@@ -364,9 +396,9 @@ def cmd_transform(args) -> int:
 
 def cmd_ppr(args) -> int:
     cfg = load_config(args.config, args.scenario, args)
-    params = cfg.params_obj()
+    params = cfg.bound_params("the moment identity")
     f = cfg.sampled_signal(params)
-    res = ppr_check(f, params, cfg.p, cfg.xi_m)
+    res = ppr_check(f, params, cfg.half_order(), cfg.xi_m)
     ok = res.rel_gap <= cfg.tol
     payload = {"scenario": cfg.name, "p": cfg.p, "xi_m": cfg.xi_m,
                "lhs": res.lhs, "rhs": res.rhs, "rel_gap": res.rel_gap,
@@ -382,7 +414,7 @@ def cmd_ppr(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config, args.scenario, args)
-    params = cfg.params_obj()
+    params = cfg.bound_params("the bound")
     f = cfg.sampled_signal(params)
     if args.bound == "hpw":
         report = verify_hpw(f, params, cfg.hpw_config(), tol=cfg.tol,
@@ -431,8 +463,9 @@ def cmd_sweep(args) -> int:
         raise ConfigError(
             f"a_value = {fmt(cfg.a_value)}, but sweep scenario {scenario!r} "
             f"runs A = {fmt(fixed_a)}")
-    params = cfg.params_obj()
-    rows = sweep_r(cfg.r_values, scenario, params, p=cfg.p)
+    params = cfg.bound_params("the sweep family")
+    rows = sweep_r(cfg.family_r_values(), scenario, params,
+                   p=cfg.half_order())
     out_dir = Path(args.out or ".")
     path = out_dir / f"sweep_{scenario}.csv"
     write_text(path, csv_text(["r", "lhs", "rhs"],
@@ -450,9 +483,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_bound_table(args) -> int:
     cfg = load_config(args.config, args.scenario, args)
+    if cfg.b == 0.0:
+        raise ConfigError("bound is undefined for b = 0")
     rows = []
     ok = True
-    for r in cfg.r_values:
+    for r in cfg.family_r_values():
         sharp = sharpened_bound_closed_form(r, cfg.b)
         ref = reference_bound_closed_form(r, cfg.b)
         ok = ok and sharp > ref
@@ -602,8 +637,10 @@ def main(argv=None) -> int:
         if isinstance(exc, NumericsError):
             kind, prefix, code = ("numerics", "numerical precondition failed",
                                   EXIT_NUMERICS)
-        else:
+        elif isinstance(exc, ConfigError):
             kind, prefix, code = "config", "config error", EXIT_CONFIG
+        else:
+            kind, prefix, code = "internal", "internal error", EXIT_INTERNAL
         if getattr(args, "json", False):
             payload = {"error": {"type": kind, "message": str(exc)}}
             sys.stdout.write(dumps(payload) + "\n")

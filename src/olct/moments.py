@@ -25,9 +25,9 @@ from .signals import (
     Grid,
     SampledSignal,
     WeightFunction,
-    abs_energy,
     centered_power,
     cis,
+    energy,
     guarded_integral,
 )
 from .transform import OlctParams, bin_spectrum, olct_forward
@@ -58,8 +58,10 @@ def time_moment_2p(f: AbsEnergy, p: int, t_m: float,
                    omega: WeightFunction,
                    weight: np.ndarray | None = None) -> float:
     """Weighted time moment: integral of w(t)^2 (t - t_m)^(2p) |f(t)|^2,
-    from the :class:`AbsEnergy` of f; ``weight`` passes the samples of
-    omega on f's grid for a caller that has them.
+    from the :class:`AbsEnergy` of f on its grid or on a
+    :class:`~olct.signals.Subgrid` (:func:`~olct.signals.guarded_integral`);
+    ``weight`` passes the samples of omega at those points for a caller
+    that has them.
 
     The weight multiplies |f| before squaring, so a weight that overflows
     where the signal has decayed gives a finite product, not inf * 0.
@@ -151,7 +153,8 @@ def ppr_check(f: SampledSignal, params: OlctParams, p: int,
     Both sides are read off one :func:`~olct.transform.bin_spectrum`, as
     the verify reports read them: the left side is direct quadrature of the
     transform on the default output grid, the right side the energy of the
-    p-th derivative of the demodulated signal on the same bins.  The gap is
+    p-th derivative of the demodulated signal on the same bins, summed on
+    their subgrid as :func:`~olct.bounds.hpw_core` sums it.  The gap is
     :func:`relative_gap`, the same rule the verify reports use for their
     ``ppr_gap``.
     """
@@ -161,9 +164,10 @@ def ppr_check(f: SampledSignal, params: OlctParams, p: int,
     bins = bin_spectrum(f, params, xi_m)
     spectrum = olct_forward(f, params, xi_m=xi_m, bins=bins)
     lhs = spectral_moment_2p(spectrum, p, xi_m)
+    sub = bins.subgrid
     if p >= 1:
-        v = dict(bins.derivatives([p], np.empty(bins.size, np.complex128)))[p]
+        [(_, v)] = bins.derivatives([p], sub)
     else:
-        v = bins.g.values
-    rhs = params.b ** (2 * p) * abs_energy(f.with_values(v)).energy
+        v = bins.g.values[sub.index]
+    rhs = params.b ** (2 * p) * energy(sub, np.abs(v) ** 2)
     return PprResult(lhs=lhs, rhs=rhs, rel_gap=relative_gap(lhs, rhs))

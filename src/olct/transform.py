@@ -34,6 +34,7 @@ from .signals import (
     MIN_GRID_POINTS,
     Grid,
     SampledSignal,
+    Subgrid,
     abs_energy,
     check_decay,
     cis,
@@ -41,6 +42,7 @@ from .signals import (
     kept_bins,
     make_grid,
     next_fast_len,
+    subgrid_step,
     trapezoid_samples,
 )
 
@@ -195,7 +197,9 @@ class BinSpectrum(NamedTuple):
     M = ``next_fast_len(n)`` points, so bin j of its FFT ``spec`` is
     G_j = sum_k g_k exp(-j u_j k' dt) at u_j = j du, du = 2 pi/(M dt).
     Only the bins that are read are kept, so the M-point spectrum is freed
-    when :func:`bin_spectrum` returns.
+    when :func:`bin_spectrum` returns.  ``subgrid`` is where a report sums
+    its smooth time integrands, with the step that
+    :func:`~olct.signals.subgrid_step` chooses from the kept bins.
     """
 
     f: SampledSignal      # the input
@@ -203,26 +207,28 @@ class BinSpectrum(NamedTuple):
     xi_m: float           # centre of the moment integrands
     g: SampledSignal      # exp(j a/(2b) t^2) f
     size: int             # M, the length of the FFT
-    kept: np.ndarray      # kept_bins(spec): the bins the derivatives read
-    signed: np.ndarray    # and their signed indices
-    binned: np.ndarray    # spec[kept]
+    signed: np.ndarray    # the signed indices of kept_bins(spec)
+    binned: np.ndarray    # spec at those bins
+    subgrid: Subgrid      # the input grid's subgrid for these bins
     grid: Grid            # the default output grid
     order: np.ndarray     # its bins j in grid order (descending for b < 0)
     on_grid: np.ndarray   # spec[order % M]
 
-    def derivatives(self, orders, work: np.ndarray):
-        """Yield ``(k, (d/dt - j beta)^k g)`` at the input samples for every
-        order k >= 1 in turn, beta = (xi_m - tau)/b, read off the bins; each
-        inverse FFT runs in ``work``, an M-point complex buffer
-        (:func:`~olct.signals.fourier_derivatives`).
+    def derivatives(self, orders, sub: Subgrid):
+        """Yield ``(k, (d/dt - j beta)^k g)`` at the samples of ``sub``, the
+        report's subgrid or ``Subgrid(grid, 1)``, the whole input grid, for
+        every order k >= 1 in turn, beta = (xi_m - tau)/b, read off the
+        bins; the inverse FFTs run in one buffer of M/``sub.stride``
+        points (:func:`~olct.signals.fourier_derivatives`).
 
         exp(-j beta t) g is the demodulated input g_b, so each is
         exp(j beta t) g_b^(k), with the magnitude of g_b^(k).
         """
         beta = (self.xi_m - self.params.tau) / self.params.b
-        n = self.f.grid.n
-        return fourier_derivatives(self.binned, self.kept, self.signed, work,
-                                   self.f.grid.dt, n, orders, beta, n // 2)
+        work = np.empty(self.size // sub.stride, dtype=np.complex128)
+        return fourier_derivatives(self.binned, self.signed, self.size, work,
+                                   self.f.grid.dt, sub.n, orders, beta,
+                                   sub.centre)
 
     def check_source(self, f: SampledSignal, params: OlctParams,
                      xi_m: float) -> None:
@@ -247,14 +253,17 @@ def bin_spectrum(f: SampledSignal, params: OlctParams,
     |u| <= pi/dt; it is widened to an odd count of at least
     ``MIN_GRID_POINTS`` + 1 bins.  Its spacing is du = 2 pi/(M dt), less
     than 2 pi/L for L = (n - 1) dt the length of the input grid, since
-    M >= n; :func:`default_xi_grid` gives the reason it suffices.
+    M >= n; :func:`default_xi_grid` gives the reason it suffices.  The
+    kept bins also choose the step of the input grid's subgrid
+    (:func:`~olct.signals.subgrid_step`).
     """
     if params.is_degenerate:
         raise ValueError("default output grid is only defined for b != 0")
     check_decay(f.values, "the input of the chirp_fft path")
     n, dt = f.grid.n, f.grid.dt
     t = f.grid.points()
-    g = f.values * cis(params.chirp_rate * t * t)
+    # at a = 0 the chirp is 1, and g is f itself
+    g = f.values * cis(params.chirp_rate * t * t) if params.a else f.values
     size = next_fast_len(n)
     spec = np.zeros(size, dtype=np.complex128)
     spec[: n - n // 2] = g[n // 2 :]
@@ -276,8 +285,9 @@ def bin_spectrum(f: SampledSignal, params: OlctParams,
                               params.tau + params.b * (hi * du))),
                      hi - lo + 1)
     order = np.arange(lo, hi + 1) if params.b > 0 else np.arange(hi, lo - 1, -1)
-    return BinSpectrum(f, params, xi_m, f.with_values(g), size, kept, bins,
-                       spec[kept], grid, order, spec[order % size])
+    return BinSpectrum(f, params, xi_m, f.with_values(g), size, bins,
+                       spec[kept], Subgrid(f.grid, subgrid_step(size, bins)),
+                       grid, order, spec[order % size])
 
 
 def _forward_on_bins(bins: BinSpectrum) -> SampledSignal:
@@ -317,7 +327,11 @@ def default_xi_grid(f: SampledSignal, params: OlctParams, xi_m: float = 0.0,
     of g at lags that are multiples of 2 pi/du = M dt > L.  That
     autocorrelation vanishes beyond lags of L, so every alias vanishes,
     whatever the spectrum's shape.  For the same reason the images of the
-    inverse transform, M dt apart, stay off the input grid.  ``n``
+    inverse transform, M dt apart, stay off the input grid.  The argument
+    also covers the input side with the roles swapped: |g|^2 times a
+    polynomial and the weight has its band within twice the kept bins, so
+    a report sums it on a subgrid of the input whose aliases, M/s bins
+    apart, fall outside that band (:class:`~olct.signals.Subgrid`).  ``n``
     overrides the count on the same span; a transform on that grid runs the
     Bluestein sum.
     """

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import NumericsError
 from .signals import (
+    AbsEnergy,
     AnalyticSignal,
     Grid,
     SampledSignal,
@@ -160,41 +161,38 @@ def _report(f: SampledSignal, params: OlctParams, cfg: HpwConfig, tol: float,
     One FFT (:func:`~olct.transform.bin_spectrum`) serves the report: the
     transform onto the default output grid is read off its bins and feeds
     the output-domain moment, and :func:`hpw_core` reads the derivatives of
-    g_b off the same bins.  The pair (u, v) formed from its breakdown feeds
-    both the Gram term and the moment-identity gap: mu_spec against
-    b^(2p) ||v||^2, with |v| = |g_b^(p)|.
-    Both right sides are assembled here from E and the auxiliary term A,
-    which is 0 for the plain bound.  The :class:`~olct.signals.AbsEnergy`
-    of f, u and v, and the energy of the spectrum, are each formed once and
-    shared by the moments, the gaps, the ``energy`` field and the Gram
-    terms; u is formed only for the sharpened bound.  The weight is
-    evaluated once, for the time moment and the weight derivatives of
-    :func:`hpw_core`, and each full-length array is freed after its last
-    read.
+    g_b off the same bins.  Every smooth time integrand, those of the
+    energy, the time moment, E and b^(2p) ||v||^2 with |v| = |g_b^(p)|, is
+    summed on the subgrid of the bins (:class:`~olct.signals.Subgrid`);
+    mu_spec against b^(2p) ||v||^2 is the moment-identity gap.  Both right
+    sides are assembled here from E and the auxiliary term A, which is 0
+    for the plain bound.  The sharpened bound's Gram terms read |u| and |v|
+    over the whole grid, formed from the breakdown; the weight is
+    evaluated once, on the whole grid for u when they run and otherwise by
+    :func:`hpw_core` on the subgrid.
     """
     with _scenario_context(scenario):
         bins = bin_spectrum(f, params, cfg.xi_m)
         spectrum = olct_forward(f, params, xi_m=cfg.xi_m, bins=bins)
-        weight = cfg.omega(f.grid.points())
-        abs_f = abs_energy(f)
-        e_f = abs_f.energy
-        mu_t = time_moment_2p(abs_f, cfg.p, cfg.t_m, cfg.omega, weight)
-        del abs_f
         mu_s = spectral_moment_2p(spectrum, cfg.p, cfg.xi_m)
-        lhs = (mu_t * mu_s) ** (1.0 / (2.0 * cfg.p))
+        weight = cfg.omega(f.grid.points()) if a_mode is not None else None
         breakdown = hpw_core(f, params, cfg, bins=bins, weight=weight)
-        del bins, weight  # the breakdown holds what is read next
         core = breakdown.core
-        # the gap and the Gram terms read only |u|, |v| and their
-        # energies; u and v themselves are freed before the Gram terms run
-        v = abs_energy(breakdown.v)
-        u = abs_energy(breakdown.u()) if a_mode is not None else None
-        del breakdown
-        ppr_gap = relative_gap(mu_s, params.b ** (2 * cfg.p) * v.energy)
+        sub = bins.subgrid
+        mag = np.abs(f.values[sub.index])
+        abs_f = AbsEnergy(sub, mag, energy(sub, mag ** 2))
+        e_f = abs_f.energy
+        mu_t = time_moment_2p(abs_f, cfg.p, cfg.t_m, cfg.omega,
+                              breakdown.sub_weight)
+        lhs = (mu_t * mu_s) ** (1.0 / (2.0 * cfg.p))
+        ppr_gap = relative_gap(mu_s,
+                               params.b ** (2 * cfg.p) * breakdown.v_energy)
 
         rhs_h = hpw_rhs(core, params.b, cfg.p)
         a_term = 0.0
         if a_mode is not None:
+            u = abs_energy(breakdown.u(weight))
+            v = abs_energy(breakdown.v())
             a_star = saturating_gram_term(u, v)
             if a_mode == "fixed":
                 a_term = float(a_value)

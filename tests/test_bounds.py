@@ -88,10 +88,11 @@ def _spy(monkeypatch, fn, calls):
 
 
 def test_report_derivatives_match_the_demodulated_route(grid):
-    # the report reads every derivative off the bins of its one FFT; each
-    # F_q, b^(2p) ||v||^2 and |v| must match the unshared route, spectral
-    # differentiation of the demodulated signal on its own FFT, with
-    # xi_m != tau so that the demodulation shift beta = 1 is not 0.  The
+    # the report reads every derivative off the bins of its one FFT and
+    # sums each F_q and b^(2p) ||v||^2 on their subgrid; each, and |v| over
+    # the whole grid, must match full-grid sums of the unshared route,
+    # spectral differentiation of the demodulated signal on its own FFT,
+    # with xi_m != tau so that the demodulation shift beta = 1 is not 0.  The
     # report makes no demodulation and no derivative call of its own, and
     # evaluates the weight once for the time moment and all its derivatives
     params = completed_params(0.6, 0.5, tau=1.0)
@@ -142,11 +143,56 @@ def test_report_derivatives_match_the_demodulated_route(grid):
                                                   [p - 2 * q], t)[p - 2 * q]
                 f_q = (-1) ** p * float(np.sum(w * wd * sq))
                 assert term.value == pytest.approx(f_q, rel=1e-12), (bound, p, q)
-            v, v_ref = np.abs(breakdown.v.values), np.abs(reference[p].values)
+            v, v_ref = np.abs(breakdown.v().values), np.abs(reference[p].values)
             b2p = params.b ** (2 * p)
-            assert b2p * float(np.sum(w * v * v)) == pytest.approx(
+            assert b2p * breakdown.v_energy == pytest.approx(
                 b2p * float(np.sum(w * v_ref * v_ref)), rel=1e-12), (bound, p)
             assert np.max(np.abs(v - v_ref)) <= 1e-10 * np.max(v_ref), (bound, p)
+
+
+def test_subgrid_report_matches_full_grid_sums_on_the_benchmark_grid():
+    # an exp-weight p = 4 report on -8:8:65537 sums its smooth integrands
+    # on a subgrid; every F_q, mu_t, e_f and b^(2p) ||v||^2 must match the
+    # trapezoid sums over every sample of the demodulated route, with
+    # xi_m != tau and the weight growing towards t = -8
+    grid = olct.make_grid(-8.0, 8.0, 65537)
+    params = completed_params(0.6, 0.5, tau=1.0)
+    f = olct.gaussian_chirp(2.0, params.chirp_rate + 0.5).sample(grid)
+    cfg = olct.HpwConfig(p=4, t_m=0.3, xi_m=params.tau + 0.5,
+                         omega=olct.exp_weight(3.0))
+    assert olct.transform.bin_spectrum(f, params, cfg.xi_m).subgrid.step > 1
+    per_core = []
+
+    def core(*args, **kwargs):
+        per_core.append(bounds.hpw_core(*args, **kwargs))
+        return per_core[-1]
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(olct.verify, "hpw_core", core)
+        report = olct.verify_hpw(f, params, cfg)
+    [breakdown] = per_core
+    t = grid.points()
+    w = trapezoid_weights(grid.n, grid.dt)
+    g_b = moments.chirp_demodulate(f, params, cfg.xi_m)
+    reference = signals.derivative(g_b, [1, 2, 4])
+    mag = np.abs(g_b.values)
+    underflow = mag < bounds.DERIV_UNDERFLOW_MASK * np.max(mag)
+    omega = cfg.omega(t)
+    assert report.energy == pytest.approx(float(np.sum(w * mag ** 2)),
+                                          rel=1e-12)
+    assert report.mu_time == pytest.approx(
+        float(np.sum(w * (omega * mag) ** 2 * (t - cfg.t_m) ** 8)), rel=1e-12)
+    for term in breakdown.terms:
+        q = term.q
+        sq = (np.where(underflow, 0.0, np.abs(reference[q].values))
+              if q else mag) ** 2
+        wd = bounds.weight_deriv_centered(cfg.omega, 4, cfg.t_m, [4 - 2 * q],
+                                          t)[4 - 2 * q]
+        assert term.value == pytest.approx(float(np.sum(w * wd * sq)),
+                                           rel=1e-12), q
+    v_ref = np.abs(reference[4].values)
+    assert params.b ** 8 * breakdown.v_energy == pytest.approx(
+        params.b ** 8 * float(np.sum(w * v_ref ** 2)), rel=1e-12)
 
 
 def test_weight_deriv_centered_leibniz():
@@ -453,7 +499,7 @@ def test_breakdown_sharpening_invariants(example_signal, example_params):
 
 def test_breakdown_carries_only_what_hpw_core_computes():
     assert [f.name for f in dataclasses.fields(bounds.BoundBreakdown)] == [
-        "core", "terms", "g_b", "u_weight", "v"]
+        "core", "terms", "v_energy", "sub_weight", "bins", "cfg"]
 
 
 # ---------------------------------------------------------------------------

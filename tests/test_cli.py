@@ -476,6 +476,49 @@ def test_closed_form_overflow_exits_3(tmp_path, capsys, json_flag, command,
 
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
+@pytest.mark.parametrize("command, body, field", [
+    (("verify", "--bound", "hpw"), "p = 5", "p"),
+    (("verify", "--bound", "shw"), "weight_r = -1", "weight"),
+    (("ppr",), "p = 5", "p"),
+    (("sweep",), "p = 5", "p"),
+    (("sweep",), "r_values = -1,2", "r_values"),
+    (("verify", "--bound", "hpw"), "signal = minimizer\nc_p = -1", "signal"),
+])
+def test_library_validation_errors_exit_2(tmp_path, capsys, json_flag,
+                                          command, body, field):
+    # a value the library refuses is a config error at the config boundary
+    cfg = write_cfg(tmp_path, f"[x]\n{body}\n")
+    assert run_main(*command, "--config", cfg, "--out", str(tmp_path),
+                    *json_flag) == 2
+    captured = capsys.readouterr()
+    if json_flag:
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "config" and field in error["message"]
+    else:
+        assert captured.err.startswith("config error: ")
+        assert field in captured.err
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
+def test_plain_value_error_in_a_stage_exits_4(tmp_path, capsys, monkeypatch,
+                                              json_flag):
+    # a ValueError that no config boundary raised is a defect of the
+    # program, not of the config
+    def broken(*args, **kwargs):
+        raise ValueError("stage broke")
+
+    monkeypatch.setattr(cli, "verify_hpw", broken)
+    assert run_main("verify", "--bound", "hpw", "--out", str(tmp_path),
+                    *json_flag) == cli.EXIT_INTERNAL == 4
+    captured = capsys.readouterr()
+    if json_flag:
+        assert json.loads(captured.out) == {
+            "error": {"type": "internal", "message": "stage broke"}}
+    else:
+        assert captured.err == "internal error: stage broke\n"
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["human", "json"])
 def test_unwritable_out_exits_2(tmp_path, capsys, json_flag):
     # --out names an existing file, so no directory can be made there
     blocker = tmp_path / "taken"

@@ -214,3 +214,39 @@ def test_compare_exits_2_on_an_unreadable_file(which, tmp_path, monkeypatch,
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith(f"repro_digest.py: cannot read {bad}: ")
+
+
+def test_refine_ledger_prints_each_field_once():
+    # the minimizer is where A* of the minimizer and the slacks at equality
+    # sit at rounding noise about 0; the floor reads them as no move
+    digest = load_digest()
+    lines = digest.refine_lines(["minimizer"])
+    moves = {line.split()[0]: float(line.split()[2]) for line in lines}
+    assert len(moves) == len(lines)
+    assert {"lhs", "core", "mu_time", "mu_spec", "gram_term", "sharpened",
+            "holder_time_slack", "ppr_gap"} <= moves.keys()
+    assert "tol" not in moves and "n" not in moves
+    assert moves["ppr_gap"] == moves["parseval_gap"] == 0.0
+    assert moves["core"] <= 1e-12 and moves["hpw_rhs"] <= 1e-12
+    # the kinked integrands, the Gram terms' and odd-p verify_hw's, converge
+    # algebraically
+    assert 0.0 < moves["gram_term"] <= 1e-4
+    assert 0.0 < moves["mu_time"] <= 1e-9
+    for line in lines:
+        field, _, move = line.split()[:3]
+        assert (line.split(" at ")[1].startswith("library minimizer p=")
+                if float(move) else " at " not in line), line
+
+
+@pytest.mark.parametrize("argv", [["--refine", "minimizer"],
+                                  ["--values", "--refine"]])
+def test_refine_takes_no_further_argument(argv, monkeypatch, capsys):
+    digest = load_digest()
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a digest ran")
+
+    for name in ("run", "library_lines", "value_lines", "refine_lines"):
+        monkeypatch.setattr(digest, name, no_run)
+    assert digest.main(argv) == 2
+    assert capsys.readouterr().err == digest.USAGE + "\n"

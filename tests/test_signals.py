@@ -483,3 +483,48 @@ def test_norm_phase_invariance(grid):
     norm = math.sqrt(signals.abs_energy(s).energy)
     rotated_norm = math.sqrt(signals.abs_energy(rotated).energy)
     assert abs(rotated_norm - norm) <= 1e-12 * norm
+
+
+# ---------------------------------------------------------------------------
+# subgrid sums
+
+
+def test_subgrid_integral_refuses_an_integrand_that_aliases(grid):
+    # a cosine at the Nyquist frequency of the cosets of step 16 lies at
+    # +1 on one coset and -1 on the other; the whole grid samples it 16
+    # times per period, so there it integrates to rounding
+    sub = signals.Subgrid(grid, 16)
+    t = grid.points()
+    t_c = t[grid.n // 2]
+    x = np.exp(-t ** 2) * (1.0 + np.cos(np.pi * (t - t_c) / (8 * grid.dt)))
+    with pytest.raises(NumericsError, match="aliases on the subgrid of step 16"):
+        signals.guarded_integral(sub, x[sub.index], "the test integrand")
+    whole = signals.guarded_integral(signals.Subgrid(grid, 1), x,
+                                     "the test integrand")
+    assert whole == pytest.approx(math.sqrt(math.pi), rel=1e-13)
+    # the envelope alone is band-limited: both cosets give its integral
+    envelope = np.exp(-t[sub.index] ** 2)
+    value, gap = sub.cosets(envelope)
+    assert value == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+    assert abs(gap) <= 1e-14 * value
+    assert signals.energy(sub, envelope) == value
+
+
+def test_subgrid_at_step_1_is_the_whole_grid(grid):
+    sub = signals.Subgrid(grid, 1)
+    assert (sub.stride, sub.n, sub.centre) == (1, grid.n, grid.n // 2)
+    x = np.exp(-grid.points() ** 2)
+    assert sub.cosets(x) == (float(signals.trapezoid(grid, x)), 0.0)
+
+
+@pytest.mark.parametrize("n, step", [(4097, 12), (4096, 16), (65537, 270)])
+def test_subgrid_runs_through_the_centre_sample(n, step):
+    grid = olct.make_grid(-8.0, 8.0, n)
+    sub = signals.Subgrid(grid, step)
+    points = sub.points()
+    assert points.size == sub.n
+    assert points[sub.centre] == grid.points()[n // 2]
+    assert np.array_equal(np.diff(np.flatnonzero(
+        np.isin(grid.points(), points))), np.full(sub.n - 1, step // 2))
+    assert sub.index.start < step // 2
+    assert n - 1 - (sub.index.start + (sub.n - 1) * (step // 2)) < step // 2

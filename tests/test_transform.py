@@ -547,3 +547,48 @@ def test_parseval_gap_rejects_zero_energy(grid):
     spec = olct.SampledSignal(grid, np.zeros(grid.n))
     with pytest.raises(NumericsError, match="zero-energy"):
         olct.parseval_gap(zero, spec)
+
+
+# ---------------------------------------------------------------------------
+# the subgrid of the bins
+
+
+def _step(f, params, xi_m=0.0):
+    bins = transform.bin_spectrum(f, params, xi_m)
+    step = bins.subgrid.step
+    if step > 1:
+        # an even divisor of M, and the band of |g|^2 fits a coset twice
+        width = 2 * (int(np.max(bins.signed)) - int(np.min(bins.signed))) + 1
+        assert step % 2 == 0 and bins.size % step == 0
+        assert bins.size // step >= 2 * width
+    return step
+
+
+def test_band_filling_input_keeps_the_whole_grid():
+    f = olct.gaussian_chirp(2.0, 300.0).sample(olct.make_grid(-8.0, 8.0, 16385))
+    assert _step(f, olct.ft_params()) == 1
+    # at step 1 the report's sums are the whole grid's trapezoid sums, bit
+    # for bit
+    cfg = olct.HpwConfig(p=1)
+    report = olct.verify_shw(f, olct.ft_params(), cfg)
+    abs_f = signals.abs_energy(f)
+    assert report.energy == abs_f.energy
+    assert report.mu_time == moments.time_moment_2p(abs_f, 1, 0.0, cfg.omega)
+
+
+@pytest.mark.parametrize("n", [4096, 4097])
+def test_narrow_band_on_4096_points_takes_a_subgrid(n):
+    params = completed_params(0.6, -0.5, tau=1.0)
+    f = olct.gaussian_chirp(1.5, params.chirp_rate + 0.7).sample(
+        olct.make_grid(-8.0, 8.0, n))
+    assert _step(f, params, 1.5) > 1
+
+
+@pytest.mark.parametrize("r, offset", [(10.0, 2.0), (10.0, -2.0), (1.0, 0.0)])
+def test_benchmark_like_draw_takes_a_step_of_at_least_90(r, offset):
+    # the widest and the narrowest bands of the benchmark's 65537-point
+    # draws: r in [1, 10], chirp within 2 of the parameter set's
+    params = completed_params(6.0, 0.05, tau=1.0)
+    f = olct.gaussian_chirp(r, params.chirp_rate + offset).sample(
+        olct.make_grid(-8.0, 8.0, 65537))
+    assert _step(f, params, params.tau + 0.5) >= 90

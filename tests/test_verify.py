@@ -88,9 +88,10 @@ def test_one_transform_per_report(verify, p, example_signal, example_params,
 def test_report_reads_its_spectrum_off_one_fft(example_params, monkeypatch):
     # a p = 4 sharpened report on -8:8:65537: one FFT of the chirp-multiplied
     # input at next_fast_len(65537) = 65610 points chooses the default grid
-    # and gives the transform on it, then one inverse FFT on the same bins
-    # per derivative order {1, 2, 4}; a 131072-point bin FFT plus a separate
-    # 65610-point derivative FFT made 2 forward FFTs
+    # and gives the transform on it, then one L-point inverse FFT on the same
+    # bins per derivative order {1, 2, 4} at the points of their subgrid, and
+    # one full-length inverse FFT for the Gram terms' v; a 131072-point bin
+    # FFT plus a separate 65610-point derivative FFT made 2 forward FFTs
     grid = olct.make_grid(-8.0, 8.0, 65537)
     f = olct.gaussian_chirp(2.0, example_params.chirp_rate).sample(grid)
     calls = []
@@ -103,7 +104,10 @@ def test_report_reads_its_spectrum_off_one_fft(example_params, monkeypatch):
     cfg = olct.HpwConfig(p=4, xi_m=0.3, omega=olct.exp_weight(2.0))
     report = olct.verify_shw(f, example_params, cfg, a_mode="gram")
     assert report.passed
-    assert calls == [("fft", 65610)] + [("ifft", 65610)] * 3
+    length = calls[1][1]
+    assert length < 65610 and 65610 % length == 0
+    assert calls == ([("fft", 65610)] + [("ifft", length)] * 3
+                     + [("ifft", 65610)])
 
 
 def test_report_evaluates_each_grid_once(example_params, monkeypatch):

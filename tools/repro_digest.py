@@ -34,8 +34,17 @@ It prints, for each field that moved, the count of moved lines and the
 largest absolute and relative move, then the worst ``ppr_gap`` and
 ``parseval_gap`` on each side.  It exits 1, listing the difference, when
 the two files do not list the same keys, and 2, with one line on stderr,
-when it cannot read one of them.  Any other arguments print a usage line
-and exit 2 before anything runs.
+when it cannot read one of them.
+
+With ``--refine`` it runs every library scenario and order on -8:8:4097
+and on -8:8:16385 and prints, for each float field of the reports, its
+worst relative move between the two grids, the field's discretization
+error, and where it happens.  A value at or below ``REFINE_FLOOR`` in
+magnitude on both grids, such as A* of the minimizer, reads as no move:
+
+    PYTHONPATH=src python tools/repro_digest.py --refine
+
+Any other arguments print a usage line and exit 2 before anything runs.
 """
 
 from __future__ import annotations
@@ -245,6 +254,39 @@ def library_lines() -> list:
             + [sweep_line(scenario) for scenario in verify.SWEEP_SCENARIOS])
 
 
+REFINE_NS = (LIBRARY_N, 16385)
+# Magnitude at or below which a field's value is rounding noise about 0
+# (A* of the minimizer reads -5.4e-14, a slack at equality 1e-17), while
+# the smallest true value of the scenarios, mu_spec of the published set
+# at p = 4, is 5.1e-9.
+REFINE_FLOOR = 1e-12
+
+
+def refine_lines(names=None) -> list:
+    """One line per float report field: its worst relative move from
+    -8:8:4097 to -8:8:16385 over the library scenarios ``names`` (default:
+    every one) and every order, and the report where it happens."""
+    worst = {}  # field -> (move, where)
+    skip = {"tol", *verify.GRID_FIELDS, *verify.PARAMS_FIELDS}
+    for name in names or LIBRARY_SCENARIOS:
+        for p in LIBRARY_ORDERS:
+            coarse, fine = (library_reports(name, p, n)[-1] for n in REFINE_NS)
+            for before, after in zip(coarse, fine):
+                kind = " ".join(x for x in (before.bound, before.a_mode) if x)
+                after = verify.report_to_dict(after)
+                for field, x in verify.report_to_dict(before).items():
+                    y = after[field]
+                    if field in skip or not isinstance(x, float):
+                        continue
+                    scale = max(abs(x), abs(y))
+                    move = abs(y - x) / scale if scale > REFINE_FLOOR else 0.0
+                    if field not in worst or move > worst[field][0]:
+                        worst[field] = (move, f"{_library_label(name, p, LIBRARY_N)}"
+                                        f" | {kind}")
+    return [f"{field} rel {_size(move)}" + (f" at {where}" if move else "")
+            for field, (move, where) in worst.items()]
+
+
 GAP_FIELDS = ("ppr_gap", "parseval_gap")
 
 
@@ -306,7 +348,7 @@ def _size(value) -> str:
     return "-" if value is None else f"{value:.3g}"
 
 
-USAGE = "usage: repro_digest.py [--values | --compare BEFORE AFTER]"
+USAGE = "usage: repro_digest.py [--values | --refine | --compare BEFORE AFTER]"
 
 
 def main(argv: list) -> int:
@@ -320,8 +362,13 @@ def main(argv: list) -> int:
                       file=sys.stderr)
                 return 2
         lines, same_keys = compare(*map(parse_values, texts))
-    elif argv in ([], ["--values"]):
-        lines = value_lines() if argv else run() + library_lines()
+    elif argv in ([], ["--values"], ["--refine"]):
+        if not argv:
+            lines = run() + library_lines()
+        elif argv[0] == "--values":
+            lines = value_lines()
+        else:
+            lines = refine_lines()
         same_keys = True
     else:
         print(USAGE, file=sys.stderr)
