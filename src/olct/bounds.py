@@ -12,16 +12,17 @@ evaluated here:
   applied to the pair (u, v) that :func:`hpw_core` forms with E;
 * the absolute-moment bound (|b|/2) * (energy^2)^(1/p) for p >= 2.
 
-:func:`hpw_core` evaluates E, its per-order terms and ||v||^2 on the
-subgrid of the bins, and its breakdown forms u and v on demand.  The
-auxiliary terms, which read the :class:`AbsEnergy` of u, v and
-h, and the right-hand sides are separate functions, which the reports of
-:mod:`olct.verify` assemble.  The module also provides numerical
-validators for the two differential identities the functional is built on
-(the second one is the paper's expansion of |g_b^(q)|^2 into derivatives
-of the chirp-multiplied signal, with the coefficient functions defined
-here), and the closed-form bound pair for the chirped-Gaussian family used
-in the verification scenarios.
+:func:`hpw_core` makes the one FFT of a report and evaluates E, its
+per-order terms and ||v||^2 on the subgrid of its bins; its breakdown
+carries those bins, and with them the transform on the default output
+grid, and forms u and v on demand.  The auxiliary terms, which read the
+:class:`AbsEnergy` of u, v and h, and the right-hand sides are separate
+functions, which the reports of :mod:`olct.verify` assemble.  The module
+also provides numerical validators for the two differential identities
+the functional is built on (the second one is the paper's expansion of
+|g_b^(q)|^2 into derivatives of the chirp-multiplied signal, with the
+coefficient functions defined here), and the closed-form bound pair for
+the chirped-Gaussian family used in the verification scenarios.
 """
 
 from __future__ import annotations
@@ -137,8 +138,11 @@ class OrderTerm:
 class BoundBreakdown:
     """The bound functional, its per-order terms and the energy of v, all
     summed on the subgrid of the bins (:class:`~olct.signals.Subgrid`),
-    and what the sharpening pair (u, v) is formed from over the whole grid
-    on demand: the Gram terms read |u| and |v|, whose kinks a subgrid
+    and the bins and configuration they came from: the record of one
+    report.  The bins hold the transform on the default output grid and
+    the subgrid, which the report reads for its other moments, and the
+    sharpening pair (u, v) is formed from them over the whole grid on
+    demand: the Gram terms read |u| and |v|, whose kinks a subgrid
     resolves less well.
 
     g_b and v carry the unimodular factor exp(j beta t) that the bins give
@@ -149,21 +153,18 @@ class BoundBreakdown:
     core: float            # signed functional E
     terms: tuple           # OrderTerm per q
     v_energy: float        # ||g_b^(p)||^2
-    # omega at the subgrid's points, which the report's time moment reads
-    sub_weight: np.ndarray = field(repr=False, compare=False)
     bins: BinSpectrum = field(repr=False, compare=False)
     cfg: HpwConfig = field(repr=False, compare=False)
 
-    def u(self, weight: np.ndarray | None = None) -> SampledSignal:
+    def u(self) -> SampledSignal:
         """The pair's u = omega(t) (t - t_m)^p g_b(t), times exp(j beta t),
-        on the whole grid; ``weight`` passes the samples of omega there for
-        a caller that has them."""
+        on the whole grid."""
         g, cfg = self.bins.g, self.cfg
         t = g.grid.points()
         d = t - cfg.t_m
         mag = np.abs(d)
         u_weight = centered_power(d, mag, cfg.p, out=mag)
-        u_weight *= cfg.omega(t) if weight is None else weight
+        u_weight *= cfg.omega(t)
         return g.with_values(u_weight * g.values)
 
     def v(self) -> SampledSignal:
@@ -214,21 +215,19 @@ def modulation_cross_coeff(q: int, i: int, z: int, alpha: float) -> float:
 
 
 def weight_deriv_centered(omega: WeightFunction, p: int, t_m: float, orders,
-                          t: np.ndarray,
-                          weight: np.ndarray | None = None) -> dict:
+                          t: np.ndarray) -> dict:
     """Derivatives of (t - t_m)^p * omega(t): ``{k: k-th derivative}`` for
     every requested order k >= 0, by the Leibniz rule with the weight's
     exact derivatives.
 
-    The weight w = omega(t) is evaluated once, or taken from ``weight``, its
-    samples on t, for a caller that has them.  Each order is the
+    The weight w = omega(t) is evaluated once.  Each order is the
     term-by-term sum 0 + T_0 + T_1 + ..., T_m = binom(k, m) p!/(p-m)!
     (t - t_m)^(p-m) omega^(k-m), with each power as
-    :func:`centered_power` forms it and each weight derivative (-rate)^j w
-    as :meth:`WeightFunction.derivs` forms it.
+    :func:`centered_power` forms it and each weight derivative
+    omega^(j) as (-rate)^j w, w itself at j = 0.
     """
     t = np.asarray(t, dtype=float)
-    w = omega(t) if weight is None else weight
+    w = omega(t)
     d = t - t_m
     mag = np.abs(d)
     out = {}
@@ -243,9 +242,8 @@ def weight_deriv_centered(omega: WeightFunction, p: int, t_m: float, orders,
     return out
 
 
-def hpw_core(f: SampledSignal, params: OlctParams, cfg: HpwConfig,
-             bins: BinSpectrum | None = None,
-             weight: np.ndarray | None = None) -> BoundBreakdown:
+def hpw_core(f: SampledSignal, params: OlctParams,
+             cfg: HpwConfig) -> BoundBreakdown:
     """Evaluate the bound functional E = sum_q D_q F_q, q = 0..p/2, where
     F_q integrates the (p-2q)-th derivative of (t - t_m)^p omega(t) against
     |g_b^(q)|^2, with g_b = exp(-j beta t) exp(j a/(2b) t^2) f the
@@ -253,32 +251,26 @@ def hpw_core(f: SampledSignal, params: OlctParams, cfg: HpwConfig,
     integration-by-parts sign (-1)^(p-2q), which equals (-1)^p for every q.
 
     The orders q = 1..p/2 of the F_q and the order p of v are read off the
-    bins of ``bin_spectrum(f, params, cfg.xi_m)`` at the points of their
-    subgrid, one small inverse FFT each; ``bins`` passes those bins in when
-    the caller has them, with the same values.  |g_b| is |f|.  Every F_q
-    and ||v||^2 is a sum over the subgrid (:class:`~olct.signals.Subgrid`):
-    each F_q's integrand passes :func:`~olct.signals.check_decay`, and the
-    coset gap of E, against sum_q |D_q F_q| since the terms cancel, and
-    that of ||v||^2 pass :meth:`~olct.signals.Subgrid.check_alias`.  The
-    weight is evaluated at the subgrid's points, or read there off
-    ``weight``, the samples of cfg.omega on f's grid, for a caller that has
-    them.
+    bins of ``bin_spectrum(f, params, cfg.xi_m)``, the report's one FFT, at
+    the points of their subgrid, one small inverse FFT each.  |g_b| is
+    |f|.  Every F_q and ||v||^2 is a sum over the subgrid
+    (:class:`~olct.signals.Subgrid`): each F_q's integrand passes
+    :func:`~olct.signals.check_decay`, and the coset gap of E, against
+    sum_q |D_q F_q| since the terms cancel, and that of ||v||^2 pass
+    :meth:`~olct.signals.Subgrid.check_alias`.  The weight is evaluated at
+    the subgrid's points.  The breakdown carries the bins, so a report
+    reads its transform and its subgrid there.
     """
     if params.is_degenerate:
         raise ValueError("the bound functional requires b != 0")
-    if bins is None:
-        bins = bin_spectrum(f, params, cfg.xi_m)
-    else:
-        bins.check_source(f, params, cfg.xi_m)
+    bins = bin_spectrum(f, params, cfg.xi_m)
     p = cfg.p
     sub = bins.subgrid
-    t = sub.points()
-    sub_weight = cfg.omega(t) if weight is None else weight[sub.index]
     integrand = np.abs(f.values[sub.index])  # |g_b|, the q = 0 integrand
     underflow = integrand < DERIV_UNDERFLOW_MASK * np.max(integrand)
     wd = weight_deriv_centered(cfg.omega, p, cfg.t_m,
-                               {p - 2 * q for q in range(p // 2 + 1)}, t,
-                               sub_weight)
+                               {p - 2 * q for q in range(p // 2 + 1)},
+                               sub.points())
     sign = (-1) ** p
     terms = []
     core = gap = scale = 0.0
@@ -306,8 +298,7 @@ def hpw_core(f: SampledSignal, params: OlctParams, cfg: HpwConfig,
             integrand[underflow] = 0.0  # where g_b has underflowed
             add_term(k, integrand)
     sub.check_alias(gap, scale, "the bound functional")
-    return BoundBreakdown(core=core, terms=tuple(terms), v_energy=v_energy,
-                          sub_weight=sub_weight, bins=bins, cfg=cfg)
+    return BoundBreakdown(core, tuple(terms), v_energy, bins, cfg)
 
 
 def second_order_core_closed_form(f: SampledSignal, omega: WeightFunction,

@@ -1,5 +1,5 @@
 """Weighted even-order time moments, spectral moments, absolute moments,
-chirp demodulation, and the moment identity tying the two domains together.
+and the moment identity tying the two domains together.
 
 For b != 0 the 2p-th spectral moment of the transform equals
 b^(2p) * ||g_b^(p)||^2, where g_b is the input after chirp cancellation and
@@ -26,19 +26,16 @@ from .signals import (
     SampledSignal,
     WeightFunction,
     centered_power,
-    cis,
     energy,
     guarded_integral,
 )
-from .transform import OlctParams, bin_spectrum, olct_forward
+from .transform import OlctParams, bin_spectrum
 
 __all__ = [
     "PprResult",
     "time_moment_2p",
     "spectral_moment_2p",
     "abs_moment_p",
-    "demodulation_freq",
-    "chirp_demodulate",
     "relative_gap",
     "ppr_check",
 ]
@@ -55,13 +52,11 @@ def _half_order(p) -> int:
 
 
 def time_moment_2p(f: AbsEnergy, p: int, t_m: float,
-                   omega: WeightFunction,
-                   weight: np.ndarray | None = None) -> float:
+                   omega: WeightFunction) -> float:
     """Weighted time moment: integral of w(t)^2 (t - t_m)^(2p) |f(t)|^2,
     from the :class:`AbsEnergy` of f on its grid or on a
-    :class:`~olct.signals.Subgrid` (:func:`~olct.signals.guarded_integral`);
-    ``weight`` passes the samples of omega at those points for a caller
-    that has them.
+    :class:`~olct.signals.Subgrid` (:func:`~olct.signals.guarded_integral`),
+    with the weight evaluated at those points.
 
     The weight multiplies |f| before squaring, so a weight that overflows
     where the signal has decayed gives a finite product, not inf * 0.
@@ -71,7 +66,7 @@ def time_moment_2p(f: AbsEnergy, p: int, t_m: float,
     if not np.isfinite(t_m):
         raise ValueError("moment center t_m must be finite")
     t = f.grid.points()
-    integrand = np.multiply(omega(t) if weight is None else weight, f.mag)
+    integrand = np.multiply(omega(t), f.mag)
     np.square(integrand, out=integrand)
     # an even power takes no sign, so |t - t_m| and its power share a buffer
     power = np.subtract(t, t_m)
@@ -110,26 +105,6 @@ def abs_moment_p(grid: Grid, dist: np.ndarray, sq: np.ndarray,
                             "the absolute-moment integrand", COVERAGE_TOL)
 
 
-def demodulation_freq(params: OlctParams, xi_m: float) -> float:
-    """Demodulation frequency beta = (xi_m - tau) / b."""
-    if params.is_degenerate:
-        raise ValueError("demodulation frequency is undefined for b = 0")
-    return (xi_m - params.tau) / params.b
-
-
-def chirp_demodulate(f: SampledSignal, params: OlctParams,
-                     xi_m: float) -> SampledSignal:
-    """Chirp-cancelled, demodulated signal exp(-j beta t) exp(j a/(2b) t^2) f(t).
-
-    The factors are unimodular, so the result has the same pointwise
-    magnitude as the input.
-    """
-    beta = demodulation_freq(params, xi_m)
-    t = f.grid.points()
-    phase = params.chirp_rate * t * t - beta * t
-    return f.with_values(f.values * cis(phase))
-
-
 @dataclass(frozen=True)
 class PprResult:
     """Both sides of the spectral-moment identity and their relative gap."""
@@ -151,7 +126,7 @@ def ppr_check(f: SampledSignal, params: OlctParams, p: int,
     """Check integral (xi-xi_m)^(2p) |O|^2 dxi == b^(2p) ||g_b^(p)||^2.
 
     Both sides are read off one :func:`~olct.transform.bin_spectrum`, as
-    the verify reports read them: the left side is direct quadrature of the
+    the verify reports read them: the left side is direct quadrature of its
     transform on the default output grid, the right side the energy of the
     p-th derivative of the demodulated signal on the same bins, summed on
     their subgrid as :func:`~olct.bounds.hpw_core` sums it.  The gap is
@@ -162,8 +137,7 @@ def ppr_check(f: SampledSignal, params: OlctParams, p: int,
     if params.is_degenerate:
         raise ValueError("the moment identity requires b != 0")
     bins = bin_spectrum(f, params, xi_m)
-    spectrum = olct_forward(f, params, xi_m=xi_m, bins=bins)
-    lhs = spectral_moment_2p(spectrum, p, xi_m)
+    lhs = spectral_moment_2p(bins.spectrum, p, xi_m)
     sub = bins.subgrid
     if p >= 1:
         [(_, v)] = bins.derivatives([p], sub)

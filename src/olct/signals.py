@@ -197,12 +197,6 @@ class WeightFunction:
         t = np.asarray(t, dtype=float)
         return np.exp(-self.rate * t) if self.rate else np.ones_like(t)
 
-    def derivs(self, t, orders) -> dict:
-        """``{k: k-th derivative of w at t}`` for every requested order
-        k >= 0, all from one evaluation of w (0 for k >= 1 at rate 0)."""
-        w = self(t)
-        return {k: (-self.rate) ** k * w if k else w for k in orders}
-
 
 def exp_weight(r: float) -> WeightFunction:
     """Exponential weight w(t) = exp(-r t); d^k/dt^k w = (-r)^k exp(-r t)."""

@@ -187,9 +187,9 @@ def _fourier_sum(x: np.ndarray, x0: float, dx: float,
 
 
 class BinSpectrum(NamedTuple):
-    """The one FFT of a report, from :func:`bin_spectrum`: its bins give the
-    default output grid, the transform on that grid and every derivative of
-    the demodulated input that the report reads.
+    """The one FFT of a report, from :func:`bin_spectrum`: the transform on
+    the default output grid, which its bins choose, and every derivative
+    of the demodulated input that the report reads.
 
     The output is O(xi) ~ G(u) at u = (xi - tau)/b, where G is the Fourier
     transform of the chirp-multiplied input g = exp(j a/(2b) t^2) f.  g sits
@@ -210,9 +210,7 @@ class BinSpectrum(NamedTuple):
     signed: np.ndarray    # the signed indices of kept_bins(spec)
     binned: np.ndarray    # spec at those bins
     subgrid: Subgrid      # the input grid's subgrid for these bins
-    grid: Grid            # the default output grid
-    order: np.ndarray     # its bins j in grid order (descending for b < 0)
-    on_grid: np.ndarray   # spec[order % M]
+    spectrum: SampledSignal  # the transform on the default output grid
 
     def derivatives(self, orders, sub: Subgrid):
         """Yield ``(k, (d/dt - j beta)^k g)`` at the samples of ``sub``, the
@@ -230,19 +228,12 @@ class BinSpectrum(NamedTuple):
                                    self.f.grid.dt, sub.n, orders, beta,
                                    sub.centre)
 
-    def check_source(self, f: SampledSignal, params: OlctParams,
-                     xi_m: float) -> None:
-        """Raise ``ValueError`` unless these are the bins of f under params
-        centred at xi_m."""
-        if self.f is not f or self.params != params or self.xi_m != xi_m:
-            raise ValueError("the bins belong to another input, parameter "
-                             "set or moment centre")
-
 
 def bin_spectrum(f: SampledSignal, params: OlctParams,
                  xi_m: float = 0.0) -> BinSpectrum:
     """The :class:`BinSpectrum` of f under params: one FFT of the
-    chirp-multiplied input, and the default output grid read off its bins.
+    chirp-multiplied input, the default output grid read off its bins, and
+    the chirp_fft transform on that grid, read off the same bins.
 
     The input must decay at the grid edges (:func:`check_decay`).  Only the
     bins that :func:`~olct.signals.kept_bins` keeps above the rounding-noise
@@ -284,34 +275,25 @@ def bin_spectrum(f: SampledSignal, params: OlctParams,
     grid = make_grid(*sorted((params.tau + params.b * (lo * du),
                               params.tau + params.b * (hi * du))),
                      hi - lo + 1)
+    # bins j in grid order (descending for b < 0); the trapezoid weights are
+    # dt except at the two end samples, where they are dt/2, so the
+    # weighted sum at bin j is dt G_j less dt/2 times the terms of those two
+    # samples
     order = np.arange(lo, hi + 1) if params.b > 0 else np.arange(hi, lo - 1, -1)
-    return BinSpectrum(f, params, xi_m, f.with_values(g), size, bins,
-                       spec[kept], Subgrid(f.grid, subgrid_step(size, bins)),
-                       grid, order, spec[order % size])
-
-
-def _forward_on_bins(bins: BinSpectrum) -> SampledSignal:
-    """The chirp_fft transform on the default output grid, read off the bins
-    of the :class:`BinSpectrum`.
-
-    The trapezoid weights are dt except at the two end samples, where they
-    are dt/2, so the weighted sum at bin j is dt G_j less dt/2 times the
-    terms of those two samples.  The centre phase exp(-j u t_c), t_c the
-    middle sample, and the outer phase complete the kernel; both are taken
-    at the grid points, which sit within a few ulp of tau + b u_j, as the
-    other paths take them.
-    """
-    params, f, g, size = bins.params, bins.f, bins.g.values, bins.size
-    n, dt = f.grid.n, f.grid.dt
-    inner = dt * bins.on_grid
+    inner = dt * spec[order % size]
     ends = np.array([0, n - 1])
-    turns = np.outer(bins.order, ends - n // 2) % size
+    turns = np.outer(order, ends - n // 2) % size
     inner += cis((-2.0 * np.pi / size) * turns) @ ((-dt / 2.0) * g[ends])
-    xi = bins.grid.points()
+    # the centre phase exp(-j u t_c), t_c the middle sample, and the outer
+    # phase complete the kernel; both are taken at the grid points, which
+    # sit within a few ulp of tau + b u_j, as the other paths take them
+    xi = grid.points()
     t_c = f.grid.t_min + (n // 2) * dt
     out = (_root_factor(params.b) * cis(_outer_phase(xi, params))
            * cis(-((xi - params.tau) / params.b) * t_c) * inner)
-    return SampledSignal(bins.grid, out)
+    return BinSpectrum(f, params, xi_m, f.with_values(g), size, bins,
+                       spec[kept], Subgrid(f.grid, subgrid_step(size, bins)),
+                       SampledSignal(grid, out))
 
 
 def default_xi_grid(f: SampledSignal, params: OlctParams, xi_m: float = 0.0,
@@ -335,14 +317,13 @@ def default_xi_grid(f: SampledSignal, params: OlctParams, xi_m: float = 0.0,
     overrides the count on the same span; a transform on that grid runs the
     Bluestein sum.
     """
-    grid = bin_spectrum(f, params, xi_m).grid
+    grid = bin_spectrum(f, params, xi_m).spectrum.grid
     return grid if n is None else make_grid(grid.t_min, grid.t_max, n)
 
 
 def olct_forward(f: SampledSignal, params: OlctParams,
                  xi_grid: Grid | None = None, path: str = "chirp_fft",
-                 xi_m: float = 0.0,
-                 bins: BinSpectrum | None = None) -> SampledSignal:
+                 xi_m: float = 0.0) -> SampledSignal:
     """Forward transform of a sampled signal onto a uniform output grid.
 
     Parameters
@@ -359,18 +340,15 @@ def olct_forward(f: SampledSignal, params: OlctParams,
         ``chirp_fft`` factorizes the kernel into chirp multiplication, a
         Fourier-type integral at frequencies (xi - tau)/b, and an output
         phase; it needs the signal to decay at the grid edges.  On the
-        default grid the integral is read off the bins of the FFT that
-        chose the grid, one FFT in all; on an explicit grid it is a
-        Bluestein chirp transform.  ``direct`` evaluates the kernel
-        quadrature densely and serves as the correctness reference.
+        default grid it is the ``spectrum`` of :func:`bin_spectrum`, read
+        off the bins of the FFT that chose the grid, one FFT in all; on an
+        explicit grid it is a Bluestein chirp transform.  ``direct``
+        evaluates the kernel quadrature densely and serves as the
+        correctness reference.
     xi_m : float
         Centre of the default grid's moment integrands, as in
         :func:`default_xi_grid`; only meaningful without ``xi_grid`` and
         with b != 0 (a nonzero value is an error otherwise).
-    bins : BinSpectrum, optional
-        ``bin_spectrum(f, params, xi_m)``, for a caller that reads more
-        off the same FFT: the chirp_fft transform on the default grid is
-        read off these bins instead of a new FFT, with the same values.
 
     Both paths apply the same trapezoid quadrature weights, so they agree
     to rounding error for decaying inputs.
@@ -380,11 +358,6 @@ def olct_forward(f: SampledSignal, params: OlctParams,
                          "be combined with an explicit xi_grid")
     if path not in ("chirp_fft", "direct"):
         raise ValueError(f"unknown forward path {path!r}")
-    if bins is not None:
-        if xi_grid is not None or path != "chirp_fft":
-            raise ValueError("bins serve only the chirp_fft path on the "
-                             "default output grid")
-        bins.check_source(f, params, xi_m)
     if params.is_degenerate:
         if xi_grid is not None or xi_m != 0.0:
             raise ValueError("the b = 0 branch maps the input grid onto its "
@@ -396,8 +369,7 @@ def olct_forward(f: SampledSignal, params: OlctParams,
 
     if path == "chirp_fft":
         if xi_grid is None:
-            return _forward_on_bins(
-                bin_spectrum(f, p, xi_m) if bins is None else bins)
+            return bin_spectrum(f, p, xi_m).spectrum
         check_decay(f.values, "the input of the chirp_fft path")
         g = trapezoid_samples(f.grid, f.values) * cis(p.chirp_rate * t * t)
         u0 = (xi_grid.t_min - p.tau) / p.b

@@ -28,7 +28,6 @@ from .signals import (
 )
 from .transform import (
     OlctParams,
-    bin_spectrum,
     default_xi_grid,
     energy_gap,
     olct_forward,
@@ -158,32 +157,29 @@ def _report(f: SampledSignal, params: OlctParams, cfg: HpwConfig, tol: float,
     """Shared body of the 2p-order reports: the plain bound when ``a_mode``
     is None, else the sharpened bound with that auxiliary-term mode.
 
-    One FFT (:func:`~olct.transform.bin_spectrum`) serves the report: the
-    transform onto the default output grid is read off its bins and feeds
-    the output-domain moment, and :func:`hpw_core` reads the derivatives of
-    g_b off the same bins.  Every smooth time integrand, those of the
-    energy, the time moment, E and b^(2p) ||v||^2 with |v| = |g_b^(p)|, is
-    summed on the subgrid of the bins (:class:`~olct.signals.Subgrid`);
-    mu_spec against b^(2p) ||v||^2 is the moment-identity gap.  Both right
-    sides are assembled here from E and the auxiliary term A, which is 0
-    for the plain bound.  The sharpened bound's Gram terms read |u| and |v|
-    over the whole grid, formed from the breakdown; the weight is
-    evaluated once, on the whole grid for u when they run and otherwise by
-    :func:`hpw_core` on the subgrid.
+    One FFT serves the report: :func:`hpw_core` makes it
+    (:func:`~olct.transform.bin_spectrum`) and reads the derivatives of g_b
+    off its bins, and its breakdown carries those bins, whose transform on
+    the default output grid feeds the output-domain moment.  Every smooth
+    time integrand, those of the energy, the time moment, E and
+    b^(2p) ||v||^2 with |v| = |g_b^(p)|, is summed on the subgrid of the
+    bins (:class:`~olct.signals.Subgrid`); mu_spec against
+    b^(2p) ||v||^2 is the moment-identity gap.  Both right sides are
+    assembled here from E and the auxiliary term A, which is 0 for the
+    plain bound.  The sharpened bound's Gram terms read |u| and |v| over
+    the whole grid, formed from the breakdown.  Each stage evaluates the
+    weight at the points it sums on: on the subgrid for E and the time
+    moment, and over the whole grid only for u.
     """
     with _scenario_context(scenario):
-        bins = bin_spectrum(f, params, cfg.xi_m)
-        spectrum = olct_forward(f, params, xi_m=cfg.xi_m, bins=bins)
+        breakdown = hpw_core(f, params, cfg)
+        spectrum, sub = breakdown.bins.spectrum, breakdown.bins.subgrid
         mu_s = spectral_moment_2p(spectrum, cfg.p, cfg.xi_m)
-        weight = cfg.omega(f.grid.points()) if a_mode is not None else None
-        breakdown = hpw_core(f, params, cfg, bins=bins, weight=weight)
         core = breakdown.core
-        sub = bins.subgrid
         mag = np.abs(f.values[sub.index])
         abs_f = AbsEnergy(sub, mag, energy(sub, mag ** 2))
         e_f = abs_f.energy
-        mu_t = time_moment_2p(abs_f, cfg.p, cfg.t_m, cfg.omega,
-                              breakdown.sub_weight)
+        mu_t = time_moment_2p(abs_f, cfg.p, cfg.t_m, cfg.omega)
         lhs = (mu_t * mu_s) ** (1.0 / (2.0 * cfg.p))
         ppr_gap = relative_gap(mu_s,
                                params.b ** (2 * cfg.p) * breakdown.v_energy)
@@ -191,7 +187,7 @@ def _report(f: SampledSignal, params: OlctParams, cfg: HpwConfig, tol: float,
         rhs_h = hpw_rhs(core, params.b, cfg.p)
         a_term = 0.0
         if a_mode is not None:
-            u = abs_energy(breakdown.u(weight))
+            u = abs_energy(breakdown.u())
             v = abs_energy(breakdown.v())
             a_star = saturating_gram_term(u, v)
             if a_mode == "fixed":

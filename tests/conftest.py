@@ -66,6 +66,36 @@ def trapezoid_weights(n: int, dt: float) -> np.ndarray:
     return w
 
 
+def demodulation_freq(params: olct.OlctParams, xi_m: float) -> float:
+    """Demodulation frequency beta = (xi_m - tau) / b."""
+    if params.is_degenerate:
+        raise ValueError("demodulation frequency is undefined for b = 0")
+    return (xi_m - params.tau) / params.b
+
+
+def chirp_demodulate(f: olct.SampledSignal, params: olct.OlctParams,
+                     xi_m: float) -> olct.SampledSignal:
+    """Chirp-cancelled, demodulated signal exp(-j beta t) exp(j a/(2b) t^2) f(t),
+    the route to g_b that the reports, which read it off the bins of their
+    one FFT, do not take.
+
+    The factors are unimodular, so the result has the same pointwise
+    magnitude as the input.
+    """
+    beta = demodulation_freq(params, xi_m)
+    t = f.grid.points()
+    phase = params.chirp_rate * t * t - beta * t
+    return f.with_values(f.values * olct.signals.cis(phase))
+
+
+def weight_derivs(omega, t, orders) -> dict:
+    """``{k: k-th derivative of the weight omega at t}`` for every requested
+    order k >= 0, all from one evaluation of w = omega(t): (-rate)^k w, and
+    w itself at k = 0 (0 for k >= 1 at rate 0)."""
+    w = omega(t)
+    return {k: (-omega.rate) ** k * w if k else w for k in orders}
+
+
 def ft_eq3(f: olct.SampledSignal, sigma: np.ndarray) -> np.ndarray:
     """Reference Fourier transform in the cycles convention,
     fhat(sigma) = integral f(t) exp(-2j pi sigma t) dt, by dense quadrature."""

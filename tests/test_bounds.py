@@ -9,8 +9,9 @@ import olct
 from olct import bounds, moments, signals
 from olct.errors import NumericsError
 
-from conftest import (DEFAULT_GRID, EXAMPLE_PARAMS, completed_params, ft_eq3,
-                      rquad, trapezoid_weights)
+from conftest import (DEFAULT_GRID, EXAMPLE_PARAMS, chirp_demodulate,
+                      completed_params, demodulation_freq, ft_eq3, rquad,
+                      trapezoid_weights, weight_derivs)
 
 
 # ---------------------------------------------------------------------------
@@ -93,14 +94,14 @@ def test_report_derivatives_match_the_demodulated_route(grid):
     # the whole grid, must match full-grid sums of the unshared route,
     # spectral differentiation of the demodulated signal on its own FFT,
     # with xi_m != tau so that the demodulation shift beta = 1 is not 0.  The
-    # report makes no demodulation and no derivative call of its own, and
-    # evaluates the weight once for the time moment and all its derivatives
+    # report makes no derivative call of its own, and evaluates the weight
+    # over the whole grid only for the Gram terms' u
     params = completed_params(0.6, 0.5, tau=1.0)
     f = olct.gaussian_chirp(2.0, 1.5).sample(grid)
     omega = olct.exp_weight(1.0)
     t = grid.points()
     w = trapezoid_weights(grid.n, grid.dt)
-    g_b = moments.chirp_demodulate(f, params, 1.5)
+    g_b = chirp_demodulate(f, params, 1.5)
     reference = signals.derivative(g_b, range(1, 5))
     mag = np.abs(g_b.values)
     underflow = mag < bounds.DERIV_UNDERFLOW_MASK * np.max(mag)
@@ -108,13 +109,13 @@ def test_report_derivatives_match_the_demodulated_route(grid):
     weight_call = signals.WeightFunction.__call__
 
     def counted(self, t):
-        evals.append(self)
+        evals.append(np.size(t))
         return weight_call(self, t)
 
     for bound in ("hpw", "shw-gram"):
         for p in (1, 2, 3, 4):
             cfg = olct.HpwConfig(p=p, xi_m=1.5, omega=omega)
-            demods, derivs, per_core = [], [], []
+            derivs, per_core = [], []
 
             def core(*args, **kwargs):
                 out = bounds.hpw_core(*args, **kwargs)
@@ -123,7 +124,6 @@ def test_report_derivatives_match_the_demodulated_route(grid):
 
             evals.clear()
             with pytest.MonkeyPatch.context() as monkeypatch:
-                _spy(monkeypatch, moments.chirp_demodulate, demods)
                 _spy(monkeypatch, signals.derivative, derivs)
                 monkeypatch.setattr(olct.verify, "hpw_core", core)
                 monkeypatch.setattr(signals.WeightFunction, "__call__",
@@ -132,9 +132,11 @@ def test_report_derivatives_match_the_demodulated_route(grid):
                     olct.verify_hpw(f, params, cfg)
                 else:
                     olct.verify_shw(f, params, cfg, a_mode="gram")
-            assert demods == [] and derivs == [], (bound, p)
+            assert derivs == [], (bound, p)
             [breakdown] = per_core
-            assert evals == [omega], (bound, p)
+            # full-length evaluations: none for hpw, one for the gram u
+            assert evals.count(grid.n) == (0 if bound == "hpw" else 1), (
+                bound, p)
             for term in breakdown.terms:
                 q = term.q
                 sq = (np.where(underflow, 0.0, np.abs(reference[q].values))
@@ -173,7 +175,7 @@ def test_subgrid_report_matches_full_grid_sums_on_the_benchmark_grid():
     [breakdown] = per_core
     t = grid.points()
     w = trapezoid_weights(grid.n, grid.dt)
-    g_b = moments.chirp_demodulate(f, params, cfg.xi_m)
+    g_b = chirp_demodulate(f, params, cfg.xi_m)
     reference = signals.derivative(g_b, [1, 2, 4])
     mag = np.abs(g_b.values)
     underflow = mag < bounds.DERIV_UNDERFLOW_MASK * np.max(mag)
@@ -216,7 +218,7 @@ def _term_sum_weight_deriv(omega, p, t_m, k, t):
         return np.copysign(out, d) if e % 2 else out
 
     return sum(math.comb(k, m) * math.perm(p, m) * power(p - m)
-               * omega.derivs(t, [k - m])[k - m]
+               * weight_derivs(omega, t, [k - m])[k - m]
                for m in range(min(k, p) + 1))
 
 
@@ -368,7 +370,7 @@ def test_core_assembles_from_public_integrals(grid):
     for p in (2, 3, 4):
         cfg = olct.HpwConfig(p=p, t_m=0.2, xi_m=1.5, omega=olct.exp_weight(1.0))
         breakdown = olct.hpw_core(f, params, cfg)
-        alpha = moments.demodulation_freq(params, cfg.xi_m)
+        alpha = demodulation_freq(params, cfg.xi_m)
         total = 0.0
         for q in range(p // 2 + 1):
             sq = sum(bounds.modulation_square_coeff(q, n, alpha)
@@ -499,7 +501,7 @@ def test_breakdown_sharpening_invariants(example_signal, example_params):
 
 def test_breakdown_carries_only_what_hpw_core_computes():
     assert [f.name for f in dataclasses.fields(bounds.BoundBreakdown)] == [
-        "core", "terms", "v_energy", "sub_weight", "bins", "cfg"]
+        "core", "terms", "v_energy", "bins", "cfg"]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from olct import moments, signals
 from olct.errors import NumericsError
 
 from conftest import (DECAY_PHRASE, DEFAULT_GRID, EXAMPLE_PARAMS,
-                      completed_params, ft_eq3, rquad, trapezoid_weights)
+                      chirp_demodulate, completed_params, ft_eq3, rquad,
+                      trapezoid_weights)
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +177,7 @@ def test_abs_moment_minimized_near_centroid(grid):
 
 
 def test_demodulation_cancels_matched_chirp(example_signal, example_params):
-    g_b = moments.chirp_demodulate(example_signal, example_params, xi_m=0.0)
+    g_b = chirp_demodulate(example_signal, example_params, xi_m=0.0)
     assert np.max(np.abs(g_b.values.imag)) <= 1e-12
     expected = np.exp(-DEFAULT_GRID.points() ** 2)
     assert np.max(np.abs(g_b.values.real - expected)) <= 1e-12
@@ -187,21 +188,13 @@ def test_demodulation_preserves_magnitude(example_signal):
     for params in (EXAMPLE_PARAMS, completed_params(6.0, 0.5, tau=1.0),
                    olct.ft_params()):
         xi_m = float(rng.uniform(-2, 2))
-        g_b = moments.chirp_demodulate(example_signal, params, xi_m)
+        g_b = chirp_demodulate(example_signal, params, xi_m)
         assert np.max(np.abs(np.abs(g_b.values) - np.abs(example_signal.values))) <= 1e-12
-
-
-def test_demodulation_freq():
-    params = completed_params(0.6, 0.05, tau=1.0)
-    assert moments.demodulation_freq(params, 1.0) == 0.0
-    assert moments.demodulation_freq(params, 1.5) == pytest.approx(10.0)
-    with pytest.raises(ValueError):
-        moments.demodulation_freq(olct.OlctParams(2.0, 0.0, 0.0, 0.5), 0.0)
 
 
 def test_time_moment_chirp_invariance(example_signal, example_params):
     w = olct.exp_weight(2.0)
-    g_b = moments.chirp_demodulate(example_signal, example_params, xi_m=0.5)
+    g_b = chirp_demodulate(example_signal, example_params, xi_m=0.5)
     m_f = moments.time_moment_2p(signals.abs_energy(example_signal), 1, 0.0, w)
     m_g = moments.time_moment_2p(signals.abs_energy(g_b), 1, 0.0, w)
     assert abs(m_f - m_g) <= 1e-12 * m_f

@@ -131,6 +131,7 @@ library a p=2 | shw gram | passed_hpw true
 library a p=2 | shw gram | mu_spec 4
 library a p=2 | shw gram | ppr_gap 3e-16
 library a p=2 | shw gram | parseval_gap 2e-16
+library a p=3 | hpw | ppr_gap 5e-16
 """
 
 AFTER_VALUES = """\
@@ -144,6 +145,7 @@ library a p=2 | shw gram | passed_hpw true
 library a p=2 | shw gram | mu_spec 3
 library a p=2 | shw gram | ppr_gap 2e-15
 library a p=2 | shw gram | parseval_gap 2e-16
+library a p=3 | hpw | ppr_gap 6e-16
 """
 
 
@@ -155,11 +157,12 @@ def test_compare_lists_moves_per_field_and_the_worst_gaps(tmp_path):
     lines, same_keys = digest.compare(digest.parse_values(BEFORE_VALUES),
                                       digest.parse_values(AFTER_VALUES))
     assert same_keys
+    # gaps at rounding level, below REFINE_FLOOR, move by 0 relative
     assert lines == [
         "mu_spec moved 2 abs 1 rel 0.25",
-        "parseval_gap moved 1 abs 1e-16 rel 1",
+        "parseval_gap moved 1 abs 1e-16 rel 0",
         "passed_hpw moved 1 abs - rel -",
-        "ppr_gap moved 1 abs 1.7e-15 rel 0.85",
+        "ppr_gap moved 2 abs 1.7e-15 rel 0",
         "worst ppr_gap before 1e-15 after 2e-15",
         "worst parseval_gap before 2e-16 after 2e-16",
     ]

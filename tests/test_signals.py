@@ -126,12 +126,7 @@ def test_exp_weight_values():
     w = olct.exp_weight(2.0)
     assert w == signals.WeightFunction(2.0)
     assert w(0.0) == pytest.approx(1.0)
-    assert w.derivs(0.0, [1])[1] == pytest.approx(-2.0)
     assert olct.exp_weight(10.0)(0.1) == pytest.approx(math.exp(-1.0), rel=1e-14)
-    t = np.linspace(-1, 1, 7)
-    derivs = w.derivs(t, range(5))
-    for k in range(5):
-        assert np.allclose(derivs[k], (-2.0) ** k * np.exp(-2.0 * t), rtol=1e-14)
 
 
 def test_exp_weight_rejects_nonpositive_rate():
@@ -146,9 +141,6 @@ def test_unit_weight():
     assert w == signals.WeightFunction()
     t = np.linspace(-4, 4, 11)
     assert np.all(w(t) == 1.0)
-    derivs = w.derivs(t, [0, 1, 3])
-    assert np.all(derivs[0] == 1.0)
-    assert np.all(derivs[1] == 0.0) and np.all(derivs[3] == 0.0)
 
 
 # ---------------------------------------------------------------------------

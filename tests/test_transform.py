@@ -331,30 +331,6 @@ def test_forward_fast_path_rejects_nondecaying(grid):
         olct.olct_forward(f, olct.ft_params(), xi, path="chirp_fft")
 
 
-def test_forward_reads_only_the_bins_of_its_own_input(grid):
-    # bins passed in serve the default grid of the same input, parameters
-    # and centre, and give the values of a fresh FFT
-    params = completed_params(0.6, 0.5, tau=1.0)
-    f = olct.gaussian_chirp(2.0, 1.5).sample(grid)
-    bins = transform.bin_spectrum(f, params, 1.5)
-    spec = olct.olct_forward(f, params, xi_m=1.5, bins=bins)
-    fresh = olct.olct_forward(f, params, xi_m=1.5)
-    assert spec.grid == fresh.grid
-    assert np.array_equal(spec.values, fresh.values)
-    for g, other_params, xi_m in [(f.with_values(f.values.copy()), params, 1.5),
-                                  (f, olct.ft_params(), 1.5),
-                                  (f, params, 0.0)]:
-        with pytest.raises(ValueError, match="bins belong"):
-            olct.olct_forward(g, other_params, xi_m=xi_m, bins=bins)
-        with pytest.raises(ValueError, match="bins belong"):
-            olct.hpw_core(g, other_params, olct.HpwConfig(p=1, xi_m=xi_m),
-                          bins=bins)
-    with pytest.raises(ValueError, match="default output grid"):
-        olct.olct_forward(f, params, spec.grid, bins=bins)
-    with pytest.raises(ValueError, match="default output grid"):
-        olct.olct_forward(f, params, path="direct", xi_m=1.5, bins=bins)
-
-
 def test_forward_routes_degenerate_params(grid):
     f = olct.SampledSignal(grid, np.exp(-grid.points() ** 2))
     params = olct.OlctParams(2.0, 0.0, 0.0, 0.5)

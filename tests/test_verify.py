@@ -10,8 +10,8 @@ import olct
 
 from olct.verify import csv_text, fmt
 
-from conftest import (DEFAULT_GRID, EXAMPLE_PARAMS, completed_params,
-                      trapezoid_weights)
+from conftest import (DEFAULT_GRID, EXAMPLE_PARAMS, chirp_demodulate,
+                      completed_params, trapezoid_weights)
 
 
 @pytest.fixture(scope="module")
@@ -24,13 +24,13 @@ def example_cfg():
 
 
 # The tracemalloc peaks of one report on the benchmark's grid -8:8:65537,
-# above what was allocated before it, with numpy 2.4.6: 6.07 MiB for the
-# gram verify_shw at p = 4 and 5.57 MiB for verify_hpw at p = 1 (13.0 and
-# 7.5 MiB when each stage held all its arrays at once).  numpy reports its
-# array buffers to tracemalloc, so for one numpy build the peak is the same
-# on every run; each limit is that peak plus 1 MiB.
-WORKING_SET_MIB = {(olct.verify_shw, 4): 6.07 + 1.0,
-                   (olct.verify_hpw, 1): 5.57 + 1.0}
+# above what was allocated before it, with numpy 2.4.6: 3.52 MiB for the
+# gram verify_shw at p = 4, which forms the Gram terms' u and v over the
+# whole grid, and 2.63 MiB for verify_hpw at p = 1, which forms neither.
+# numpy reports its array buffers to tracemalloc, so for one numpy build
+# the peak is the same on every run; each limit is that peak plus 1 MiB.
+WORKING_SET_MIB = {(olct.verify_shw, 4): 3.52 + 1.0,
+                   (olct.verify_hpw, 1): 2.63 + 1.0}
 
 
 @pytest.mark.parametrize("verify, p", list(WORKING_SET_MIB),
@@ -67,22 +67,25 @@ def test_verify_hpw_example_scenario(example_signal, example_params, example_cfg
 def test_one_transform_per_report(verify, p, example_signal, example_params,
                                   monkeypatch):
     calls = []
-    forward = olct.olct_forward
+    fft = np.fft.fft
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return forward(*args, **kwargs)
+        return fft(*args, **kwargs)
 
     cfg = olct.HpwConfig(p=p, xi_m=0.3, omega=olct.exp_weight(2.0))
     with monkeypatch.context() as patch:
-        patch.setattr(olct.verify, "olct_forward", counted)
-        patch.setattr(olct.moments, "olct_forward", counted)
+        patch.setattr(np.fft, "fft", counted)
         report = verify(example_signal, example_params, cfg)
     assert len(calls) == 1
-    # the report's identity gap is the one ppr_check computes on its own
+    # the report's identity gap is the one ppr_check computes on its own,
+    # and its output-domain moment is that of the public transform
     ppr = olct.ppr_check(example_signal, example_params, p, cfg.xi_m)
     assert report.ppr_gap == ppr.rel_gap
     assert report.mu_spec == ppr.lhs
+    spectrum = olct.olct_forward(example_signal, example_params, xi_m=cfg.xi_m)
+    assert report.mu_spec == olct.moments.spectral_moment_2p(spectrum, p,
+                                                             cfg.xi_m)
 
 
 def test_report_reads_its_spectrum_off_one_fft(example_params, monkeypatch):
@@ -430,7 +433,7 @@ def test_minimizer_magnitude_independent_of_params():
 def test_minimizer_demodulates_to_centered_gaussian(example_params):
     c0, c_p, t_m = 0.8, 1.3, 0.4
     f = olct.minimizer_signal(c0, c_p, t_m, 0.6, example_params).sample(DEFAULT_GRID)
-    g_b = olct.moments.chirp_demodulate(f, example_params, xi_m=0.6)
+    g_b = chirp_demodulate(f, example_params, xi_m=0.6)
     t = DEFAULT_GRID.points()
     expected = c0 * np.exp(-c_p * (t - t_m) ** 2)
     assert np.max(np.abs(np.abs(g_b.values) - expected)) <= 1e-12

@@ -32,7 +32,9 @@ a change moved.  ``--compare BEFORE AFTER`` summarises two such outputs:
 
 It prints, for each field that moved, the count of moved lines and the
 largest absolute and relative move, then the worst ``ppr_gap`` and
-``parseval_gap`` on each side.  It exits 1, listing the difference, when
+``parseval_gap`` on each side.  A move between two values at or below
+``REFINE_FLOOR`` in magnitude, such as a gap at rounding level, reads as
+relative move 0; its absolute move is still printed.  It exits 1, listing the difference, when
 the two files do not list the same keys, and 2, with one line on stderr,
 when it cannot read one of them.
 
@@ -308,8 +310,9 @@ def compare(before: dict, after: dict) -> tuple:
     :func:`parse_values` results), and whether they list the same keys.
 
     A move's relative size is taken against the larger of the two
-    magnitudes; a field whose moved values are not both numbers (a flipped
-    ``passed_*``) shows ``-`` for both sizes.
+    magnitudes, and is 0 when that is at or below ``REFINE_FLOOR``, as in
+    :func:`refine_lines`; a field whose moved values are not both numbers
+    (a flipped ``passed_*``) shows ``-`` for both sizes.
     """
     if before.keys() != after.keys():
         return ([f"only in {side}: {key}" for side, keys in
@@ -328,7 +331,9 @@ def compare(before: dict, after: dict) -> tuple:
             big_abs = big_rel = None
         elif big_abs is not None:
             big_abs = max(big_abs, abs(y - x))
-            big_rel = max(big_rel, abs(y - x) / max(abs(x), abs(y)))
+            scale = max(abs(x), abs(y))
+            if scale > REFINE_FLOOR:
+                big_rel = max(big_rel, abs(y - x) / scale)
         moves[field] = (count + 1, big_abs, big_rel)
     lines = [f"{field} moved {count} abs {_size(big_abs)} rel {_size(big_rel)}"
              for field, (count, big_abs, big_rel) in sorted(moves.items())]
